@@ -6,20 +6,12 @@ site) followed by a context-sensitivity name (``ci``, ``2cs``, ``2obj``,
 ``3obj``, ``2type``, ``3type``, ...).  Examples: ``3obj``, ``M-3obj``,
 ``T-2type``, ``M-ci``.
 
-A configuration may additionally pin solver internals with ``@`` suffix
-tokens, each a points-to-set backend name, a constraint-graph
-condensation switch, or an object-numbering switch — ``3obj@set`` runs
-the baseline 3obj analysis on the legacy ``set[int]`` backend,
-``M-3obj@noscc`` disables cycle collapsing (``@scc`` forces it on),
-``2obj@nonum`` restores discovery-order object ids (``@num`` forces the
-hierarchy-ordered numbering on), ``2obj@set@noscc@nonum`` combines
-them, and ``M-3obj`` (no suffix) uses the process defaults (bit-vector
-ints, condensation on, numbering on; see :mod:`repro.pta.bitset` /
-:mod:`repro.pta.scc` / :mod:`repro.pta.numbering`).
-The suffixes exist for A/B validation: the differential tests and the
-``repro.bench backends`` / ``repro.bench scc`` / ``repro.bench
-numbering`` harnesses run the same configuration under both
-alternatives and assert/measure.
+A configuration may additionally pin constraint-graph condensation
+with an ``@`` suffix token: ``M-3obj@noscc`` disables cycle collapsing
+and ``@scc`` forces it on; ``M-3obj`` (no suffix) resolves through
+``$REPRO_SCC`` (default on; see :mod:`repro.pta.scc`).  The ``bench
+scc`` ablation runs the same configuration both ways.  Any other
+``@`` token is an error.
 """
 
 from __future__ import annotations
@@ -27,18 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.pta.bitset import BACKEND_NAMES
-
-__all__ = ["AnalysisConfig", "parse_config", "PAPER_BASELINES", "PAPER_CONFIGS",
-           "BACKEND_NAMES"]
+__all__ = ["AnalysisConfig", "parse_config", "PAPER_BASELINES", "PAPER_CONFIGS"]
 
 #: Recognized ``@`` condensation tokens (resolved by
 #: :func:`repro.pta.scc.resolve_scc` to on/off).
 _SCC_TOKENS = {"scc": True, "noscc": False}
-
-#: Recognized ``@`` object-numbering tokens (resolved by
-#: :func:`repro.pta.numbering.resolve_numbering` to on/off).
-_NUMBERING_TOKENS = {"num": True, "nonum": False}
 
 #: The five baselines the paper evaluates (Section 6.2.1).
 PAPER_BASELINES: Tuple[str, ...] = ("2cs", "2obj", "3obj", "2type", "3type")
@@ -56,14 +41,9 @@ class AnalysisConfig:
     name: str
     heap: str  # "alloc-site" | "alloc-type" | "mahjong"
     sensitivity: str  # "ci", "2cs", "3obj", ...
-    #: points-to-set representation; ``None`` = process default.
-    pts_backend: Optional[str] = None
     #: constraint-graph condensation; ``None`` = process default
     #: (resolved through :func:`repro.pta.scc.resolve_scc`).
     scc: Optional[bool] = None
-    #: hierarchy-ordered object numbering; ``None`` = process default
-    #: (resolved through :func:`repro.pta.numbering.resolve_numbering`).
-    numbering: Optional[bool] = None
 
     @property
     def needs_pre_analysis(self) -> bool:
@@ -74,8 +54,7 @@ class AnalysisConfig:
 
 
 def parse_config(name: str) -> AnalysisConfig:
-    """Parse a configuration name like ``M-3obj``, ``3obj@set`` or
-    ``2obj@set@noscc@nonum``.
+    """Parse a configuration name like ``M-3obj`` or ``2obj@noscc``.
 
     Raises ``ValueError`` for unknown prefixes, sensitivities, or
     ``@`` suffix tokens (the sensitivity grammar is validated by
@@ -84,37 +63,20 @@ def parse_config(name: str) -> AnalysisConfig:
     from repro.pta.context import selector_for
 
     base = name
-    pts_backend: Optional[str] = None
     scc: Optional[bool] = None
-    numbering: Optional[bool] = None
     if "@" in name:
         base, *tokens = name.split("@")
         for token in tokens:
-            if token in BACKEND_NAMES:
-                if pts_backend is not None:
-                    raise ValueError(
-                        f"conflicting backend tokens in {name!r}"
-                    )
-                pts_backend = token
-            elif token in _SCC_TOKENS:
-                if scc is not None:
-                    raise ValueError(
-                        f"conflicting condensation tokens in {name!r}"
-                    )
-                scc = _SCC_TOKENS[token]
-            elif token in _NUMBERING_TOKENS:
-                if numbering is not None:
-                    raise ValueError(
-                        f"conflicting numbering tokens in {name!r}"
-                    )
-                numbering = _NUMBERING_TOKENS[token]
-            else:
+            if token not in _SCC_TOKENS:
                 raise ValueError(
                     f"unknown @-token {token!r} in {name!r}; known: "
-                    f"{', '.join(BACKEND_NAMES)}, "
-                    f"{', '.join(sorted(_SCC_TOKENS))}, "
-                    f"{', '.join(sorted(_NUMBERING_TOKENS))}"
+                    f"{', '.join(sorted(_SCC_TOKENS))}"
                 )
+            if scc is not None:
+                raise ValueError(
+                    f"conflicting condensation tokens in {name!r}"
+                )
+            scc = _SCC_TOKENS[token]
     heap = "alloc-site"
     sensitivity = base
     if base.startswith("M-"):
@@ -126,5 +88,4 @@ def parse_config(name: str) -> AnalysisConfig:
     # validate eagerly so configuration typos fail before a long solve
     selector_for(sensitivity)
     return AnalysisConfig(name=name, heap=heap, sensitivity=sensitivity,
-                          pts_backend=pts_backend, scc=scc,
-                          numbering=numbering)
+                          scc=scc)

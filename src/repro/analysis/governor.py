@@ -54,7 +54,7 @@ from repro import faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs import Tracer
-from repro.perf import PerfRecorder
+from repro.obs.metrics import PerfRecorder
 from repro.resources import (
     MemoryBudgetExceeded,
     ResourceExhausted,

@@ -49,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro import faults, obs
 from repro.analysis.config import AnalysisConfig, parse_config
 from repro.core.automata import SharedAutomata
-from repro.perf import PerfRecorder
+from repro.obs.metrics import PerfRecorder
 from repro.clients import (
     analyze_exceptions,
     build_call_graph,
@@ -327,38 +327,28 @@ def classify_failure(exc: BaseException) -> FailureInfo:
                        error_type=type(exc).__name__, detail=str(exc))
 
 
-def _pre_cache_component(merge_options, pts_backend, scc, numbering) -> str:
+def _pre_cache_component(merge_options, scc) -> str:
     """Cache-key component for the pre-analysis artifacts: every
     *explicit* argument that can change them.  (Env-knob defaults are
     folded in separately via :func:`repro.envknobs.env_knobs`.)"""
-    return "|".join((
-        f"backend={pts_backend}",
-        f"scc={scc}",
-        f"numbering={numbering}",
-        f"merge={merge_options!r}",
-    ))
+    return f"scc={scc}|merge={merge_options!r}"
 
 
 def run_pre_analysis(
     program: Program,
     merge_options: Optional[MergeOptions] = None,
     timeout_seconds: Optional[float] = None,
-    pts_backend: Optional[str] = None,
     perf: Optional[PerfRecorder] = None,
     governor=None,
     scc: Optional[bool] = None,
-    numbering: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
     artifact_cache=None,
 ) -> PreAnalysisArtifacts:
     """Phases 1–3: ci points-to analysis, FPG construction, MAHJONG.
 
-    ``pts_backend`` selects the points-to-set representation for the
-    pre-analysis solve (``None`` = process default); ``scc`` switches
-    its constraint-graph condensation (``None`` = resolve through
-    ``$REPRO_SCC``/default); ``numbering`` switches hierarchy-ordered
-    object numbering (``None`` = resolve through
-    ``$REPRO_NUMBERING``/default); ``perf`` optionally collects
+    ``scc`` switches the pre-analysis solve's constraint-graph
+    condensation (``None`` = resolve through ``$REPRO_SCC``/default);
+    ``perf`` optionally collects
     counters/timers across all three phases; ``governor`` budgets each
     phase (``pre``/``fpg``/``merge``); ``tracer`` wraps each phase in a
     ``phase:*`` span.  Exhaustion raises
@@ -375,8 +365,7 @@ def run_pre_analysis(
     fpg_key = merge_key = None
     cache_hits: List[str] = []
     if artifact_cache is not None:
-        component = _pre_cache_component(merge_options, pts_backend, scc,
-                                         numbering)
+        component = _pre_cache_component(merge_options, scc)
         fpg_key = artifact_cache.key_for("fpg", program, component)
         merge_key = artifact_cache.key_for("merge", program, component)
         fpg_artifact = artifact_cache.load("fpg", fpg_key)
@@ -395,9 +384,8 @@ def run_pre_analysis(
                 pre_result = Solver(program, selector_for("ci"),
                                     AllocationSiteAbstraction(),
                                     timeout_seconds=timeout_seconds,
-                                    pts_backend=pts_backend, perf=perf,
-                                    governor=governor, phase_label="pre",
-                                    scc=scc, numbering=numbering,
+                                    perf=perf, governor=governor,
+                                    phase_label="pre", scc=scc,
                                     tracer=tracer).solve()
     t1 = time.monotonic()
     if fpg is None:
@@ -480,16 +468,13 @@ def next_rung(config_name: str, failed_phase: Optional[str]) -> Optional[str]:
     Main-phase exhaustion keeps the heap abstraction and coarsens the
     context sensitivity; pre-analysis exhaustion (``pre``/``fpg``/
     ``merge`` — the MAHJONG machinery itself was the problem) falls back
-    to the allocation-site heap at the same sensitivity.  ``@`` suffix
-    tokens (backend, condensation, numbering) are carried through
-    unchanged.
+    to the allocation-site heap at the same sensitivity.  An ``@scc``/
+    ``@noscc`` suffix is carried through unchanged.
     """
     config = parse_config(config_name)
-    suffix = f"@{config.pts_backend}" if config.pts_backend else ""
+    suffix = ""
     if config.scc is not None:
-        suffix += "@scc" if config.scc else "@noscc"
-    if config.numbering is not None:
-        suffix += "@num" if config.numbering else "@nonum"
+        suffix = "@scc" if config.scc else "@noscc"
     if failed_phase in PRE_PHASES and config.heap == "mahjong":
         return config.sensitivity + suffix
     sensitivity = coarser_sensitivity(config.sensitivity)
@@ -534,11 +519,9 @@ def _solve_main(
     config: AnalysisConfig,
     heap_model: HeapModel,
     timeout_seconds: Optional[float],
-    pts_backend: Optional[str],
     perf: Optional[PerfRecorder],
     governor,
     scc: Optional[bool] = None,
-    numbering: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
     warm_start=None,
 ) -> AnalysisRun:
@@ -547,11 +530,9 @@ def _solve_main(
     does not translate — callers retry cold)."""
     selector = selector_for(config.sensitivity)
     solver = Solver(program, selector, heap_model,
-                    timeout_seconds=timeout_seconds,
-                    pts_backend=pts_backend, perf=perf,
+                    timeout_seconds=timeout_seconds, perf=perf,
                     governor=governor, phase_label="main", scc=scc,
-                    numbering=numbering, tracer=tracer,
-                    warm_start=warm_start)
+                    tracer=tracer, warm_start=warm_start)
     start = time.monotonic()
     with _maybe_span(tracer, "phase:main"):
         with _phase_scope(governor, "main"):
@@ -612,12 +593,10 @@ def run_analysis(
     timeout_seconds: Optional[float] = None,
     pre: Optional[PreAnalysisArtifacts] = None,
     merge_options: Optional[MergeOptions] = None,
-    pts_backend: Optional[str] = None,
     perf: Optional[PerfRecorder] = None,
     governor=None,
     degrade: Union[None, bool, str, Sequence[str]] = None,
     scc: Optional[bool] = None,
-    numbering: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
     incremental=None,
     artifact_cache=None,
@@ -637,12 +616,9 @@ def run_analysis(
     a sequence (or comma-separated string) of configuration names is
     tried in the given order.  A rescued run keeps ``timed_out=False``
     and records ``degraded_from`` plus per-attempt provenance.
-    ``pts_backend`` overrides the configuration's ``@backend`` suffix;
-    with neither given, the process default representation is used.
-    ``scc`` likewise overrides the ``@scc``/``@noscc`` suffix for both
-    the pre-analysis and main solves (``None`` → suffix → ``$REPRO_SCC``
-    → on), and ``numbering`` the ``@num``/``@nonum`` suffix (``None`` →
-    suffix → ``$REPRO_NUMBERING`` → on).
+    ``scc`` overrides the ``@scc``/``@noscc`` suffix for both the
+    pre-analysis and main solves (``None`` → suffix → ``$REPRO_SCC`` →
+    on).
 
     ``tracer`` (``None`` = the process-wide one from
     :func:`repro.obs.current_tracer`, if installed) records the run as
@@ -664,7 +640,9 @@ def run_analysis(
     cannot be warmed — structural deltas, mismatched configurations,
     ``REPRO_INCR=off``, or a translation mismatch mid-apply — falls
     back to a cold solve of the same rung; the choice and its reason
-    are surfaced as ``metrics()["incremental"]``.  ``artifact_cache``
+    are surfaced as ``metrics()["incremental"]``.  An aborted warm
+    solve collects into a recorder of its own that is dropped, so the
+    cold retry's counters are the attempt's.  ``artifact_cache``
     (an :class:`~repro.incr.ArtifactCache`) is threaded into the
     pre-analysis so unchanged modules reuse on-disk FPG/merge
     artifacts.
@@ -689,10 +667,7 @@ def run_analysis(
             ))
         while True:
             config = parse_config(current)
-            backend = pts_backend if pts_backend is not None else config.pts_backend
             use_scc = scc if scc is not None else config.scc
-            use_numbering = (numbering if numbering is not None
-                             else config.numbering)
             attempt_perf = PerfRecorder() if perf is not None else None
             begin_attempt = getattr(governor, "begin_attempt", None)
             if begin_attempt is not None:
@@ -709,9 +684,8 @@ def run_analysis(
                         shared_pre = run_pre_analysis(
                             program, merge_options,
                             timeout_seconds=timeout_seconds,
-                            pts_backend=backend, perf=attempt_perf,
-                            governor=governor, scc=use_scc,
-                            numbering=use_numbering, tracer=tracer,
+                            perf=attempt_perf, governor=governor,
+                            scc=use_scc, tracer=tracer,
                             artifact_cache=artifact_cache,
                         )
                     heap_model: HeapModel = shared_pre.abstraction
@@ -723,25 +697,31 @@ def run_analysis(
                 if incremental is not None:
                     warm_start, incr_note = _prepare_incremental(
                         incremental, program, config, tracer)
+                # A warm solve collects into its own recorder, merged
+                # into the attempt's unless a mismatch aborts it.
+                solve_perf = attempt_perf
+                if warm_start is not None and attempt_perf is not None:
+                    solve_perf = PerfRecorder()
                 try:
                     run = _solve_main(program, config, heap_model,
-                                      timeout_seconds,
-                                      backend, attempt_perf, governor,
-                                      scc=use_scc, numbering=use_numbering,
-                                      tracer=tracer, warm_start=warm_start)
+                                      timeout_seconds, solve_perf, governor,
+                                      scc=use_scc, tracer=tracer,
+                                      warm_start=warm_start)
                 except WarmStartMismatch as exc:
                     # The base solve could not be translated onto the new
                     # program — solve the same rung cold instead.
+                    solve_perf = attempt_perf
                     incr_note = {"mode": "cold",
                                  "reason": f"warm-start mismatch: {exc}"}
                     if tracer is not None:
                         tracer.instant("incr:warm-start-mismatch",
                                        detail=str(exc))
                     run = _solve_main(program, config, heap_model,
-                                      timeout_seconds,
-                                      backend, attempt_perf, governor,
-                                      scc=use_scc, numbering=use_numbering,
-                                      tracer=tracer)
+                                      timeout_seconds, attempt_perf,
+                                      governor, scc=use_scc, tracer=tracer)
+                finally:
+                    if solve_perf is not attempt_perf:
+                        attempt_perf.merge(solve_perf)
                 if incremental is not None:
                     run.incr = incr_note
             except (ResourceExhausted, FPGIntegrityError) as exc:

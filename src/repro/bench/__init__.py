@@ -10,12 +10,10 @@ Each harness is runnable as ``python -m repro.bench <name>``:
 ``fig9``        Figure 9: equivalence-class size distribution
 ``prestats``    Section 6.1.1: FPG/NFA statistics, pre-analysis times
 ``ablation``    Design-choice ablations (DESIGN.md §5)
-``backends``    Points-to representation A/B: bitset vs legacy sets
 ``all``         Everything above, written to a report
 =============  ========================================================
 """
 
-from repro.bench.backends import BackendsResult, run_backends
 from repro.bench.fig8 import Fig8Result, run_fig8
 from repro.bench.fig9 import Fig9Result, run_fig9
 from repro.bench.motivating import MotivatingResult, run_motivating
@@ -37,8 +35,6 @@ __all__ = [
     "MotivatingResult",
     "run_prestats",
     "PreStatsResult",
-    "run_backends",
-    "BackendsResult",
     "ProgramUnderBench",
     "DEFAULT_BUDGET_SECONDS",
 ]

@@ -5,9 +5,9 @@ from __future__ import annotations
 import sys
 from typing import Callable, Dict, List
 
-from repro.bench import (ablation, backends, batch, compare, fig8, fig9,
-                         incr, motivating, numbering, parallel, prestats,
-                         report, scc, serve, table1, table2)
+from repro.bench import (ablation, batch, compare, fig8, fig9, incr,
+                         motivating, parallel, prestats, report, scc, serve,
+                         table1, table2)
 
 _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "motivating": motivating.main,
@@ -18,9 +18,7 @@ _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "prestats": prestats.main,
     "ablation": ablation.main,
     "compare": compare.main,
-    "backends": backends.main,
     "scc": scc.main,
-    "numbering": numbering.main,
     "incr": incr.main,
     "batch": batch.main,
     "parallel": parallel.main,

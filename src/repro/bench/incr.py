@@ -1,6 +1,6 @@
 """A/B benchmark: incremental re-solve vs cold solve after one edit.
 
-For every (profile, config, backend) cell the harness:
+For every (profile, config) cell the harness:
 
 1. cold-solves the base program;
 2. applies a seeded single-method edit (:mod:`repro.incr.edits` — the
@@ -33,7 +33,6 @@ from repro.bench.runners import interleaved_best_of
 from repro.incr import ArtifactCache, perturb_method, pick_editable_method
 from repro.incr.engine import prepare_warm_start
 from repro.ir.program import Program
-from repro.pta.bitset import BACKEND_BITSET, BACKEND_SET
 from repro.pta.context import selector_for
 from repro.pta.solver import Solver
 from repro.serve.protocol import result_digest
@@ -51,7 +50,6 @@ __all__ = [
 
 DEFAULT_PROFILES = ("antlr", "chart")
 DEFAULT_CONFIGS = ("ci", "2obj")
-DEFAULT_BACKENDS = (BACKEND_BITSET, BACKEND_SET)
 DEFAULT_REPEATS = 3
 DEFAULT_SCALE = 1.0
 DEFAULT_EDIT_SEED = 3
@@ -64,7 +62,6 @@ class IncrMeasurement:
 
     profile: str
     config: str
-    backend: str
     edited_method: str
     cold_seconds: float
     warm_seconds: float
@@ -101,10 +98,10 @@ class _Subject:
     """interleaved_best_of subject: a fresh solver whose result is kept
     for the digest assertion."""
 
-    def __init__(self, program: Program, config: str, backend: str,
+    def __init__(self, program: Program, config: str,
                  warm_start=None) -> None:
         self.solver = Solver(program, selector_for(config),
-                             pts_backend=backend, warm_start=warm_start)
+                             warm_start=warm_start)
         self.result = None
 
     def run(self) -> None:
@@ -112,7 +109,6 @@ class _Subject:
 
 
 def measure_incr_ab(program: Program, profile: str, config: str,
-                    backend: str = BACKEND_BITSET,
                     repeats: int = DEFAULT_REPEATS,
                     edit_seed: int = DEFAULT_EDIT_SEED) -> IncrMeasurement:
     """Interleaved best-of-``repeats``: cold vs warm solve of the same
@@ -120,8 +116,7 @@ def measure_incr_ab(program: Program, profile: str, config: str,
     result digests differ — the warm start must change *work*, never
     the answer.
     """
-    base_result = Solver(program, selector_for(config),
-                         pts_backend=backend).solve()
+    base_result = Solver(program, selector_for(config)).solve()
     qualname = pick_editable_method(program, seed=edit_seed,
                                     exclude_entry=True)
     edited = perturb_method(program, qualname, seed=edit_seed)
@@ -134,20 +129,19 @@ def measure_incr_ab(program: Program, profile: str, config: str,
         )
 
     ((cold_seconds, cold), (warm_seconds, warm)) = interleaved_best_of(
-        lambda: _Subject(edited, config, backend),
-        lambda: _Subject(edited, config, backend, warm_start=warm_start),
+        lambda: _Subject(edited, config),
+        lambda: _Subject(edited, config, warm_start=warm_start),
         _Subject.run, repeats)
     cold_digest = result_digest(cold.result)
     warm_digest = result_digest(warm.result)
     if cold_digest != warm_digest:
         raise AssertionError(
-            f"incremental re-solve diverged on {profile}/{config}/"
-            f"{backend}: cold={cold_digest} warm={warm_digest}"
+            f"incremental re-solve diverged on {profile}/{config}: "
+            f"cold={cold_digest} warm={warm_digest}"
         )
     return IncrMeasurement(
         profile=profile,
         config=config,
-        backend=backend,
         edited_method=qualname,
         cold_seconds=cold_seconds,
         warm_seconds=warm_seconds,
@@ -234,7 +228,7 @@ class IncrResult:
 
     def render(self) -> str:
         rows = [
-            (m.profile, m.config, m.backend, m.edited_method,
+            (m.profile, m.config, m.edited_method,
              f"{m.cold_pops}", f"{m.warm_pops}",
              f"{100 * m.pops_saved:.0f}%",
              f"{m.cold_facts}", f"{m.warm_facts}",
@@ -245,7 +239,7 @@ class IncrResult:
             for m in self.measurements
         ]
         parts = [render_table(
-            ("profile", "config", "backend", "edited", "pops cold",
+            ("profile", "config", "edited", "pops cold",
              "pops warm", "saved", "facts cold", "facts warm", "saved",
              "cold", "warm", "prep", "speedup"),
             rows,
@@ -284,18 +278,15 @@ class IncrResult:
 def run_incr(profiles: Sequence[str] = DEFAULT_PROFILES,
              scale: float = DEFAULT_SCALE,
              configs: Sequence[str] = DEFAULT_CONFIGS,
-             backends: Sequence[str] = DEFAULT_BACKENDS,
              repeats: int = DEFAULT_REPEATS,
              edit_seed: int = DEFAULT_EDIT_SEED) -> IncrResult:
     result = IncrResult(scale=scale, edit_seed=edit_seed)
     for profile in profiles:
         program = load_profile(profile, scale)
         for config in configs:
-            for backend in backends:
-                result.measurements.append(
-                    measure_incr_ab(program, profile, config, backend,
-                                    repeats, edit_seed)
-                )
+            result.measurements.append(
+                measure_incr_ab(program, profile, config, repeats, edit_seed)
+            )
         result.cache_measurements.append(
             measure_artifact_cache(program, profile))
     return result
@@ -310,8 +301,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--configs", type=str,
                         default=",".join(DEFAULT_CONFIGS))
     parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
-    parser.add_argument("--backends", type=str,
-                        default=",".join(DEFAULT_BACKENDS))
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     parser.add_argument("--edit-seed", type=int, default=DEFAULT_EDIT_SEED)
     parser.add_argument("--out", type=str, default=None,
@@ -321,7 +310,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         profiles=[p for p in args.profiles.split(",") if p],
         scale=args.scale,
         configs=[c for c in args.configs.split(",") if c],
-        backends=[b for b in args.backends.split(",") if b],
         repeats=args.repeats,
         edit_seed=args.edit_seed,
     )

@@ -2,8 +2,8 @@
 
 One question, measured end to end: how much solve work does online
 cycle elimination plus wave scheduling save?  For every (profile,
-config, backend) cell the harness runs the same solve twice — once with
-``scc=False`` (FIFO worklist over the raw constraint graph) and once
+config) cell the harness runs the same solve twice — once with
+``scc=False`` (the FIFO loop over the raw constraint graph) and once
 with ``scc=True`` (periodic Tarjan condensation + topological wave
 scheduling) — asserts the final points-to facts are identical, and
 reports wall-clock, iteration counts, and the condensation counters
@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 from repro.bench.reporting import format_seconds, render_table
 from repro.bench.runners import interleaved_best_of
 from repro.ir.program import Program
-from repro.pta.bitset import BACKEND_BITSET
 from repro.pta.context import selector_for
 from repro.pta.solver import Solver
 from repro.workloads import load_profile
@@ -50,7 +49,6 @@ class SccMeasurement:
 
     profile: str
     config: str
-    backend: str
     facts: int
     off_seconds: float
     on_seconds: float
@@ -76,7 +74,6 @@ class SccMeasurement:
 
 
 def measure_scc_ab(program: Program, profile: str, config: str,
-                   backend: str = BACKEND_BITSET,
                    repeats: int = DEFAULT_REPEATS) -> SccMeasurement:
     """Interleaved best-of-``repeats`` solve under each switch position
     (see :func:`~repro.bench.runners.interleaved_best_of` for why the
@@ -88,8 +85,7 @@ def measure_scc_ab(program: Program, profile: str, config: str,
     """
 
     def make(scc: bool):
-        return lambda: Solver(program, selector_for(config),
-                              pts_backend=backend, scc=scc)
+        return lambda: Solver(program, selector_for(config), scc=scc)
 
     ((off_seconds, off_solver),
      (on_seconds, on_solver)) = interleaved_best_of(
@@ -100,14 +96,13 @@ def measure_scc_ab(program: Program, profile: str, config: str,
                    for n in range(len(on_solver._pts)))
     if off_facts != on_facts:
         raise AssertionError(
-            f"condensation diverged on {profile}/{config}/{backend}: "
+            f"condensation diverged on {profile}/{config}: "
             f"off={off_facts} on={on_facts}"
         )
     counters = on_solver.counters
     return SccMeasurement(
         profile=profile,
         config=config,
-        backend=backend,
         facts=on_facts,
         off_seconds=off_seconds,
         on_seconds=on_seconds,
@@ -163,14 +158,13 @@ class SccResult:
 def run_scc(profiles: Sequence[str] = DEFAULT_PROFILES,
             scale: float = DEFAULT_SCALE,
             configs: Sequence[str] = DEFAULT_CONFIGS,
-            backend: str = BACKEND_BITSET,
             repeats: int = DEFAULT_REPEATS) -> SccResult:
     result = SccResult(scale=scale)
     for profile in profiles:
         program = load_profile(profile, scale)
         for config in configs:
             result.measurements.append(
-                measure_scc_ab(program, profile, config, backend, repeats)
+                measure_scc_ab(program, profile, config, repeats)
             )
     return result
 
@@ -184,7 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--configs", type=str,
                         default=",".join(DEFAULT_CONFIGS))
     parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
-    parser.add_argument("--backend", type=str, default=BACKEND_BITSET)
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     parser.add_argument("--out", type=str, default=None,
                         help="also write the report to this file")
@@ -193,7 +186,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         profiles=[p for p in args.profiles.split(",") if p],
         scale=args.scale,
         configs=[c for c in args.configs.split(",") if c],
-        backend=args.backend,
         repeats=args.repeats,
     )
     report = result.render()

@@ -73,7 +73,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if sinks:
         tracer = obs.Tracer(sinks=tuple(sinks))
     scc = None if args.scc is None else (args.scc == "on")
-    numbering = None if args.numbering is None else (args.numbering == "on")
     artifact_cache = None
     if args.cache_dir:
         from repro.incr import ArtifactCache
@@ -89,7 +88,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                 timeout_seconds=args.budget,
                                 merge_options=merge_options,
                                 degrade=degrade, scc=scc,
-                                numbering=numbering,
                                 artifact_cache=artifact_cache)
         enabled = None if args.incremental is None \
             else (args.incremental == "on")
@@ -101,7 +99,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                timeout_seconds=args.budget,
                                merge_options=merge_options,
                                governor=governor, degrade=degrade, scc=scc,
-                               numbering=numbering, tracer=tracer,
+                               tracer=tracer,
                                incremental=incremental,
                                artifact_cache=artifact_cache)
     except Exception as exc:  # noqa: BLE001 - classified, not a traceback
@@ -275,6 +273,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return serve_main(args.rest)
 
 
+def _config_name(value: str) -> str:
+    """``--analysis`` type: a configuration name that parses, so a typo
+    is a usage error (exit 2) before any phase runs."""
+    from repro.analysis.config import parse_config
+
+    try:
+        parse_config(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mahjong-repro",
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run a points-to analysis")
     analyze.add_argument("file")
-    analyze.add_argument("--analysis", default="M-2obj")
+    analyze.add_argument("--analysis", default="M-2obj", type=_config_name)
     analyze.add_argument("--budget", type=float, default=None,
                          help="main-analysis timeout in seconds")
     analyze.add_argument("--no-degrade", action="store_true",
@@ -304,10 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--scc", choices=("on", "off"), default=None,
                          help="constraint-graph condensation (default: "
                               "@scc/@noscc suffix, then $REPRO_SCC, then on)")
-    analyze.add_argument("--numbering", choices=("on", "off"), default=None,
-                         help="hierarchy-ordered object numbering (default: "
-                              "@num/@nonum suffix, then $REPRO_NUMBERING, "
-                              "then on)")
     analyze.add_argument("--incremental", choices=("on", "off"), default=None,
                          help="warm-start from --incremental-from's solve "
                               "(default: $REPRO_INCR, then on)")

@@ -38,7 +38,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.fpg import NULL_OBJECT, FieldPointsToGraph
 from repro.ir.types import ERROR_TYPE
-from repro.perf import PerfRecorder
+from repro.obs.metrics import PerfRecorder
 
 __all__ = [
     "SequentialNFA",

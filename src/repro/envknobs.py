@@ -2,9 +2,8 @@
 
 Historically each consumer of :func:`repro.serve.protocol.cache_key`
 folded the env knobs it happened to know about into the cache key by
-hand — the server appended ``REPRO_NUMBERING`` itself (and nothing
-else did), so direct callers computed keys that collided across
-numbering modes.  This module is the single source of truth: add a
+hand, so direct callers computed keys that collided across settings
+the server did fold in.  This module is the single source of truth: add a
 knob to :data:`ENV_KNOBS` when it can change an analysis *result*, or
 to :data:`NON_RESULT_KNOBS` when it only changes *how* the result is
 computed (parallelism, scheduling), and every cache key in the system
@@ -28,8 +27,6 @@ ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_FAULTS",
     "REPRO_FAULTS_SEED",
     "REPRO_INCR",
-    "REPRO_NUMBERING",
-    "REPRO_PTS_BACKEND",
     "REPRO_SCC",
 )
 
@@ -43,7 +40,7 @@ NON_RESULT_KNOBS: Tuple[str, ...] = (
 
 def env_knobs() -> str:
     """Canonical string of every result-affecting env knob's current
-    value, e.g. ``"REPRO_INCR=|REPRO_NUMBERING=off|..."``.
+    value, e.g. ``"REPRO_FAULTS=|...|REPRO_SCC=off"``.
 
     Unset and empty both render as ``""`` — the knobs themselves treat
     an empty value as unset, so the key must too.

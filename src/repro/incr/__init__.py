@@ -19,7 +19,7 @@ repeated queries) into two independent reuse layers:
   used by the differential tests and ``repro.bench incr``.
 
 The whole feature is off-switchable via ``REPRO_INCR`` (same contract
-as ``REPRO_SCC`` / ``REPRO_NUMBERING``: explicit value → env → default
+as ``REPRO_SCC``: explicit value → env → default
 on); switched off, every update falls back to a cold solve and the
 artifact cache is bypassed by its callers.
 """

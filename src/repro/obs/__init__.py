@@ -4,8 +4,7 @@ The observability layer has two halves sharing one discipline (optional
 collaborators, ``if x is not None`` on hot paths):
 
 * **metrics** (:mod:`repro.obs.metrics`) — the flat counters/timers/
-  gauges substrate, historically :mod:`repro.perf` (which now
-  re-exports from here);
+  gauges substrate (:class:`~repro.obs.metrics.PerfRecorder`);
 * **tracing** (:mod:`repro.obs.tracer`) — hierarchical spans with
   attributes plus a typed event stream (:mod:`repro.obs.events`),
   fanned out to sinks: an in-memory span tree, a JSONL event log, and
@@ -19,7 +18,7 @@ Span vocabulary used across the pipeline:
 ``attempt``         one degradation-ladder rung (attrs: config, index,
                     outcome, cause, phase)
 ``phase:pre`` etc.  the four pipeline phases (pre/fpg/merge/main)
-``solve``           one solver fixpoint (attrs: phase, backend, scc)
+``solve``           one solver fixpoint (attrs: phase, scc)
 ``stride``          one solver check-stride window (attrs: iterations,
                     worklist, facts — contiguous under ``solve``)
 ``scc:collapse``    one online cycle-elimination pass

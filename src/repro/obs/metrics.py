@@ -1,9 +1,8 @@
 """Counters, phase timers, and gauges — the metrics half of ``repro.obs``.
 
-Historically this lived in :mod:`repro.perf`; the implementation moved
-here when the span tracer (:mod:`repro.obs.tracer`) was layered on top
-so both share one metrics substrate.  :mod:`repro.perf` re-exports
-everything, so existing imports keep working.
+The span tracer (:mod:`repro.obs.tracer`) is layered on the same
+substrate: a tracer constructed with ``metrics=PerfRecorder()`` derives
+flat ``span.<name>`` timers from the span stream.
 
 The solver, the shared-automata DFA universe, and the benchmark
 harnesses all want the same three primitives:

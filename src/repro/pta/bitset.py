@@ -17,84 +17,26 @@ cast filter            ``delta & mask(T)``
 The cast-filter mask follows Toussi & Khademzadeh's class-hierarchy
 bit-vector idea (PAPERS.md): for a filter class ``T``, ``mask(T)`` has
 bit ``i`` set exactly when object ``i``'s class is a subtype of ``T``.
-Objects are interned *during* the solve, so :class:`ClassFilterMasks`
-builds each mask lazily and extends it with a per-mask watermark the
-next time it is fetched — a mask is always complete with respect to
-the objects interned so far when the caller receives it.
-
-This module also owns the backend registry: the solver supports the
-bitset representation (default) and the legacy ``set[int]``
-representation side by side for A/B validation
-(``tests/test_backend_differential.py``, ``repro.bench.backends``).
+With objects numbered in hierarchy pre-order
+(:mod:`repro.pta.numbering`) each mask over the numbered block is one
+range; :class:`RangeFilterMasks` builds it in O(1) and extends it over
+objects interned mid-solve with a per-mask watermark scatter, so a mask
+is always complete with respect to the objects interned so far when the
+caller receives it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 __all__ = [
-    "BACKEND_BITSET",
-    "BACKEND_SET",
-    "BACKEND_NAMES",
-    "default_backend",
-    "set_default_backend",
-    "resolve_backend",
     "popcount",
     "iter_bits",
     "bits_to_list",
     "bits_from_ids",
-    "ClassFilterMasks",
     "RangeFilterMasks",
 ]
-
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-BACKEND_BITSET = "bitset"
-BACKEND_SET = "set"
-BACKEND_NAMES = (BACKEND_BITSET, BACKEND_SET)
-
-#: Environment override consulted by :func:`resolve_backend` — lets CI
-#: and the A/B harness flip the whole suite without touching call sites.
-BACKEND_ENV_VAR = "REPRO_PTS_BACKEND"
-
-_default_backend = BACKEND_BITSET
-
-
-def default_backend() -> str:
-    """The process-wide default points-to-set backend."""
-    return _default_backend
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _default_backend
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown points-to backend {name!r}; known: {', '.join(BACKEND_NAMES)}"
-        )
-    previous = _default_backend
-    _default_backend = name
-    return previous
-
-
-def resolve_backend(name=None) -> str:
-    """Resolve an optional backend name to a concrete one.
-
-    Resolution order: explicit ``name`` → ``$REPRO_PTS_BACKEND`` →
-    the process default (``bitset``).  Unknown names raise eagerly so a
-    configuration typo fails before a long solve.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or _default_backend
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown points-to backend {name!r}; known: {', '.join(BACKEND_NAMES)}"
-        )
-    return name
-
 
 # ----------------------------------------------------------------------
 # Bit-vector primitives
@@ -161,90 +103,6 @@ def bits_from_ids(ids: Iterable[int]) -> int:
 # ----------------------------------------------------------------------
 # Class-hierarchy filter masks
 # ----------------------------------------------------------------------
-class ClassFilterMasks:
-    """Per-filter-class subtype bitmasks over interned object ids.
-
-    ``mask_for("T")`` returns an int whose bit ``i`` is set exactly when
-    ``class_of(i) <: T``.  Masks are built on first use and extended by
-    watermark whenever new objects were interned since the last fetch,
-    so the subtype test runs **once per (object, filter class) pair**
-    over the whole solve — and the test itself is memoized per
-    ``(class, filter class)`` pair by the caller-supplied predicate.
-
-    The instance observes the solver's append-only ``object_classes``
-    list; it never copies it.  ``start`` floors every mask's watermark:
-    ids below it are considered covered already (0 by default — the
-    range-mask fast path passes the numbered-slot count so the scatter
-    only ever runs over mid-solve overflow ids).
-
-    Build cost is accounted per extension (``subtype_tests``,
-    ``build_seconds``) so the perf recorder and ``trace summarize`` can
-    attribute mask time instead of it hiding inside the solve loop.
-
-    Pickles drop the mask/watermark caches (pure derived state) so
-    process-pool round-trips ship a lean payload and rebuild lazily.
-    """
-
-    __slots__ = ("_object_classes", "_is_subtype", "_start", "_masks",
-                 "_upto", "extensions", "subtype_tests", "build_seconds")
-
-    def __init__(self, object_classes: List[str],
-                 is_subtype: Callable[[str, str], bool],
-                 start: int = 0) -> None:
-        self._object_classes = object_classes
-        self._is_subtype = is_subtype
-        self._start = start
-        self._masks: Dict[str, int] = {}
-        self._upto: Dict[str, int] = {}
-        #: How many watermark extensions ran (cache-behaviour statistic).
-        self.extensions = 0
-        #: Subtype tests spent building/extending masks (build cost).
-        self.subtype_tests = 0
-        #: Wall-clock seconds spent in extension loops.
-        self.build_seconds = 0.0
-
-    def mask_for(self, filter_class: str) -> int:
-        """The (complete, as of now) subtype mask for ``filter_class``."""
-        masks = self._masks
-        mask = masks.get(filter_class, 0)
-        upto = self._upto.get(filter_class, self._start)
-        classes = self._object_classes
-        n = len(classes)
-        if upto < n:
-            began = time.perf_counter()
-            is_subtype = self._is_subtype
-            for obj in range(upto, n):
-                if is_subtype(classes[obj], filter_class):
-                    mask |= 1 << obj
-            masks[filter_class] = mask
-            self._upto[filter_class] = n
-            self.extensions += 1
-            self.subtype_tests += n - upto
-            self.build_seconds += time.perf_counter() - began
-        return mask
-
-    def __len__(self) -> int:
-        """Number of distinct filter classes with a materialized mask."""
-        return len(self._masks)
-
-    def __getstate__(self) -> Tuple[List[str], Callable[[str, str], bool], int]:
-        return (self._object_classes, self._is_subtype, self._start)
-
-    def __setstate__(self, state) -> None:
-        object_classes, is_subtype, start = state
-        self.__init__(object_classes, is_subtype, start)
-
-    def stats(self) -> Dict[str, float]:
-        """Mask-cache statistics for the perf recorder."""
-        return {
-            "masks": len(self._masks),
-            "mask_extensions": self.extensions,
-            "mask_bits": sum(popcount(m) for m in self._masks.values()),
-            "mask_subtype_tests": self.subtype_tests,
-            "mask_range_builds": 0,
-        }
-
-
 class RangeFilterMasks:
     """Filter masks answered from hierarchy-ordered id ranges.
 
@@ -254,16 +112,18 @@ class RangeFilterMasks:
     its mask is ``(1 << hi) - (1 << lo)`` — built in O(1) with **zero**
     subtype tests.  Objects materialized mid-solve (context-sensitive
     heap clones, classes outside the numbering) intern above ``start``
-    and are covered by the same lazy watermark scatter
-    :class:`ClassFilterMasks` uses, restricted to ids ``>= start``.
+    and are covered by a lazy watermark scatter over ids ``>= start``:
+    the subtype test runs once per (overflow object, filter class)
+    pair over the whole solve.
 
-    The hot path (mask already complete) costs exactly what
-    :class:`ClassFilterMasks` costs: two dict probes and a length
-    check.  The instance observes the solver's append-only
-    ``object_classes`` list; it never copies it.
+    The hot path (mask already complete) costs two dict probes and a
+    length check.  The instance observes the solver's append-only
+    ``object_classes`` list; it never copies it.  Build cost is
+    accounted (``subtype_tests``, ``build_seconds``) so the perf
+    recorder and ``trace summarize`` can attribute mask time.
 
-    Pickles drop the mask/watermark caches, like
-    :class:`ClassFilterMasks`.
+    Pickles drop the mask/watermark caches (pure derived state) so
+    process-pool round-trips ship a lean payload and rebuild lazily.
     """
 
     __slots__ = ("_ranges", "_object_classes", "_is_subtype", "_start",

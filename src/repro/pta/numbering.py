@@ -30,87 +30,20 @@ and a heap model before the solve starts:
 
 A slot is *reserved*, not materialized: the solver only marks a slot
 live when the allocation is actually reached, so observable results
-(object counts, iteration of live objects) are independent of the
-numbering — held by the differential tests in
-``tests/test_numbering.py``.
-
-This module also owns the numbering off-switch registry
-(``$REPRO_NUMBERING`` / the ``@num``/``@nonum`` configuration
-suffixes), mirroring :mod:`repro.pta.scc`'s ``$REPRO_SCC`` registry, so
-the discovery-order path stays selectable and permanently tested.
+(object counts, iteration of live objects) never show unreached slots.
+The numbering is always on; ``tests/test_numbering.py`` checks it
+against the reference solver.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.program import Program
 from repro.ir.types import OBJECT_CLASS_NAME
 from repro.pta.heapmodel import HeapModel
 
-__all__ = [
-    "NUMBERING_ENV_VAR",
-    "NUMBERING_ON",
-    "NUMBERING_OFF",
-    "default_numbering",
-    "set_default_numbering",
-    "resolve_numbering",
-    "HierarchyNumbering",
-]
-
-#: Environment override consulted by :func:`resolve_numbering` — lets CI
-#: run the whole suite with discovery-order ids without touching call
-#: sites, exactly like ``REPRO_SCC`` does for condensation.
-NUMBERING_ENV_VAR = "REPRO_NUMBERING"
-
-NUMBERING_ON = "on"
-NUMBERING_OFF = "off"
-
-#: Accepted spellings for each switch position.
-_TRUTHY = frozenset({NUMBERING_ON, "1", "true", "yes", "num"})
-_FALSY = frozenset({NUMBERING_OFF, "0", "false", "no", "nonum"})
-
-_default_numbering = True
-
-
-def default_numbering() -> bool:
-    """The process-wide default for hierarchy-ordered numbering."""
-    return _default_numbering
-
-
-def set_default_numbering(enabled: bool) -> bool:
-    """Set the process-wide default; returns the previous value."""
-    global _default_numbering
-    previous = _default_numbering
-    _default_numbering = bool(enabled)
-    return previous
-
-
-def resolve_numbering(value: Optional[object] = None) -> bool:
-    """Resolve an optional on/off request to a concrete bool.
-
-    Resolution order: explicit ``value`` (bool or ``"on"``/``"off"``
-    style string) → ``$REPRO_NUMBERING`` → the process default (on).
-    Unknown strings raise eagerly so a configuration typo fails before
-    a long solve.
-    """
-    if value is None:
-        env = os.environ.get(NUMBERING_ENV_VAR)
-        if env is None or not env.strip():
-            return _default_numbering
-        value = env
-    if isinstance(value, bool):
-        return value
-    name = str(value).strip().lower()
-    if name in _TRUTHY:
-        return True
-    if name in _FALSY:
-        return False
-    raise ValueError(
-        f"unknown numbering setting {value!r}; known: "
-        f"{NUMBERING_ON}/{NUMBERING_OFF} (or 1/0, true/false, num/nonum)"
-    )
+__all__ = ["HierarchyNumbering"]
 
 
 class HierarchyNumbering:

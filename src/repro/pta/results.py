@@ -10,12 +10,11 @@ the views the rest of the system needs:
   cast records, consumed by the type-dependent clients;
 * summary statistics for the benchmark harness.
 
-The solver stores points-to sets in a pluggable representation
-(bit-vector ints by default, legacy ``set[int]`` for A/B runs — see
+The solver stores points-to sets as bit-vector ints (see
 :mod:`repro.pta.bitset`); every accessor here materializes through the
-solver's representation-agnostic ``node_pts_*`` methods, so clients are
-oblivious to the backend.  Unions over many nodes are taken in the
-bit-vector domain (``|`` on ints) and decoded once at the end.
+solver's ``node_pts_*`` methods, so clients never see the encoding.
+Unions over many nodes are taken in the bit-vector domain (``|`` on
+ints) and decoded once at the end.
 """
 
 from __future__ import annotations
@@ -38,9 +37,7 @@ class PointsToResult:
         self.program: Program = solver.program
         self.selector_name: str = solver.selector.name
         self.heap_model_name: str = solver.heap_model.name
-        self.pts_backend: str = solver.pts_backend
         self.scc: bool = solver.use_scc
-        self.numbering: bool = solver.use_numbering
         self.solve_seconds: float = solver.solve_seconds
         self.iterations: int = solver.iterations
 
@@ -51,11 +48,10 @@ class PointsToResult:
     def object_count(self) -> int:
         """Number of abstract objects (with heap contexts) created.
 
-        Counts *materialized* objects only: with hierarchy-ordered
-        numbering the solver reserves an id slot per potential object
-        up front, and slots whose allocation was never reached do not
-        exist observationally — so this count is identical with the
-        numbering on or off.
+        Counts *materialized* objects only: the hierarchy-ordered
+        numbering reserves an id slot per potential object up front,
+        and slots whose allocation was never reached do not exist
+        observationally.
         """
         return len(self._solver._object_ids)
 
@@ -217,9 +213,7 @@ class PointsToResult:
         return {
             "selector": self.selector_name,
             "heap_model": self.heap_model_name,
-            "pts_backend": self.pts_backend,
             "scc": self.scc,
-            "numbering": self.numbering,
             "solve_seconds": round(self.solve_seconds, 4),
             "iterations": self.iterations,
             "abstract_objects": self.object_count,

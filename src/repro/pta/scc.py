@@ -12,9 +12,9 @@ and replaces O(k) unions per incoming delta with one.
 This module owns the two generic pieces the solver composes:
 
 * the **off-switch registry** (``REPRO_SCC`` environment variable /
-  ``@scc``/``@noscc`` configuration suffix, mirroring how
-  ``REPRO_PTS_BACKEND`` selects the points-to representation), so the
-  uncondensed path stays selectable and permanently tested;
+  ``@scc``/``@noscc`` configuration suffix), so the uncondensed path
+  stays selectable for the ``bench scc`` ablation and permanently
+  tested;
 * :func:`condense_copy_graph` — an **iterative Tarjan** pass over the
   copy-edge subgraph of the live representatives.  It returns both the
   multi-member components (the cycles to collapse) and a topological
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 #: Environment override consulted by :func:`resolve_scc` — lets CI run
-#: the whole suite uncondensed without touching call sites, exactly like
-#: ``REPRO_PTS_BACKEND`` does for the set representation.
+#: the whole suite uncondensed without touching call sites.
 SCC_ENV_VAR = "REPRO_SCC"
 
 SCC_ON = "on"

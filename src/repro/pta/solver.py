@@ -17,56 +17,59 @@ Design:
   pluggable :class:`~repro.pta.heapmodel.HeapModel` — the only place the
   allocation-site / allocation-type / MAHJONG abstractions differ.
 
-* **Points-to sets** are stored through a pluggable backend
-  (:mod:`repro.pta.bitset`).  The default ``bitset`` backend encodes a
-  set of object ids as one arbitrary-precision int, so propagation is
+* **Points-to sets** are bit-vectors (:mod:`repro.pta.bitset`): a set
+  of object ids is one arbitrary-precision int, so propagation is
   difference propagation in the literal sense: the surviving delta is
   ``delta & ~known``, union is ``|``, and pushing a whole set across a
-  new edge is pushing an immutable int (no copy).  The legacy ``set``
-  backend keeps ``set[int]`` semantics for A/B validation.
+  new edge is pushing an immutable int (no copy).
 
 * **Pointer-flow edges** carry an optional cast filter: ``x = (T) y``
   propagates only objects whose class is a subtype of ``T`` (Doop-style
-  cast filtering), which the may-fail-cast client piggybacks on.  Under
-  the bitset backend the filter is a single AND against a lazily built
-  class-hierarchy mask (:class:`~repro.pta.bitset.ClassFilterMasks`);
-  under the set backend it is a per-object memoized subtype test.
+  cast filtering), which the may-fail-cast client piggybacks on.  The
+  filter is a single AND against a class-hierarchy mask
+  (:class:`~repro.pta.bitset.RangeFilterMasks`).
 
 * **Context sensitivity** is a pluggable
   :class:`~repro.pta.context.ContextSelector`; merged objects (MAHJONG,
   allocation-type) are forced to the empty heap context here, per
   Section 3.6 of the paper.
 
-* **Constraint-graph condensation** (on by default; ``REPRO_SCC=off``
-  or the ``@noscc`` config suffix selects the classic FIFO path): a
-  union-find over pointer nodes collapses strongly connected components
-  of unfiltered copy edges into single representatives
-  (:mod:`repro.pta.scc`), detection piggybacking on the existing
-  1024-pop stride.  Scheduling is *adaptive*: an up-front ranking pass
-  decides the mode.  When it finds cycles the worklist becomes
-  *wave-scheduled* — pending deltas are merged per node and popped in
-  the condensation's topological order, so facts flow source-to-sink
-  instead of churning FIFO-style around cycles.  When the static graph
-  is acyclic the solver stays on the cheap FIFO loop (seeded in the
-  ranking's topological order) and only *probes* for cycles at stride
-  gates whose window was not dominated by fresh-node creation
-  (:class:`repro.pta.scc.AdaptiveGate`); a probe that finds cycles
-  promotes the solve to wave mode.  This keeps ``scc=on`` from losing
-  to ``scc=off`` on deep-context acyclic workloads, where the wave
-  heap bookkeeping used to cost more than its pop savings.
-  Node-id-facing accessors resolve through ``find()``, so results,
-  clients, and the MAHJONG automata stages see unchanged semantics.
+* **Two fixpoint loops.**  The FIFO loop coalesces pushes that land on
+  a still-queued node into its worklist entry, so the node is popped
+  once with the union.  The wave loop pops per-node pending deltas in
+  the constraint graph's topological order.  Both share one stride
+  gate (wall-clock deadline, governor, fault plan, trace windows) that
+  runs every 1024 pops.
 
-* **Hierarchy-ordered object numbering** (on by default;
-  ``REPRO_NUMBERING=off`` or the ``@nonum`` config suffix restores
-  discovery-order ids): object ids are pre-assigned by DFS pre-order
-  over the type hierarchy (:mod:`repro.pta.numbering`), so every
-  class's subtype set is one contiguous id range and cast-filter masks
-  are O(1) range masks (:class:`~repro.pta.bitset.RangeFilterMasks`)
-  instead of per-object scatters.  Context-sensitive heap clones and
-  other mid-solve objects intern above the numbered block and fall
-  back to the watermark scatter.  The numbering only relabels ids —
-  observable results are held identical by differential tests.
+* **Constraint-graph condensation** (on by default; ``REPRO_SCC=off``
+  or the ``@noscc`` config suffix turns it off): a union-find over
+  pointer nodes collapses strongly connected components of unfiltered
+  copy edges into single representatives (:mod:`repro.pta.scc`),
+  detection piggybacking on the stride gate.  Scheduling is
+  *adaptive*: an up-front ranking pass decides the mode.  When it finds
+  cycles the solve runs in the wave loop, so facts flow source-to-sink
+  instead of churning around cycles.  When the static graph is acyclic
+  the solver stays in the FIFO loop (seeded in the ranking's
+  topological order) and only *probes* for cycles at stride gates
+  whose window was not dominated by fresh-node creation
+  (:class:`repro.pta.scc.AdaptiveGate`); a probe that finds cycles
+  promotes the solve to wave mode.  With condensation off the solve
+  runs the same FIFO loop with the ranking pass and the probe turned
+  off.  Node-id-facing accessors resolve through ``find()``, so
+  results, clients, and the MAHJONG automata stages see unchanged
+  semantics.
+
+* **Hierarchy-ordered object numbering**: object ids are pre-assigned
+  by DFS pre-order over the type hierarchy (:mod:`repro.pta.numbering`),
+  so every class's subtype set is one contiguous id range and
+  cast-filter masks are O(1) range masks.  Context-sensitive heap
+  clones and other mid-solve objects intern above the numbered block
+  and are covered by the masks' watermark scatter.
+
+* **Reference oracle.**  ``tests/reference_solver.py`` re-derives the
+  same facts by naive chaotic iteration, sharing no code with this
+  module, and ``tests/test_reference_solver.py`` compares the two
+  fact for fact.
 
 The solver is deliberately flow-insensitive (statement order in a method
 body is irrelevant), matching the paper's setting.
@@ -79,11 +82,12 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import faults as _faults
 from repro.ir.program import Method, Program
-from repro.pta.numbering import HierarchyNumbering, resolve_numbering
+from repro.obs.metrics import PerfRecorder
+from repro.pta.numbering import HierarchyNumbering
 from repro.pta.scc import AdaptiveGate, condense_copy_graph, resolve_scc
 from repro.resources import TimeBudgetExceeded
 from repro.ir.statements import (
@@ -100,15 +104,7 @@ from repro.ir.statements import (
     Store,
     Throw,
 )
-from repro.perf import PerfRecorder
-from repro.pta.bitset import (
-    BACKEND_BITSET,
-    ClassFilterMasks,
-    RangeFilterMasks,
-    bits_to_list,
-    popcount,
-    resolve_backend,
-)
+from repro.pta.bitset import RangeFilterMasks, bits_to_list, popcount
 from repro.pta.context import (
     Context,
     ContextInsensitive,
@@ -272,11 +268,8 @@ class Solver:
     Construct, call :meth:`solve`, inspect the returned
     :class:`~repro.pta.results.PointsToResult`.
 
-    ``pts_backend`` selects the points-to-set representation
-    (``"bitset"`` — the default — or the legacy ``"set"``; ``None``
-    resolves through :func:`repro.pta.bitset.resolve_backend`).
     ``perf`` optionally receives counters/timers/gauges
-    (:class:`repro.perf.PerfRecorder`).
+    (:class:`repro.obs.metrics.PerfRecorder`).
 
     ``governor`` optionally subjects the solve to a
     :class:`repro.analysis.governor.ResourceGovernor`: its
@@ -290,12 +283,6 @@ class Solver:
     ``scc`` switches constraint-graph condensation and wave scheduling
     (``None`` resolves through :func:`repro.pta.scc.resolve_scc`:
     explicit value → ``$REPRO_SCC`` → on).
-
-    ``numbering`` switches hierarchy-ordered object numbering and range
-    filter masks (``None`` resolves through
-    :func:`repro.pta.numbering.resolve_numbering`: explicit value →
-    ``$REPRO_NUMBERING`` → on).  The numbering only relabels object
-    ids; every observable result is independent of the switch.
 
     ``tracer`` optionally records the solve as spans
     (:class:`repro.obs.Tracer`): one ``solve`` span for the fixpoint,
@@ -312,13 +299,11 @@ class Solver:
         selector: Optional[ContextSelector] = None,
         heap_model: Optional[HeapModel] = None,
         timeout_seconds: Optional[float] = None,
-        pts_backend: Optional[str] = None,
         perf: Optional[PerfRecorder] = None,
         governor=None,
         phase_label: str = "main",
         scc: Optional[object] = None,
         tracer=None,
-        numbering: Optional[object] = None,
         warm_start: Optional[WarmStart] = None,
     ) -> None:
         if program.entry is None:
@@ -329,10 +314,7 @@ class Solver:
         self.timeout_seconds = timeout_seconds
         self.governor = governor
         self.phase_label = phase_label
-        self.pts_backend = resolve_backend(pts_backend)
-        self._use_bits = self.pts_backend == BACKEND_BITSET
         self.use_scc = resolve_scc(scc)
-        self.use_numbering = resolve_numbering(numbering)
         self.perf = perf
         self._type_elements = wants_type_elements(self.selector)
         self._ci = isinstance(self.selector, ContextInsensitive)
@@ -351,9 +333,9 @@ class Solver:
         self._object_class: List[str] = []
         self._object_ctx_elem: List[object] = []
         self._object_alloc_sites: List[Set[int]] = []  # provenance
-        # Materialized ids in intern order: with numbering on, reserved
-        # slots exist in the parallel tables above before (or without)
-        # ever being allocated, so "how many objects are there" is
+        # Materialized ids in intern order: reserved slots exist in the
+        # parallel tables above before (or without) ever being
+        # allocated, so "how many objects are there" is
         # ``len(_object_ids)`` and "which" is this list — not table
         # length / ``range``.
         self._live_objects: List[int] = []
@@ -363,46 +345,35 @@ class Solver:
         # set is a contiguous range (see repro.pta.numbering).  The
         # parallel tables are prefilled for the numbered block; a slot
         # only becomes live when its allocation is reached.
-        self._numbering: Optional[HierarchyNumbering] = None
-        self._numbering_slots: Optional[Dict[object, int]] = None
-        if self.use_numbering:
-            numbered = HierarchyNumbering.build(program, self.heap_model)
-            self._numbering = numbered
-            self._numbering_slots = numbered.slots
-            key_class = numbered.key_class
-            first_site = numbered.first_site
-            for key in numbered.slot_keys:
-                class_name = key_class[key]
-                self._object_site_key.append(key)
-                self._object_heap_ctx.append(EMPTY_CONTEXT)
-                self._object_class.append(class_name)
-                if self._type_elements:
-                    elem: object = self.heap_model.containing_class(
-                        first_site[key], class_name, program
-                    )
-                else:
-                    elem = key
-                self._object_ctx_elem.append(elem)
-                self._object_alloc_sites.append(set())
+        numbered = HierarchyNumbering.build(program, self.heap_model)
+        self._numbering = numbered
+        key_class = numbered.key_class
+        first_site = numbered.first_site
+        for key in numbered.slot_keys:
+            class_name = key_class[key]
+            self._object_site_key.append(key)
+            self._object_heap_ctx.append(EMPTY_CONTEXT)
+            self._object_class.append(class_name)
+            if self._type_elements:
+                elem: object = self.heap_model.containing_class(
+                    first_site[key], class_name, program
+                )
+            else:
+                elem = key
+            self._object_ctx_elem.append(elem)
+            self._object_alloc_sites.append(set())
 
-        # Cast-filter masks over object ids (bitset backend only): O(1)
-        # range masks over the numbered block with a scatter fallback
-        # for overflow ids, or the pure watermark scatter when the
-        # numbering is off.
-        if self._numbering is not None:
-            self._filter_masks = RangeFilterMasks(
-                self._numbering.class_ranges, self._object_class,
-                self._is_subtype_name, start=self._numbering.count,
-            )
-        else:
-            self._filter_masks = ClassFilterMasks(
-                self._object_class, self._is_subtype_name
-            )
+        # Cast-filter masks over object ids: O(1) range masks over the
+        # numbered block with a watermark scatter for overflow ids.
+        self._filter_masks = RangeFilterMasks(
+            numbered.class_ranges, self._object_class,
+            self._is_subtype_name, start=numbered.count,
+        )
 
         # nodes: key -> id ; pts / succs indexed by id.  ``_pts[i]`` is
-        # an int bit-vector (bitset backend) or a set[int] (set backend).
+        # the node's points-to set as an int bit-vector.
         self._node_ids: Dict[object, int] = {}
-        self._pts: List = []
+        self._pts: List[int] = []
         self._succs: List[List[Tuple[int, Optional[str]]]] = []
         self._edge_seen: List[Set[Tuple[int, Optional[str]]]] = []
         # var-node metadata for statement processing: id -> (ctx, method)
@@ -452,7 +423,7 @@ class Solver:
         # Wave scheduling (SCC mode): per-representative merged pending
         # deltas plus a heap of (topo order, node) pop priorities.
         self._topo_order: List[int] = []
-        self._pending: Dict[int, object] = {}
+        self._pending: Dict[int, int] = {}
         self._heap: List[Tuple[int, int]] = []
         # Copy-edge watermark: a detection pass only runs on the stride
         # when the copy subgraph grew since the previous pass.  On top
@@ -467,22 +438,14 @@ class Solver:
         # the up-front ranking pass (or a later FIFO-mode probe that
         # finds cycles) switches to wave scheduling via
         # ``_enter_wave_mode``.  With SCC off neither ever happens.
-        # The bits FIFO push under SCC coalesces pushes landing on an
-        # already-queued node into its entry (``_fifo_queued``, a flat
-        # array over node ids — grown in ``_node`` in lockstep with
-        # ``_pts``) — the same merging the wave pending dict performs,
-        # kept in FIFO order — which is what lets the FIFO SCC mode
-        # beat plain FIFO on acyclic workloads instead of merely
-        # matching it.
+        # The FIFO push coalesces pushes landing on an already-queued
+        # node into its entry (``_fifo_queued``, a flat array over node
+        # ids — grown in ``_node`` in lockstep with ``_pts``) — the same
+        # merging the wave pending dict performs, kept in FIFO order.
         self._wave = False
-        self._promote = False
         self._adaptive = AdaptiveGate() if self.use_scc else None
         self._fifo_queued: List[Optional[list]] = []
-        if self.use_scc:
-            self._push = (self._push_fifo_coalesce if self._use_bits
-                          else self._push_fifo_coalesce_sets)
-        else:
-            self._push = self._push_fifo
+        self._push = self._push_fifo_coalesce
 
         # instrumentation: where the propagation work went
         self.counters: Dict[str, int] = {
@@ -531,10 +494,8 @@ class Solver:
         tracer = self.tracer
         solve_span = None
         if tracer is not None:
-            solve_span = tracer.begin(
-                "solve", phase=self.phase_label, backend=self.pts_backend,
-                scc=self.use_scc, numbering=self.use_numbering,
-            )
+            solve_span = tracer.begin("solve", phase=self.phase_label,
+                                      scc=self.use_scc)
         scope = (self.governor.ensure_phase(self.phase_label)
                  if self.governor is not None else nullcontext())
         self._add_reachable(EMPTY_CONTEXT, self.program.entry)
@@ -565,30 +526,17 @@ class Solver:
                 # adaptive stride-gate probes.
                 if self.warm_start is not None:
                     self._apply_warm_start(self.warm_start)
-                while True:
-                    if self._wave:
-                        if self._use_bits:
-                            self._run_bits_wave(deadline)
-                        else:
-                            self._run_sets_wave(deadline)
-                        break
-                    if self._use_bits:
-                        if self.use_scc:
-                            self._run_bits_coalesce(deadline)
-                        else:
-                            self._run_bits(deadline)
-                    elif self.use_scc:
-                        self._run_sets_coalesce(deadline)
-                    else:
-                        self._run_sets(deadline)
-                    if not self._promote:
-                        break
-                    # A FIFO-mode probe found cycles: switch the
-                    # remaining worklist to wave order, collapse, and
-                    # resume in the wave loop.
-                    self._promote = False
-                    self._enter_wave_mode()
-                    self._collapse_cycles()
+                if not self._wave:
+                    self._run_fifo(deadline)
+                    if self._worklist:
+                        # The FIFO loop stopped early because a probe
+                        # found cycles: switch the remaining worklist to
+                        # wave order, collapse, and resume in the wave
+                        # loop.
+                        self._enter_wave_mode()
+                        self._collapse_cycles()
+                if self._wave:
+                    self._run_wave(deadline)
         finally:
             self.solve_seconds = time.monotonic() - start
             self._record_perf()
@@ -612,8 +560,7 @@ class Solver:
         solver would have popped separately.
         """
         self._wave = True
-        self._push = (self._push_wave_bits if self._use_bits
-                      else self._push_wave_sets)
+        self._push = self._push_wave
         if self.warm_start is not None:
             self._install_push_filter()
         worklist = self._worklist
@@ -677,7 +624,6 @@ class Solver:
                     f"of class {class_name!r} did not re-intern"
                 )
             obj_ids.append(obj)
-        use_bits = self._use_bits
         pts = self._pts
         seeded_nodes = 0
         seeded_facts = 0
@@ -685,8 +631,8 @@ class Solver:
         # dominated by building the delta bitset; precomputing each
         # object's single-bit mask once keeps the common case to a list
         # index instead of a fresh ``1 << obj`` big-int shift.
-        singles = [1 << obj for obj in obj_ids] if use_bits else []
-        replay: List[Tuple[Tuple[Context, Method, str], object]] = []
+        singles = [1 << obj for obj in obj_ids]
+        replay: List[Tuple[Tuple[Context, Method, str], int]] = []
         for key, ordinals in warm.seeds:
             kind = key[0]
             meta: Optional[Tuple[Context, Method, str]] = None
@@ -707,16 +653,12 @@ class Solver:
                     node = self._static_field_node(class_name, field_name)
                 else:
                     raise WarmStartMismatch(f"unknown seed key {key!r}")
-                if use_bits:
-                    if len(ordinals) == 1:
-                        delta: object = singles[ordinals[0]]
-                    else:
-                        bits = 0
-                        for ordinal in ordinals:
-                            bits |= singles[ordinal]
-                        delta = bits
+                if len(ordinals) == 1:
+                    delta = singles[ordinals[0]]
                 else:
-                    delta = {obj_ids[ordinal] for ordinal in ordinals}
+                    delta = 0
+                    for ordinal in ordinals:
+                        delta |= singles[ordinal]
             except (KeyError, IndexError):
                 raise WarmStartMismatch(
                     f"seed {key!r} references state that did not re-intern"
@@ -724,16 +666,10 @@ class Solver:
             if not delta:
                 continue
             known = pts[node]
-            if use_bits:
-                fresh = delta & ~known
-                if fresh:
-                    pts[node] = known | fresh
-                    seeded_facts += popcount(fresh)
-            else:
-                fresh_set = delta - known
-                if fresh_set:
-                    known |= fresh_set
-                    seeded_facts += len(fresh_set)
+            fresh = delta & ~known
+            if fresh:
+                pts[node] = known | fresh
+                seeded_facts += popcount(fresh)
             seeded_nodes += 1
             if meta is not None:
                 replay.append((meta, delta))
@@ -763,30 +699,22 @@ class Solver:
         empty delta, and skipped without side effects — but only
         *profitable* when most pushes are already known, i.e. after
         warm seeding; cold solves keep the unwrapped push so their
-        iteration counts (pinned by the backend differentials) are
-        untouched.  Re-installed by :meth:`_enter_wave_mode` when it
-        rebinds the push variant.
+        iteration counts are untouched.  Re-installed by
+        :meth:`_enter_wave_mode` when it rebinds the push variant.
         """
         inner = self._push
         parent = self._uf.parent
         find = self._find
         pts = self._pts
-        if self._use_bits:
-            def push(node: int, delta: int) -> None:
-                rep = node if parent[node] == node else find(node)
-                common = delta & pts[rep]
-                if common:
-                    delta ^= common
-                    if not delta:
-                        return
-                inner(node, delta)
-        else:
-            def push(node: int, delta) -> None:
-                rep = node if parent[node] == node else find(node)
-                known = pts[rep]
-                fresh = {obj for obj in delta if obj not in known}
-                if fresh:
-                    inner(node, fresh)
+
+        def push(node: int, delta: int) -> None:
+            rep = node if parent[node] == node else find(node)
+            common = delta & pts[rep]
+            if common:
+                delta ^= common
+                if not delta:
+                    return
+            inner(node, delta)
         self._push = push
 
     # ------------------------------------------------------------------
@@ -829,88 +757,36 @@ class Solver:
         )
         self._window_span = None
 
-    def _run_bits(self, deadline: Optional[float]) -> None:
-        """Fixpoint loop, bitset backend: sets are ints, the surviving
-        delta is ``delta & ~known``, filters are mask ANDs."""
-        worklist = self._worklist
-        pop = worklist.popleft
-        append = worklist.append
-        pts = self._pts
-        succs = self._succs
-        meta_by_node = self._meta_by_node
-        mask_for = self._filter_masks.mask_for
-        object_ids = self._object_ids
-        governor = self.governor
-        plan = self._fault_plan
-        phase = self.phase_label
-        tracer = self.tracer
-        stride_mask = self._stride_mask
-        probe = self._fifo_probe if self.use_scc else None
-        iterations = self.iterations
-        facts = 0
-        # An already-expired budget must raise even if the solve would
-        # finish within one stride of the periodic check below.
+    def _stride_gate(self, deadline: Optional[float], iterations: int,
+                     worklist: int, facts: Optional[int] = None) -> None:
+        """The budget checks both loops run every ``stride`` pops (and
+        once on entry, so an already-expired budget raises even if the
+        solve would finish within one stride): wall-clock deadline,
+        governor, and armed fault plan.  With ``facts`` given (a gate
+        inside the loop) the trace's ``stride`` window rotates too."""
         if deadline is not None and time.monotonic() > deadline:
             raise AnalysisTimeout(self.timeout_seconds, iterations)
-        if governor is not None:
-            governor.check(iterations=iterations, objects=len(object_ids),
-                           worklist=len(worklist))
-        if plan is not None:
-            plan.check_iteration(iterations, phase)
-        try:
-            while worklist:
-                iterations += 1
-                if not iterations & stride_mask:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise AnalysisTimeout(self.timeout_seconds, iterations)
-                    if governor is not None:
-                        governor.check(iterations=iterations,
-                                       objects=len(object_ids),
-                                       worklist=len(worklist))
-                    if plan is not None:
-                        plan.check_iteration(iterations, phase)
-                    if tracer is not None:
-                        self._rotate_window(iterations, len(worklist), facts)
-                    if probe is not None and probe():
-                        break
-                node, delta = pop()
-                known = pts[node]
-                # delta & ~known, without materializing the full-width
-                # complement: XOR out the already-known bits.
-                common = delta & known
-                if common:
-                    delta ^= common
-                    if not delta:
-                        continue
-                pts[node] = known | delta
-                facts += popcount(delta)
-                for succ, filter_class in succs[node]:
-                    if filter_class is None:
-                        append((succ, delta))
-                    else:
-                        filtered = delta & mask_for(filter_class)
-                        if filtered:
-                            append((succ, filtered))
-                meta = meta_by_node[node]
-                if meta is not None:
-                    self._process_var_delta(meta, delta)
-        finally:
-            self.iterations = iterations
-            self.counters["facts_propagated"] += facts
+        if self.governor is not None:
+            self.governor.check(iterations=iterations,
+                                objects=len(self._object_ids),
+                                worklist=worklist)
+        if self._fault_plan is not None:
+            self._fault_plan.check_iteration(iterations, self.phase_label)
+        if facts is not None and self.tracer is not None:
+            self._rotate_window(iterations, worklist, facts)
 
-    def _run_bits_coalesce(self, deadline: Optional[float]) -> None:
-        """Fixpoint loop, bitset backend, FIFO-mode SCC.
+    def _run_fifo(self, deadline: Optional[float]) -> None:
+        """FIFO fixpoint loop with delta coalescing.
 
-        Identical delta algebra to :meth:`_run_bits`; the difference is
-        the worklist discipline of :meth:`_push_fifo_coalesce` — pushes
-        landing on a queued node merge into its entry (counted as
+        Points-to sets are ints: the surviving delta is ``delta &
+        ~known`` and cast filters are mask ANDs.  Worklist entries are
+        mutable ``[node, delta]`` pairs (see :meth:`_push_fifo_coalesce`):
+        pushes landing on a queued node merge into its entry (counted as
         ``propagations_saved``), so the node is popped once with the
-        union instead of once per push.  This is exactly the merging
-        the wave loop's pending dict performs, without the heap: on
-        acyclic workloads it keeps FIFO's ~2-3x cheaper per-pop cost
-        *and* recoups the up-front ranking pass, which is how SCC mode
-        stays >= 1.0x of ``scc=off`` on the deep-context profiles that
-        previously regressed.
+        union instead of once per push — the merging the wave loop's
+        pending dict performs, without the heap.  With SCC on, the
+        stride gate also probes for cycles (:meth:`_fifo_probe`) and
+        breaks out so :meth:`solve` can promote to the wave loop.
         """
         worklist = self._worklist
         pop = worklist.popleft
@@ -920,38 +796,19 @@ class Solver:
         succs = self._succs
         meta_by_node = self._meta_by_node
         mask_for = self._filter_masks.mask_for
-        object_ids = self._object_ids
-        governor = self.governor
-        plan = self._fault_plan
-        phase = self.phase_label
-        tracer = self.tracer
+        gate = self._stride_gate
         stride_mask = self._stride_mask
-        probe = self._fifo_probe
+        probe = self._fifo_probe if self.use_scc else None
         iterations = self.iterations
         facts = 0
         saved = 0
-        if deadline is not None and time.monotonic() > deadline:
-            raise AnalysisTimeout(self.timeout_seconds, iterations)
-        if governor is not None:
-            governor.check(iterations=iterations, objects=len(object_ids),
-                           worklist=len(worklist))
-        if plan is not None:
-            plan.check_iteration(iterations, phase)
+        gate(deadline, iterations, len(worklist))
         try:
             while worklist:
                 iterations += 1
                 if not iterations & stride_mask:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise AnalysisTimeout(self.timeout_seconds, iterations)
-                    if governor is not None:
-                        governor.check(iterations=iterations,
-                                       objects=len(object_ids),
-                                       worklist=len(worklist))
-                    if plan is not None:
-                        plan.check_iteration(iterations, phase)
-                    if tracer is not None:
-                        self._rotate_window(iterations, len(worklist), facts)
-                    if probe():
+                    gate(deadline, iterations, len(worklist), facts)
+                    if probe is not None and probe():
                         break
                 entry = pop()
                 node = entry[0]
@@ -959,6 +816,8 @@ class Solver:
                 # consume: later pushes to this node re-queue it
                 entry[1] = 0
                 known = pts[node]
+                # delta & ~known, without materializing the full-width
+                # complement: XOR out the already-known bits.
                 common = delta & known
                 if common:
                     delta ^= common
@@ -989,165 +848,8 @@ class Solver:
             self.counters["facts_propagated"] += facts
             self.counters["propagations_saved"] += saved
 
-    def _run_sets(self, deadline: Optional[float]) -> None:
-        """Fixpoint loop, legacy ``set[int]`` backend (A/B baseline)."""
-        worklist = self._worklist
-        pop = worklist.popleft
-        append = worklist.append
-        pts = self._pts
-        succs = self._succs
-        meta_by_node = self._meta_by_node
-        is_subtype = self._is_subtype_name
-        object_class = self._object_class
-        object_ids = self._object_ids
-        governor = self.governor
-        plan = self._fault_plan
-        phase = self.phase_label
-        tracer = self.tracer
-        stride_mask = self._stride_mask
-        probe = self._fifo_probe if self.use_scc else None
-        iterations = self.iterations
-        facts = 0
-        if deadline is not None and time.monotonic() > deadline:
-            raise AnalysisTimeout(self.timeout_seconds, iterations)
-        if governor is not None:
-            governor.check(iterations=iterations, objects=len(object_ids),
-                           worklist=len(worklist))
-        if plan is not None:
-            plan.check_iteration(iterations, phase)
-        try:
-            while worklist:
-                iterations += 1
-                if not iterations & stride_mask:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise AnalysisTimeout(self.timeout_seconds, iterations)
-                    if governor is not None:
-                        governor.check(iterations=iterations,
-                                       objects=len(object_ids),
-                                       worklist=len(worklist))
-                    if plan is not None:
-                        plan.check_iteration(iterations, phase)
-                    if tracer is not None:
-                        self._rotate_window(iterations, len(worklist), facts)
-                    if probe is not None and probe():
-                        break
-                node, delta = pop()
-                known = pts[node]
-                delta = delta - known
-                if not delta:
-                    continue
-                known |= delta
-                facts += len(delta)
-                for succ, filter_class in succs[node]:
-                    if filter_class is None:
-                        append((succ, delta))
-                    else:
-                        filtered = {
-                            o for o in delta
-                            if is_subtype(object_class[o], filter_class)
-                        }
-                        if filtered:
-                            append((succ, filtered))
-                meta = meta_by_node[node]
-                if meta is not None:
-                    self._process_var_delta(meta, delta)
-        finally:
-            self.iterations = iterations
-            self.counters["facts_propagated"] += facts
-
-    def _run_sets_coalesce(self, deadline: Optional[float]) -> None:
-        """Fixpoint loop, set backend, FIFO-mode SCC — the set-algebra
-        twin of :meth:`_run_bits_coalesce` (same coalescing worklist
-        discipline, so the two backends pop identical sequences)."""
-        worklist = self._worklist
-        pop = worklist.popleft
-        append = worklist.append
-        queued = self._fifo_queued
-        pts = self._pts
-        succs = self._succs
-        meta_by_node = self._meta_by_node
-        is_subtype = self._is_subtype_name
-        object_class = self._object_class
-        object_ids = self._object_ids
-        governor = self.governor
-        plan = self._fault_plan
-        phase = self.phase_label
-        tracer = self.tracer
-        stride_mask = self._stride_mask
-        probe = self._fifo_probe
-        iterations = self.iterations
-        facts = 0
-        saved = 0
-        if deadline is not None and time.monotonic() > deadline:
-            raise AnalysisTimeout(self.timeout_seconds, iterations)
-        if governor is not None:
-            governor.check(iterations=iterations, objects=len(object_ids),
-                           worklist=len(worklist))
-        if plan is not None:
-            plan.check_iteration(iterations, phase)
-        try:
-            while worklist:
-                iterations += 1
-                if not iterations & stride_mask:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise AnalysisTimeout(self.timeout_seconds, iterations)
-                    if governor is not None:
-                        governor.check(iterations=iterations,
-                                       objects=len(object_ids),
-                                       worklist=len(worklist))
-                    if plan is not None:
-                        plan.check_iteration(iterations, phase)
-                    if tracer is not None:
-                        self._rotate_window(iterations, len(worklist), facts)
-                    if probe():
-                        break
-                entry = pop()
-                node = entry[0]
-                delta = entry[1]
-                # consume: later pushes to this node re-queue it
-                entry[1] = None
-                known = pts[node]
-                delta -= known  # entry-owned (copied at store)
-                if not delta:
-                    continue
-                known |= delta
-                facts += len(delta)
-                for succ, filter_class in succs[node]:
-                    if filter_class is not None:
-                        filtered = {
-                            o for o in delta
-                            if is_subtype(object_class[o], filter_class)
-                        }
-                        if not filtered:
-                            continue
-                    else:
-                        filtered = delta
-                    e = queued[succ]
-                    if e is not None and e[1]:
-                        e[1] |= filtered
-                        saved += 1
-                    else:
-                        # copy so the entry owns its set: merges and
-                        # the pop's difference mutate in place
-                        e = [succ, set(filtered)]
-                        queued[succ] = e
-                        append(e)
-                meta = meta_by_node[node]
-                if meta is not None:
-                    self._process_var_delta(meta, delta)
-        finally:
-            self.iterations = iterations
-            self.counters["facts_propagated"] += facts
-            self.counters["propagations_saved"] += saved
-
-    # ------------------------------------------------------------------
-    # Wave-scheduled fixpoint loops (SCC mode)
-    # ------------------------------------------------------------------
-    def _push_fifo(self, node: int, delta) -> None:
-        self._worklist.append((node, delta))
-
     def _push_fifo_coalesce(self, node: int, delta: int) -> None:
-        """FIFO push with wave-style delta merging (bits + SCC only).
+        """FIFO push with wave-style delta merging.
 
         Worklist entries are mutable ``[node, delta]`` pairs indexed by
         ``_fifo_queued``; a push landing on a node whose entry is still
@@ -1165,25 +867,11 @@ class Solver:
         queued[node] = entry
         self._worklist.append(entry)
 
-    def _push_fifo_coalesce_sets(self, node: int, delta) -> None:
-        """Set-backend twin of :meth:`_push_fifo_coalesce`, so both
-        backends pop the same coalesced sequence (the backend
-        differential pins iteration equality).  The queued set is owned
-        by the entry (copied on store, rebound on merge — never mutated
-        in place), so callers may pass live views.
-        """
-        queued = self._fifo_queued
-        entry = queued[node]
-        if entry is not None and entry[1]:
-            entry[1] |= delta
-            self.counters["propagations_saved"] += 1
-            return
-        entry = [node, set(delta)]
-        queued[node] = entry
-        self._worklist.append(entry)
-
-    def _push_wave_bits(self, node: int, delta: int) -> None:
-        """Merge ``delta`` into the node's pending wave (bitset mode).
+    # ------------------------------------------------------------------
+    # Wave-scheduled fixpoint loop (SCC mode)
+    # ------------------------------------------------------------------
+    def _push_wave(self, node: int, delta: int) -> None:
+        """Merge ``delta`` into the node's pending wave.
 
         Pushes that land on a node with a pending delta are absorbed
         into it — exactly the worklist entries a FIFO solver would have
@@ -1201,35 +889,17 @@ class Solver:
             pending[node] = current | delta
             self.counters["propagations_saved"] += 1
 
-    def _push_wave_sets(self, node: int, delta) -> None:
-        """Merge ``delta`` into the node's pending wave (set mode).
+    def _run_wave(self, deadline: Optional[float]) -> None:
+        """Fixpoint loop in condensation + wave order.
 
-        The pending set is always owned by the worklist (copied on
-        first push), so callers may pass live views.
-        """
-        parent = self._uf.parent
-        if parent[node] != node:
-            node = self._find(node)
-        pending = self._pending
-        current = pending.get(node)
-        if current is None:
-            pending[node] = set(delta)
-            heappush(self._heap, (self._topo_order[node], node))
-        else:
-            current.update(delta)
-            self.counters["propagations_saved"] += 1
-
-    def _run_bits_wave(self, deadline: Optional[float]) -> None:
-        """Fixpoint loop, bitset backend, condensation + wave order.
-
-        Same delta algebra as :meth:`_run_bits`; differences are (a)
+        Same delta algebra as :meth:`_run_fifo`; differences are (a)
         pops come from a priority heap keyed by the condensation's
         topological order with per-node pending-delta merging, and (b)
         the stride gate additionally runs online cycle detection.
         Every heap pop — including stale entries whose node was merged
         away or whose pending was already drained — counts as one
         iteration, so governor work budgets and fault-injection strides
-        see the same monotone iteration clock as the FIFO loops.
+        see the same monotone iteration clock as the FIFO loop.
         """
         pending = self._pending
         heap = self._heap
@@ -1237,38 +907,19 @@ class Solver:
         succs = self._succs
         meta_by_node = self._meta_by_node
         mask_for = self._filter_masks.mask_for
-        object_ids = self._object_ids
-        governor = self.governor
-        plan = self._fault_plan
-        phase = self.phase_label
-        tracer = self.tracer
+        gate = self._stride_gate
         stride_mask = self._stride_mask
         push = self._push
         find = self._find
         parent = self._uf.parent
         iterations = self.iterations
         facts = 0
-        if deadline is not None and time.monotonic() > deadline:
-            raise AnalysisTimeout(self.timeout_seconds, iterations)
-        if governor is not None:
-            governor.check(iterations=iterations, objects=len(object_ids),
-                           worklist=len(pending))
-        if plan is not None:
-            plan.check_iteration(iterations, phase)
+        gate(deadline, iterations, len(pending))
         try:
             while heap:
                 iterations += 1
                 if not iterations & stride_mask:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise AnalysisTimeout(self.timeout_seconds, iterations)
-                    if governor is not None:
-                        governor.check(iterations=iterations,
-                                       objects=len(object_ids),
-                                       worklist=len(pending))
-                    if plan is not None:
-                        plan.check_iteration(iterations, phase)
-                    if tracer is not None:
-                        self._rotate_window(iterations, len(pending), facts)
+                    gate(deadline, iterations, len(pending), facts)
                     self._maybe_collapse()
                 node = heappop(heap)[1]
                 if parent[node] != node:
@@ -1302,97 +953,22 @@ class Solver:
             self.iterations = iterations
             self.counters["facts_propagated"] += facts
 
-    def _run_sets_wave(self, deadline: Optional[float]) -> None:
-        """Fixpoint loop, legacy set backend, condensation + wave order."""
-        pending = self._pending
-        heap = self._heap
-        pts = self._pts
-        succs = self._succs
-        meta_by_node = self._meta_by_node
-        is_subtype = self._is_subtype_name
-        object_class = self._object_class
-        object_ids = self._object_ids
-        governor = self.governor
-        plan = self._fault_plan
-        phase = self.phase_label
-        tracer = self.tracer
-        stride_mask = self._stride_mask
-        push = self._push
-        find = self._find
-        parent = self._uf.parent
-        iterations = self.iterations
-        facts = 0
-        if deadline is not None and time.monotonic() > deadline:
-            raise AnalysisTimeout(self.timeout_seconds, iterations)
-        if governor is not None:
-            governor.check(iterations=iterations, objects=len(object_ids),
-                           worklist=len(pending))
-        if plan is not None:
-            plan.check_iteration(iterations, phase)
-        try:
-            while heap:
-                iterations += 1
-                if not iterations & stride_mask:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise AnalysisTimeout(self.timeout_seconds, iterations)
-                    if governor is not None:
-                        governor.check(iterations=iterations,
-                                       objects=len(object_ids),
-                                       worklist=len(pending))
-                    if plan is not None:
-                        plan.check_iteration(iterations, phase)
-                    if tracer is not None:
-                        self._rotate_window(iterations, len(pending), facts)
-                    self._maybe_collapse()
-                node = heappop(heap)[1]
-                if parent[node] != node:
-                    node = find(node)
-                delta = pending.pop(node, None)
-                if not delta:
-                    continue
-                known = pts[node]
-                delta -= known
-                if not delta:
-                    continue
-                known |= delta
-                facts += len(delta)
-                for succ, filter_class in succs[node]:
-                    if filter_class is None:
-                        push(succ, delta)
-                    else:
-                        filtered = {
-                            o for o in delta
-                            if is_subtype(object_class[o], filter_class)
-                        }
-                        if filtered:
-                            push(succ, filtered)
-                meta = meta_by_node[node]
-                if meta is not None:
-                    if type(meta) is list:
-                        for entry in meta:
-                            self._process_var_delta(entry, delta)
-                    else:
-                        self._process_var_delta(meta, delta)
-        finally:
-            self.iterations = iterations
-            self.counters["facts_propagated"] += facts
-
     # ------------------------------------------------------------------
     # Online cycle elimination
     # ------------------------------------------------------------------
-    def _maybe_collapse(self) -> bool:
-        """Run a detection pass if the copy subgraph grew since the last
-        one (called on the wave loop's stride gate; a pass is O(V+E)).
+    def _pass_due(self) -> bool:
+        """The dampers shared by :meth:`_maybe_collapse` and
+        :meth:`_fifo_probe`: whether this stride gate should run a
+        detection pass (which is O(V+E)).
 
-        Two dampers keep unproductive passes off the hot path:
-        creation-dominated windows defer detection outright (the graph
-        is growing faster than facts settle, so a ranking would be
-        stale on arrival — :class:`repro.pta.scc.AdaptiveGate`), and
+        A pass only runs when the copy subgraph grew since the previous
+        one.  Creation-dominated windows defer detection outright (the
+        graph is growing faster than facts settle, so a ranking would
+        be stale on arrival — :class:`repro.pta.scc.AdaptiveGate`), and
         unproductive passes double the number of grown gates skipped
-        before the next one (capped at ``_MAX_COLLAPSE_BACKOFF``);
-        finding a cycle resets the cadence to every gate.  Both only
-        defer an optimization — collapse never affects the fixpoint —
-        so correctness is untouched.
+        before the next one (capped at ``_MAX_COLLAPSE_BACKOFF``; see
+        :meth:`_backoff`).  Both only defer an optimization — collapse
+        never affects the fixpoint — so correctness is untouched.
         """
         dominated = self._adaptive.creation_dominated(
             self._stride_mask + 1, len(self._pts))
@@ -1402,22 +978,30 @@ class Solver:
             self.counters["scc_passes_deferred"] += 1
             return False
         self._gates_until_pass -= 1
-        if self._gates_until_pass > 0:
-            return False
-        collapsed_before = self.counters["sccs_collapsed"]
-        self._collapse_cycles()
-        if self.counters["sccs_collapsed"] > collapsed_before:
+        return self._gates_until_pass <= 0
+
+    def _backoff(self, productive: bool) -> None:
+        """Finding a cycle resets the detection cadence to every grown
+        gate; an unproductive pass doubles the gap."""
+        if productive:
             self._collapse_backoff = 1
         else:
             self._collapse_backoff = min(self._collapse_backoff * 2,
                                          _MAX_COLLAPSE_BACKOFF)
         self._gates_until_pass = self._collapse_backoff
-        return True
+
+    def _maybe_collapse(self) -> None:
+        """Stride-gate hook of the wave loop: collapse cycles when a
+        pass is due (:meth:`_pass_due`)."""
+        if not self._pass_due():
+            return
+        collapsed_before = self.counters["sccs_collapsed"]
+        self._collapse_cycles()
+        self._backoff(self.counters["sccs_collapsed"] > collapsed_before)
 
     def _fifo_probe(self) -> bool:
         """Stride-gate hook of the FIFO (acyclic) SCC mode: a read-only
-        detection probe under the same dampers as
-        :meth:`_maybe_collapse`.
+        detection probe when a pass is due (:meth:`_pass_due`).
 
         Returns True exactly when cycles were found — the FIFO loop
         then breaks and :meth:`solve` promotes to wave scheduling
@@ -1426,32 +1010,19 @@ class Solver:
         Tarjan pass and backs off exponentially; a deferred or
         watermark-skipped gate costs a few integer ops.
         """
-        dominated = self._adaptive.creation_dominated(
-            self._stride_mask + 1, len(self._pts))
-        if self.counters["copy_edges"] == self._copy_edges_at_last_pass:
-            return False
-        if dominated:
-            self.counters["scc_passes_deferred"] += 1
-            return False
-        self._gates_until_pass -= 1
-        if self._gates_until_pass > 0:
+        if not self._pass_due():
             return False
         self._copy_edges_at_last_pass = self.counters["copy_edges"]
         self.counters["scc_passes"] += 1
         cycles, _ = condense_copy_graph(self._succs, self._uf,
                                         tracer=self.tracer)
+        self._backoff(bool(cycles))
         if not cycles:
-            self._collapse_backoff = min(self._collapse_backoff * 2,
-                                         _MAX_COLLAPSE_BACKOFF)
-            self._gates_until_pass = self._collapse_backoff
             return False
         # Cycles formed mid-solve: promote.  The promotion re-runs the
         # pass inside _collapse_cycles (at most once per solve), which
         # also refreshes the wave priorities.
         self.counters["scc_promotions"] += 1
-        self._collapse_backoff = 1
-        self._gates_until_pass = 1
-        self._promote = True
         return True
 
     def _collapse_cycles(self) -> None:
@@ -1497,7 +1068,6 @@ class Solver:
             topo[node] = position
         if not cycles:
             return
-        use_bits = self._use_bits
         pending = self._pending
         pts = self._pts
         succs = self._succs
@@ -1513,7 +1083,7 @@ class Solver:
             counters["scc_nodes_merged"] += len(members) - 1
         for members in cycles:
             root = find(members[0])
-            merged: object = 0 if use_bits else set()
+            merged = 0
             metas: List[Tuple[Context, Method, str]] = []
             merged_succs: List[Tuple[int, Optional[str]]] = []
             merged_seen: Set[Tuple[int, Optional[str]]] = set()
@@ -1539,7 +1109,7 @@ class Solver:
                     if edge not in merged_seen:
                         merged_seen.add(edge)
                         merged_succs.append(edge)
-                pts[member] = 0 if use_bits else set()
+                pts[member] = 0
                 succs[member] = []
                 edge_seen[member] = set()
                 meta_by_node[member] = None
@@ -1591,96 +1161,31 @@ class Solver:
             perf.incr(f"pta.{name}", value)
         perf.gauge_max("pta.nodes", len(self._pts))
         perf.gauge_max("pta.objects", len(self._object_ids))
-        if self._numbering is not None:
-            perf.gauge_max("pta.numbered_slots", self._numbering.count)
+        perf.gauge_max("pta.numbered_slots", self._numbering.count)
         if self._pts:
-            count = popcount if self._use_bits else len
-            perf.gauge_max("pta.pts_size", max(count(p) for p in self._pts))
+            perf.gauge_max("pta.pts_size", max(map(popcount, self._pts)))
         for name, value in self._filter_masks.stats().items():
             perf.incr(f"pta.{name}", value)
         perf.add_time("pta.mask_build", self._filter_masks.build_seconds)
 
     # ------------------------------------------------------------------
-    # Points-to accessors (representation-agnostic; used by results)
+    # Points-to accessors (used by results)
     # ------------------------------------------------------------------
     def node_pts_bits(self, node: int) -> int:
-        """The node's points-to set as a bit-vector (any backend).
+        """The node's points-to set as a bit-vector.
 
         Node ids resolve through the condensation's ``find()`` — a node
         merged into a cycle representative reports the representative's
         set, which is exactly the member's fixpoint set.
         """
-        pts = self._pts[self._find(node)]
-        if self._use_bits:
-            return pts
-        bits = 0
-        for obj in pts:
-            bits |= 1 << obj
-        return bits
+        return self._pts[self._find(node)]
 
     def node_pts_ids(self, node: int) -> List[int]:
         """The node's points-to set as a list of object ids."""
-        pts = self._pts[self._find(node)]
-        if self._use_bits:
-            return bits_to_list(pts)
-        return sorted(pts)
+        return bits_to_list(self._pts[self._find(node)])
 
     def node_pts_count(self, node: int) -> int:
-        pts = self._pts[self._find(node)]
-        return popcount(pts) if self._use_bits else len(pts)
-
-    def _delta_ids(self, delta) -> Iterable[int]:
-        """Decode a backend-native delta into iterable object ids."""
-        if self._use_bits:
-            return bits_to_list(delta)
-        return delta
-
-    def propagation_seeds(self) -> Dict[int, Set[int]]:
-        """Seed facts that regenerate this solve's final points-to sets.
-
-        Only callable on a *solved* instance.  The returned map contains,
-        per node, the object ids injected into that node by non-edge
-        means: allocation statements (``x = new T``) and receiver-object
-        injection at virtual dispatches (``this``).  Every other fact in
-        the final solution is derivable from these by closing over the
-        discovered pointer-flow edges (:attr:`_succs`), so replaying pure
-        worklist propagation from these seeds over the frozen constraint
-        graph reproduces the final solution exactly.  This isolates the
-        *representation* cost (set ops, filters, difference propagation)
-        from call-graph discovery — the basis of the A/B micro-benchmark
-        in :mod:`repro.bench.backends`.
-        """
-        seeds: Dict[int, Set[int]] = {}
-        node_ids = self._node_ids
-        object_ids = self._object_ids
-        heap_model = self.heap_model
-        find = self._find
-        for mkey, contexts in self._reachable.items():
-            method = self._method_by_id[mkey]
-            info = self._method_info[mkey]
-            for ctx in contexts:
-                for stmt in info.allocs:
-                    node = node_ids.get((0, ctx, id(method), stmt.target))
-                    if node is None:
-                        continue
-                    node = find(node)
-                    key = heap_model.site_key(stmt.site, stmt.class_name)
-                    if self._ci or heap_model.is_merged(stmt.site, stmt.class_name):
-                        hctx: Context = EMPTY_CONTEXT
-                    else:
-                        hctx = self.selector.select_heap(ctx, stmt.site)
-                    obj = object_ids.get((key, hctx))
-                    if obj is not None:
-                        seeds.setdefault(node, set()).add(obj)
-        # `this` facts are injected by dispatch, not derived over edges;
-        # seeding the final `this` sets closes the loop (final state is a
-        # fixpoint, so the replay converges to exactly it).
-        for node, (ctx, method, var) in self._var_meta.items():
-            if var == "this":
-                ids = self.node_pts_ids(node)
-                if ids:
-                    seeds.setdefault(find(node), set()).update(ids)
-        return seeds
+        return popcount(self._pts[self._find(node)])
 
     # ------------------------------------------------------------------
     # Interning
@@ -1690,7 +1195,7 @@ class Solver:
         if node is None:
             node = len(self._pts)
             self._node_ids[key] = node
-            self._pts.append(0 if self._use_bits else set())
+            self._pts.append(0)
             self._succs.append([])
             self._edge_seen.append(set())
             self._meta_by_node.append(None)
@@ -1740,9 +1245,7 @@ class Solver:
             hctx = self.selector.select_heap(method_ctx, site)
         obj = self._object_ids.get((key, hctx))
         if obj is None:
-            slots = self._numbering_slots
-            slot = (slots.get(key) if slots is not None and not hctx
-                    else None)
+            slot = None if hctx else self._numbering.slots.get(key)
             if slot is not None:
                 # Numbered fast path: the id and its metadata were
                 # reserved at construction; materialize the slot.
@@ -1776,10 +1279,6 @@ class Solver:
         self._object_alloc_sites[obj].add(site)
         return obj
 
-    def _singleton(self, obj: int):
-        """A one-object points-to payload in the backend's encoding."""
-        return (1 << obj) if self._use_bits else {obj}
-
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------
@@ -1798,8 +1297,7 @@ class Solver:
         info = self._method_info[mkey]
         for stmt in info.allocs:
             obj = self._object(stmt.site, stmt.class_name, ctx)
-            self._push(self._var_node(ctx, method, stmt.target),
-                       self._singleton(obj))
+            self._push(self._var_node(ctx, method, stmt.target), 1 << obj)
         for stmt in info.copies:
             self._add_edge(
                 self._var_node(ctx, method, stmt.source),
@@ -1873,29 +1371,14 @@ class Solver:
         self._succs[source].append(edge)
         existing = self._pts[source]
         if existing:
-            if filter_class is None:
-                # Bit-vectors are immutable — push as-is; sets must be
-                # copied by FIFO push because the node keeps mutating its
-                # own set (the wave push copies on first insert itself).
-                if self._use_bits or self._wave:
-                    payload = existing
-                else:
-                    payload = set(existing)
-                self._push(target, payload)
-            elif self._use_bits:
-                filtered = existing & self._filter_masks.mask_for(filter_class)
-                if filtered:
-                    self._push(target, filtered)
-            else:
-                filtered = {
-                    o for o in existing
-                    if self._is_subtype_name(self._object_class[o], filter_class)
-                }
-                if filtered:
-                    self._push(target, filtered)
+            if filter_class is not None:
+                existing &= self._filter_masks.mask_for(filter_class)
+            if existing:
+                # bit-vectors are immutable: push the set as-is
+                self._push(target, existing)
 
     def _process_var_delta(self, meta: Tuple[Context, Method, str],
-                           delta) -> None:
+                           delta: int) -> None:
         ctx, method, var = meta
         info = self._method_info[id(method)]
         loads = info.loads_by_base.get(var)
@@ -1903,7 +1386,7 @@ class Solver:
         invokes = info.invokes_by_base.get(var)
         if loads is None and stores is None and invokes is None:
             return
-        objs = self._delta_ids(delta)
+        objs = bits_to_list(delta)
         if loads:
             for stmt in loads:
                 target = self._var_node(ctx, method, stmt.target)
@@ -1936,8 +1419,7 @@ class Solver:
         )
         # `this` receives exactly this object, unconditionally (cheap,
         # dedups in propagate).
-        self._push(self._var_node(callee_ctx, callee, "this"),
-                   self._singleton(obj))
+        self._push(self._var_node(callee_ctx, callee, "this"), 1 << obj)
         edge = (ctx, stmt.call_site, callee_ctx, callee.qualified_name)
         if edge in self._cg_edges_ctx:
             return
@@ -1988,15 +1470,11 @@ class Solver:
 def solve(program: Program, selector: Optional[ContextSelector] = None,
           heap_model: Optional[HeapModel] = None,
           timeout_seconds: Optional[float] = None,
-          pts_backend: Optional[str] = None,
           perf: Optional[PerfRecorder] = None,
           governor=None, phase_label: str = "main",
           scc: Optional[object] = None, tracer=None,
-          numbering: Optional[object] = None,
           warm_start: Optional[WarmStart] = None):
     """Convenience wrapper: build a :class:`Solver` and run it."""
     return Solver(program, selector, heap_model, timeout_seconds,
-                  pts_backend=pts_backend, perf=perf,
-                  governor=governor, phase_label=phase_label,
-                  scc=scc, tracer=tracer, numbering=numbering,
-                  warm_start=warm_start).solve()
+                  perf=perf, governor=governor, phase_label=phase_label,
+                  scc=scc, tracer=tracer, warm_start=warm_start).solve()

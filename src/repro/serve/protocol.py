@@ -60,7 +60,7 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 #: Client-metric keys that are deterministic for a given
-#: (program, configuration, backend) — the paper's Table 2 counts.
+#: (program, configuration) — the paper's Table 2 counts.
 CLIENT_METRIC_KEYS = (
     "call_graph_edges",
     "reachable_methods",
@@ -155,9 +155,9 @@ def cache_key(key_material: str, config: str,
     in the config string.
 
     ``environment`` defaults to :func:`repro.envknobs.env_knobs` — the
-    one registry of result-affecting knobs (``$REPRO_PTS_BACKEND``,
-    ``$REPRO_SCC``, ``$REPRO_NUMBERING``, ``$REPRO_INCR``,
-    ``$REPRO_FAULTS``/``_SEED``, and whatever gets added there next) —
+    one registry of result-affecting knobs (``$REPRO_SCC``,
+    ``$REPRO_INCR``, ``$REPRO_FAULTS``/``_SEED``, and whatever gets
+    added there next) —
     so no caller can forget to fold a knob in by hand.  Pass an
     explicit string only to pin a specific environment (tests).
     """
@@ -206,10 +206,10 @@ def result_digest(result: PointsToResult) -> str:
 def deterministic_result(run: AnalysisRun) -> Dict[str, Any]:
     """The run-to-run stable portion of an analysis outcome.
 
-    Everything here is a pure function of (program, configuration,
-    backend): the final configuration, degradation/exhaustion
-    provenance, the client metrics, and the result digest.  Timings,
-    attempt wall-clocks, and perf counters are deliberately excluded.
+    Everything here is a pure function of (program, configuration):
+    the final configuration, degradation/exhaustion provenance, the
+    client metrics, and the result digest.  Timings, attempt
+    wall-clocks, and perf counters are deliberately excluded.
     """
     metrics = run.metrics()
     out: Dict[str, Any] = {

@@ -31,6 +31,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config(bad)
 
+    @pytest.mark.parametrize("retired", ["2obj@set", "2obj@bitset",
+                                         "2obj@nonum"])
+    def test_retired_suffixes_are_unknown_tokens(self, retired):
+        """Only ``@scc``/``@noscc`` remain; the retired backend and
+        numbering suffixes raise like any other unknown token."""
+        with pytest.raises(ValueError, match="unknown @-token"):
+            parse_config(retired)
+
     def test_needs_pre_analysis_only_for_mahjong(self):
         assert parse_config("M-2obj").needs_pre_analysis
         assert not parse_config("2obj").needs_pre_analysis

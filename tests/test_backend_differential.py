@@ -1,9 +1,10 @@
-"""Differential tests: bitset vs legacy set points-to backends.
+"""Differential tests: the production solver against the reference solver.
 
-The two representations must be observationally identical — same
-points-to sets, call graphs, may-fail-cast verdicts, and (through the
-pre-analysis) bit-identical MAHJONG merge decisions — on the full
-pipeline, on real workloads, and on arbitrary generated programs.
+The bit-vector solver must be observationally identical to the
+independent reference fixpoint (:mod:`tests.reference_solver`) — same
+points-to sets, call graphs and may-fail-cast verdicts — on the full
+pipeline, on real workloads, and on arbitrary generated programs; and
+its two loops must produce bit-identical MAHJONG merge decisions.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import run_analysis, run_pre_analysis
-from repro.analysis.config import parse_config
 from repro.clients import check_casts
-from repro.pta.bitset import BACKEND_BITSET, BACKEND_SET
 from repro.pta.solver import Solver
 from repro.workloads import TINY, generate, load_profile
 
 from tests.program_strategies import ir_programs
+from tests.test_reference_solver import (
+    assert_matches_reference,
+    assert_run_matches_reference,
+)
 
 CONFIGS = ["ci", "2cs", "2obj", "2type", "T-2type", "M-2obj"]
 
@@ -35,7 +38,7 @@ def _all_var_pts(program, result):
 
 
 def _object_identity(result, obj: int):
-    """Backend-independent identity of an interned object id."""
+    """Run-independent identity of an interned object id."""
     return (result.object_site_key(obj), result.object_heap_context(obj))
 
 
@@ -46,40 +49,37 @@ def _canonical_casts(result):
     }
 
 
-def assert_equivalent(program, bit_result, set_result):
-    """The full observational-equivalence battery.
+def assert_equivalent(program, a, b):
+    """The full observational-equivalence battery for two production
+    results (e.g. the two solver loops).
 
     Interned object ids are solver-internal and may differ between runs,
     so per-variable sets are compared through site-key/heap-context
-    identities; counts and graphs compare directly.
+    identities; counts and graphs compare directly.  Iteration counts
+    are not compared: the loops schedule differently.
     """
-    assert bit_result.pts_backend == BACKEND_BITSET
-    assert set_result.pts_backend == BACKEND_SET
-    assert bit_result.object_count == set_result.object_count
-    assert bit_result.reachable_methods() == set_result.reachable_methods()
-    assert bit_result.call_graph_edges() == set_result.call_graph_edges()
-    assert (bit_result.context_sensitive_edge_count()
-            == set_result.context_sensitive_edge_count())
-    assert bit_result.call_site_targets() == set_result.call_site_targets()
+    assert a.object_count == b.object_count
+    assert a.reachable_methods() == b.reachable_methods()
+    assert a.call_graph_edges() == b.call_graph_edges()
+    assert (a.context_sensitive_edge_count()
+            == b.context_sensitive_edge_count())
+    assert a.call_site_targets() == b.call_site_targets()
 
-    bit_vars = _all_var_pts(program, bit_result)
-    set_vars = _all_var_pts(program, set_result)
-    assert bit_vars.keys() == set_vars.keys()
-    for key in bit_vars:
-        bit_ids = {_object_identity(bit_result, o) for o in bit_vars[key]}
-        set_ids = {_object_identity(set_result, o) for o in set_vars[key]}
-        assert bit_ids == set_ids, key
+    a_vars = _all_var_pts(program, a)
+    b_vars = _all_var_pts(program, b)
+    assert a_vars.keys() == b_vars.keys()
+    for key in a_vars:
+        a_ids = {_object_identity(a, o) for o in a_vars[key]}
+        b_ids = {_object_identity(b, o) for o in b_vars[key]}
+        assert a_ids == b_ids, key
 
-    assert _canonical_casts(bit_result) == _canonical_casts(set_result)
-    bit_casts = check_casts(bit_result)
-    set_casts = check_casts(set_result)
-    assert bit_casts.may_fail_sites == set_casts.may_fail_sites
-    assert bit_casts.safe_sites == set_casts.safe_sites
+    assert _canonical_casts(a) == _canonical_casts(b)
+    a_casts = check_casts(a)
+    b_casts = check_casts(b)
+    assert a_casts.may_fail_sites == b_casts.may_fail_sites
+    assert a_casts.safe_sites == b_casts.safe_sites
 
-    bit_stats = bit_result.stats()
-    set_stats = set_result.stats()
-    assert bit_stats["pts_facts"] == set_stats["pts_facts"]
-    assert bit_stats["iterations"] == set_stats["iterations"]
+    assert a.stats()["pts_facts"] == b.stats()["pts_facts"]
 
 
 class TestPipelineDifferential:
@@ -95,40 +95,21 @@ class TestPipelineDifferential:
     @pytest.mark.parametrize("name", ["figure1", "tiny", "luindex"])
     def test_full_pipeline_matches(self, programs, name, config):
         program = programs[name]
-        bit_run = run_analysis(program, config, pts_backend=BACKEND_BITSET)
-        set_run = run_analysis(program, config, pts_backend=BACKEND_SET)
-        assert_equivalent(program, bit_run.result, set_run.result)
-
-    def test_backend_suffix_selects_backend(self, figure1_program, monkeypatch):
-        monkeypatch.delenv("REPRO_PTS_BACKEND", raising=False)
-        config = parse_config("2obj@set")
-        assert config.pts_backend == BACKEND_SET
-        run = run_analysis(figure1_program, "2obj@set")
-        assert run.result.pts_backend == BACKEND_SET
-        run = run_analysis(figure1_program, "2obj")
-        assert run.result.pts_backend == BACKEND_BITSET
-
-    def test_env_var_selects_backend(self, figure1_program, monkeypatch):
-        monkeypatch.setenv("REPRO_PTS_BACKEND", BACKEND_SET)
-        result = Solver(figure1_program).solve()
-        assert result.pts_backend == BACKEND_SET
+        assert_run_matches_reference(program, run_analysis(program, config))
 
 
 class TestGeneratedPrograms:
     @given(ir_programs())
     @settings(max_examples=30, deadline=None)
     def test_solver_matches_on_random_programs(self, program):
-        bit_result = Solver(program, pts_backend=BACKEND_BITSET).solve()
-        set_result = Solver(program, pts_backend=BACKEND_SET).solve()
-        assert_equivalent(program, bit_result, set_result)
+        assert_matches_reference(program, Solver(program).solve())
 
     @given(ir_programs())
     @settings(max_examples=25, deadline=None)
     def test_merge_decisions_identical(self, program):
-        """The tentpole invariant for MAHJONG: the pre-analysis backend
+        """The tentpole invariant for MAHJONG: the pre-analysis loop
         must not perturb the merged object map at all."""
-        bit_pre = run_pre_analysis(program, pts_backend=BACKEND_BITSET)
-        set_pre = run_pre_analysis(program, pts_backend=BACKEND_SET)
-        assert bit_pre.merge.mom == set_pre.merge.mom
-        assert bit_pre.result.pts_backend == BACKEND_BITSET
-        assert set_pre.result.pts_backend == BACKEND_SET
+        wave = run_pre_analysis(program, scc=True)
+        fifo = run_pre_analysis(program, scc=False)
+        assert wave.merge.mom == fifo.merge.mom
+        assert_equivalent(program, wave.result, fifo.result)

@@ -113,23 +113,6 @@ class TestPreStats:
         assert "NFA avg" in result.render()
 
 
-class TestNumberingHarness:
-    def test_shape_and_acceptance(self):
-        from repro.bench.numbering import run_numbering
-
-        result = run_numbering(profiles=["luindex"], scale=SCALE,
-                               configs=["ci"], backends=["bitset"],
-                               repeats=1)
-        (build,) = result.builds
-        assert build.range_subtype_tests == 0
-        assert build.scatter_subtype_tests == build.classes * build.objects
-        assert build.build_speedup > 1.0  # the acceptance direction
-        (measurement,) = result.measurements
-        assert measurement.facts > 0
-        assert measurement.numbered_slots > 0
-        assert "range masks build" in result.render()
-
-
 class TestReportWriter:
     def test_writes_text_and_json_bundle(self, tmp_path):
         import json

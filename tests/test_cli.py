@@ -137,3 +137,16 @@ def test_report_json(figure1_file, tmp_path):
     assert payload["program"]["alloc_sites"] == 6
     assert payload["analyses"]["M-ci"]["call_graph_edges"] == 1
     assert payload["pre_analysis"]["merge"]["objects_after"] == 4
+
+
+@pytest.mark.parametrize("config", ["2obj@bogus", "2obj@set", "nope"])
+def test_analyze_rejects_bad_config_before_any_phase(figure1_file, config,
+                                                     capsys):
+    """A config that does not parse is a usage error (argparse's exit 2)
+    with the parse error printed — not a failure of the main phase."""
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", figure1_file, "--analysis", config])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --analysis" in err
+    assert "failure in main phase" not in err

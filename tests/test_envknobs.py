@@ -34,10 +34,11 @@ class TestRegistryCoverage:
     def test_every_source_knob_is_classified(self):
         """A ``REPRO_*`` variable referenced anywhere in ``src/`` must
         be registered as result-affecting or explicitly exempted —
-        otherwise cache keys silently collide across its settings
-        (the original ``REPRO_NUMBERING`` bug)."""
+        otherwise cache keys silently collide across its settings."""
         known = set(ENV_KNOBS) | set(NON_RESULT_KNOBS)
-        unclassified = _knobs_read_in_source() - known
+        read = _knobs_read_in_source()
+        assert "REPRO_SCC" in read  # the scan sees the tree
+        unclassified = read - known
         assert not unclassified, (
             f"unclassified REPRO_* knobs {sorted(unclassified)}; add them "
             f"to repro.envknobs.ENV_KNOBS (result-affecting) or "
@@ -56,23 +57,22 @@ class TestEnvKnobsString:
             assert f"{name}=" in rendered
 
     def test_unset_and_empty_render_identically(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMBERING", raising=False)
+        monkeypatch.delenv("REPRO_SCC", raising=False)
         unset = env_knobs()
-        monkeypatch.setenv("REPRO_NUMBERING", "")
+        monkeypatch.setenv("REPRO_SCC", "")
         assert env_knobs() == unset
 
     def test_set_knob_changes_rendering(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMBERING", raising=False)
+        monkeypatch.delenv("REPRO_SCC", raising=False)
         before = env_knobs()
-        monkeypatch.setenv("REPRO_NUMBERING", "off")
+        monkeypatch.setenv("REPRO_SCC", "off")
         assert env_knobs() != before
 
 
 class TestCacheKeyFoldsKnobs:
     """Regression for the satellite fix: ``protocol.cache_key`` used to
-    ignore the environment entirely (the server bolted
-    ``REPRO_NUMBERING`` on by hand; direct callers got colliding
-    keys)."""
+    ignore the environment entirely (the server bolted one knob on by
+    hand; direct callers got colliding keys)."""
 
     @pytest.mark.parametrize("knob", ENV_KNOBS)
     def test_every_result_knob_changes_the_key(self, monkeypatch, knob):
@@ -89,12 +89,12 @@ class TestCacheKeyFoldsKnobs:
 
     def test_explicit_environment_overrides_the_default(self, monkeypatch):
         key = protocol.cache_key("source", "M-2obj", environment="pinned")
-        monkeypatch.setenv("REPRO_NUMBERING", "off")
+        monkeypatch.setenv("REPRO_SCC", "off")
         assert protocol.cache_key("source", "M-2obj",
                                   environment="pinned") == key
 
     def test_artifact_key_folds_knobs_too(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PTS_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_SCC", raising=False)
         before = artifact_key("fpg", "fingerprint", "component")
-        monkeypatch.setenv("REPRO_PTS_BACKEND", "set")
+        monkeypatch.setenv("REPRO_SCC", "off")
         assert artifact_key("fpg", "fingerprint", "component") != before

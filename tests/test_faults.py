@@ -1,5 +1,5 @@
 """Deterministic fault injection: every injection point, every fault
-kind, and every degradation path it triggers — on both pts backends."""
+kind, and every degradation path it triggers."""
 
 import pytest
 
@@ -20,7 +20,6 @@ from repro.faults import (
     TransientFault,
 )
 from repro.interp import interpret
-from repro.pta.bitset import BACKEND_NAMES
 from repro.resources import TimeBudgetExceeded
 
 from tests.test_soundness_oracle import assert_trace_covered
@@ -193,127 +192,123 @@ class TestActivation:
         assert "pre-boundary" in second.specs
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 class TestDegradationPaths:
     """Every injection point triggers its degradation path, and the
     rescued result stays sound."""
 
-    def test_main_boundary_steps_down_ladder(self, tiny_program, backend):
+    def test_main_boundary_steps_down_ladder(self, tiny_program):
+        # the ladder carries the config's @-suffix down every rung
         plan = FaultPlan([FaultSpec(point="main-boundary", times=1)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, f"M-2obj@{backend}",
-                               degrade=True)
+            run = run_analysis(tiny_program, "M-2obj@noscc", degrade=True)
         assert run.degraded
-        assert run.degraded_from == f"M-2obj@{backend}"
-        assert run.config.name == f"M-2type@{backend}"
+        assert run.degraded_from == "M-2obj@noscc"
+        assert run.config.name == "M-2type@noscc"
         assert [a.config for a in run.attempts] == [
-            f"M-2obj@{backend}", f"M-2type@{backend}"]
+            "M-2obj@noscc", "M-2type@noscc"]
         assert run.attempts[0].cause == "time"
         assert not run.attempts[1].cause
 
-    def test_merge_boundary_drops_mahjong_heap(self, tiny_program, backend):
+    def test_merge_boundary_drops_mahjong_heap(self, tiny_program):
         plan = FaultPlan([FaultSpec(point="merge-boundary", times=1)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, f"M-2obj@{backend}",
+            run = run_analysis(tiny_program, "M-2obj",
                                degrade=True)
         assert run.degraded
         # pre-phase exhaustion keeps the sensitivity, drops "M-"
-        assert run.config.name == f"2obj@{backend}"
+        assert run.config.name == "2obj"
         assert run.attempts[0].phase == "merge"
 
     @pytest.mark.parametrize("point,phase", [("pre-boundary", "pre"),
                                              ("fpg-boundary", "fpg")])
-    def test_pre_and_fpg_boundaries(self, tiny_program, backend, point,
-                                    phase):
+    def test_pre_and_fpg_boundaries(self, tiny_program, point, phase):
         plan = FaultPlan([FaultSpec(point=point, times=1)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, f"M-2obj@{backend}",
+            run = run_analysis(tiny_program, "M-2obj",
                                degrade=True)
         assert run.degraded
-        assert run.config.name == f"2obj@{backend}"
+        assert run.config.name == "2obj"
         assert run.attempts[0].phase == phase
 
-    def test_solve_iteration_fault(self, tiny_program, backend):
+    def test_solve_iteration_fault(self, tiny_program):
         plan = FaultPlan(
             [FaultSpec(point="solve-iteration", at=2, phase="main")],
             stride=1)
         with faults.active(plan):
-            run = run_analysis(tiny_program, f"2obj@{backend}",
+            run = run_analysis(tiny_program, "2obj",
                                degrade=True)
         assert run.degraded
         assert run.attempts[0].cause == "time"
         assert "solve-iteration" in run.attempts[0].detail
 
-    def test_memory_spike_fault(self, tiny_program, backend):
+    def test_memory_spike_fault(self, tiny_program):
         from repro.analysis.governor import ResourceGovernor
 
         plan = FaultPlan([FaultSpec(point="memory-spike", times=1)])
         governor = ResourceGovernor.from_limits(memory_mb=1 << 14,
                                                 check_stride=1)
         with faults.active(plan):
-            run = run_analysis(tiny_program, f"2obj@{backend}",
+            run = run_analysis(tiny_program, "2obj",
                                governor=governor, degrade=True)
         # the 1 TiB spike blows the 16 GiB budget exactly once
         assert run.degraded
         assert run.attempts[0].cause == "memory"
 
-    def test_fpg_corrupt_detected_and_rescued(self, tiny_program, backend):
+    def test_fpg_corrupt_detected_and_rescued(self, tiny_program):
         plan = FaultPlan([FaultSpec(point="fpg-corrupt", times=1)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, f"M-2obj@{backend}",
+            run = run_analysis(tiny_program, "M-2obj",
                                degrade=True)
         assert run.degraded
-        assert run.config.name == f"2obj@{backend}"
+        assert run.config.name == "2obj"
         assert run.attempts[0].cause == "corrupt"
         assert run.attempts[0].phase == "fpg"
 
-    def test_fpg_corrupt_raises_without_ladder(self, tiny_program, backend):
+    def test_fpg_corrupt_raises_without_ladder(self, tiny_program):
         plan = FaultPlan([FaultSpec(point="fpg-corrupt", times=1)])
         with faults.active(plan):
             with pytest.raises(FPGIntegrityError):
-                run_pre_analysis(tiny_program, pts_backend=backend)
+                run_pre_analysis(tiny_program)
 
-    def test_exhaust_every_rung(self, tiny_program, backend):
+    def test_exhaust_every_rung(self, tiny_program):
         # enough activations to burn M-3obj and the whole chain below it
         chain_length = 1 + len(degradation_chain("M-3obj"))
         plan = FaultPlan([FaultSpec(point="main-boundary",
                                     times=chain_length)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, "M-3obj",
-                               pts_backend=backend, degrade=True)
+            run = run_analysis(tiny_program, "M-3obj", degrade=True)
         assert run.timed_out
         assert not run.succeeded
         assert run.degraded_from == "M-3obj"
         assert [a.config for a in run.attempts] == [
             "M-3obj", "M-2obj", "M-2type", "ci"]
 
-    def test_transient_and_crash_escape_the_ladder(self, tiny_program,
-                                                   backend):
+    def test_transient_and_crash_escape_the_ladder(self, tiny_program):
         for kind, exc_type in (("transient", TransientFault),
                                ("crash", InjectedCrash)):
             plan = FaultPlan([FaultSpec(point="main-boundary", kind=kind)])
             with faults.active(plan):
                 with pytest.raises(exc_type):
-                    run_analysis(tiny_program, f"2obj@{backend}",
+                    run_analysis(tiny_program, "2obj",
                                  degrade=True)
 
-    def test_degraded_result_stays_sound(self, tiny_program, backend):
+    def test_degraded_result_stays_sound(self, tiny_program):
         trace = interpret(tiny_program)
         plan = FaultPlan([FaultSpec(point="main-boundary", times=1)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, f"M-2obj@{backend}",
+            run = run_analysis(tiny_program, "M-2obj",
                                degrade=True)
         assert run.degraded
         assert_trace_covered(tiny_program, trace, run.result)
 
-    def test_determinism_under_fixed_seed(self, tiny_program, backend):
+    def test_determinism_under_fixed_seed(self, tiny_program):
         def rescued_config():
             plan = FaultPlan(
                 [FaultSpec(point="main-boundary", times=1),
                  FaultSpec(point="fpg-corrupt", times=1)],
                 seed=42)
             with faults.active(plan):
-                run = run_analysis(tiny_program, f"M-2obj@{backend}",
+                run = run_analysis(tiny_program, "M-2obj",
                                    degrade=True)
             return run.config.name, [a.config for a in run.attempts], plan.log
 
@@ -344,11 +339,6 @@ class TestLadderShape:
             assert next_rung("M-2obj", phase) == "2obj"
         # non-mahjong configs have no pre-analysis to drop
         assert next_rung("2obj", "pre") == "2type"
-
-    def test_backend_suffix_carried(self):
-        assert next_rung("M-2obj@set", "main") == "M-2type@set"
-        assert next_rung("M-2obj@bitset", "merge") == "2obj@bitset"
-        assert next_rung("M-2type@set", "main") == "ci@set"
 
     def test_degradation_chain(self):
         assert degradation_chain("M-3obj") == ["M-2obj", "M-2type", "ci"]

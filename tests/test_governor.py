@@ -1,5 +1,5 @@
 """The resource governor: per-phase budgets, the exhaustion taxonomy,
-and solver integration on both points-to-set backends."""
+and solver integration."""
 
 import time
 
@@ -17,7 +17,6 @@ from repro.analysis.governor import (
 )
 from repro.analysis.pipeline import run_analysis, run_pre_analysis
 from repro.faults import FaultPlan, FaultSpec
-from repro.pta.bitset import BACKEND_NAMES
 from repro.pta.solver import AnalysisTimeout, Solver
 from repro.resources import memory_watermark_bytes
 
@@ -180,48 +179,40 @@ class TestTaxonomy:
         assert exc.iterations == 2048
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 class TestSolverIntegration:
-    def test_iteration_budget_stops_solver(self, tiny_program, backend):
+    def test_iteration_budget_stops_solver(self, tiny_program):
         governor = ResourceGovernor(
             budgets={"main": PhaseBudget(max_iterations=4)},
             check_stride=1)
         with pytest.raises(WorkBudgetExceeded) as info:
-            Solver(tiny_program, pts_backend=backend,
-                   governor=governor).solve()
+            Solver(tiny_program, governor=governor).solve()
         assert info.value.phase == "main"
         assert info.value.iterations >= 4
 
-    def test_unbudgeted_solver_completes(self, tiny_program, backend):
+    def test_unbudgeted_solver_completes(self, tiny_program):
         governor = ResourceGovernor(check_stride=1)
-        result = Solver(tiny_program, pts_backend=backend,
-                        governor=governor).solve()
+        result = Solver(tiny_program, governor=governor).solve()
         assert result.object_count > 0
 
-    def test_pre_analysis_budget_attributed_to_pre(self, tiny_program,
-                                                   backend):
+    def test_pre_analysis_budget_attributed_to_pre(self, tiny_program):
         governor = ResourceGovernor(
             budgets={"pre": PhaseBudget(max_iterations=2)},
             check_stride=1)
         with pytest.raises(WorkBudgetExceeded) as info:
-            run_pre_analysis(tiny_program, pts_backend=backend,
-                             governor=governor)
+            run_pre_analysis(tiny_program, governor=governor)
         assert info.value.phase == "pre"
 
-    def test_run_analysis_absorbs_governor_exhaustion(self, tiny_program,
-                                                      backend):
+    def test_run_analysis_absorbs_governor_exhaustion(self, tiny_program):
         governor = ResourceGovernor(
             budgets={"main": PhaseBudget(max_iterations=2)},
             check_stride=1)
-        run = run_analysis(tiny_program, "2obj", pts_backend=backend,
-                           governor=governor)
+        run = run_analysis(tiny_program, "2obj", governor=governor)
         assert run.timed_out
         assert run.result is None
         assert run.failed_phase == "main"
         assert run.exhaustion_cause == "work"
 
-    def test_ladder_rescues_rung_after_memory_trip(self, tiny_program,
-                                                   backend):
+    def test_ladder_rescues_rung_after_memory_trip(self, tiny_program):
         """Regression: the memory watermark has peak-RSS semantics (it
         never decreases), so budgeting the absolute value let one
         memory exhaustion poison every later degradation rung — the
@@ -235,8 +226,8 @@ class TestSolverIntegration:
         plan = FaultPlan([FaultSpec(point="memory-spike", times=-1,
                                     bytes=1 << 40)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, "2obj", pts_backend=backend,
-                               governor=governor, degrade=True)
+            run = run_analysis(tiny_program, "2obj", governor=governor,
+                               degrade=True)
         assert run.degraded
         assert run.result is not None
         assert run.degraded_from == "2obj"

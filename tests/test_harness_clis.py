@@ -1,8 +1,6 @@
 """The bench harness ``main()`` CLIs parse their flags and run."""
 
-import pytest
-
-from repro.bench import backends, fig8, fig9, motivating, prestats, table1, table2
+from repro.bench import fig8, fig9, motivating, prestats, table1, table2
 from repro.bench.__main__ import main as dispatch
 
 
@@ -35,27 +33,6 @@ class TestHarnessMains:
         assert motivating.main(["--profile", "luindex", "--scale", "0.3",
                                 "--budget", "60"]) == 0
         assert "paper shape holds" in capsys.readouterr().out
-
-    def test_backends_main(self, capsys, tmp_path):
-        out_file = tmp_path / "backends.txt"
-        assert backends.main(["--profile", "luindex", "--scale", "0.3",
-                              "--repeats", "1", "--replay-configs", "ci",
-                              "--skip-solves", "--out", str(out_file)]) == 0
-        out = capsys.readouterr().out
-        assert "Propagation replay" in out
-        assert "headline" in out
-        assert out_file.read_text().strip() in out
-
-    def test_backends_replay_reproduces_solve(self):
-        """The harness refuses to report timings for divergent work."""
-        from repro.workloads import load_profile
-
-        program = load_profile("luindex", 0.3)
-        measurement = backends.replay_propagation(program, "2obj", repeats=1)
-        assert measurement.facts > 0
-        assert measurement.seeds > 0
-        assert measurement.set_seconds > 0
-        assert measurement.bitset_seconds > 0
 
 
 class TestDispatcher:

@@ -166,8 +166,8 @@ class TestContentAddressing:
 
     def test_key_varies_with_component_and_kind(self, cache):
         program = corpus_program("cache")
-        assert (cache.key_for("fpg", program, "backend=bitset")
-                != cache.key_for("fpg", program, "backend=set"))
+        assert (cache.key_for("fpg", program, "scc=on")
+                != cache.key_for("fpg", program, "scc=off"))
         assert (cache.key_for("fpg", program, "c")
                 != cache.key_for("merge", program, "c"))
 

@@ -1,10 +1,11 @@
 """The incremental engine's byte-identity contract: a warm re-solve
 changes *work*, never the answer.
 
-Differentials run {cold, incremental} x {bitset, set} and assert
-``protocol.result_digest`` equality, alongside the knobs that route
-around the warm path (``REPRO_INCR=off``, structural edits, MAHJONG
-heaps) and a hypothesis edit-sequence property."""
+Differentials run {cold, incremental} under both solver loops (SCC on
+and off) and assert ``protocol.result_digest`` equality, alongside the
+paths that route around the warm start (``REPRO_INCR=off``, structural
+edits, MAHJONG heaps, a warm start that does not translate) and a
+hypothesis edit-sequence property."""
 
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ from repro.incr import (
     pick_editable_method,
     prepare_warm_start,
 )
-from repro.pta.bitset import BACKEND_BITSET, BACKEND_SET
-from repro.pta.context import selector_for
-from repro.pta.solver import Solver
+from repro.obs.metrics import PerfRecorder
+from repro.pta.context import EMPTY_CONTEXT, selector_for
+from repro.pta.solver import Solver, WarmStart
 from repro.serve.protocol import result_digest
 from repro.workloads import corpus_program, load_profile
 
@@ -41,15 +42,14 @@ def _digest(run):
 
 
 class TestWarmColdDifferential:
-    """The acceptance matrix: >=3 programs x {ci, 2obj} x both pts
-    backends, incremental vs cold, digests byte-identical."""
+    """The acceptance matrix: >=3 programs x {ci, 2obj} x both solver
+    loops, incremental vs cold, digests byte-identical."""
 
     @pytest.mark.parametrize("program_name", sorted(PROGRAMS))
     @pytest.mark.parametrize("config", ["ci", "2obj"])
-    @pytest.mark.parametrize("backend", [BACKEND_BITSET, BACKEND_SET])
-    def test_digest_identity(self, monkeypatch, program_name, config,
-                             backend):
-        monkeypatch.setenv("REPRO_PTS_BACKEND", backend)
+    @pytest.mark.parametrize("scc", ["on", "off"])
+    def test_digest_identity(self, monkeypatch, program_name, config, scc):
+        monkeypatch.setenv("REPRO_SCC", scc)
         program = PROGRAMS[program_name]()
         base_run = run_analysis(program, config)
         edited = perturb_method(
@@ -144,6 +144,31 @@ main { e = new Extra(); f = e.m(); }
             incremental=IncrementalBase(program, base_run, enabled=True))
         assert run.incr is not None
         assert run.incr["mode"] == "cold"
+
+    def test_warm_start_mismatch_falls_back_cold(self, monkeypatch,
+                                                 tiny_program):
+        """A warm start naming a method the program lacks aborts the
+        warm solve; the attempt re-solves cold, and only the cold solve's
+        counters reach the run's recorder."""
+        import repro.incr.engine as engine
+
+        bogus = WarmStart(pairs=((EMPTY_CONTEXT, "Ghost.missing"),),
+                          objects=(), seeds=())
+        monkeypatch.setattr(engine, "prepare_warm_start",
+                            lambda *args: bogus)
+        base_run = run_analysis(tiny_program, "2obj")
+        perf = PerfRecorder()
+        run = run_analysis(
+            tiny_program, "2obj", perf=perf,
+            incremental=IncrementalBase(tiny_program, base_run,
+                                        enabled=True))
+        cold_perf = PerfRecorder()
+        cold = run_analysis(tiny_program, "2obj", perf=cold_perf)
+        assert run.incr["mode"] == "cold"
+        assert "warm-start mismatch" in run.incr["reason"]
+        assert _digest(run) == _digest(cold)
+        assert perf.counters == cold_perf.counters
+        assert run.attempts[-1].recorder.counters == cold_perf.counters
 
     def test_incr_note_lands_in_metrics(self):
         program, base_run = self._base()

@@ -1,13 +1,12 @@
 """Hierarchy-ordered object numbering: unit and differential tests.
 
-Covers the on/off registry (``REPRO_NUMBERING`` / ``@num``/``@nonum``
-suffixes), the pre-order slot assignment itself (every class's subtype
-set must occupy one contiguous id range — the invariant that makes
-range masks possible), :class:`repro.pta.bitset.RangeFilterMasks`
-against the scatter oracle, pickle hygiene for the process-pool path,
+Covers the pre-order slot assignment itself (every class's subtype set
+must occupy one contiguous id range — the invariant that makes range
+masks possible), :class:`repro.pta.bitset.RangeFilterMasks` against a
+per-object scatter oracle, pickle hygiene for the process-pool path,
 and the tentpole invariant: the numbering only relabels ids, so every
-observable result is identical with it on or off, on both points-to
-backends.
+observable result equals the reference solver's
+(:mod:`tests.reference_solver`), which has no numbering at all.
 """
 
 from __future__ import annotations
@@ -18,28 +17,20 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import run_analysis
-from repro.analysis.config import parse_config
-from repro.analysis.pipeline import next_rung
 from repro.frontend import parse_program
-from repro.pta.bitset import (
-    BACKEND_BITSET,
-    BACKEND_SET,
-    ClassFilterMasks,
-    RangeFilterMasks,
-    iter_bits,
-)
+from repro.pta.bitset import RangeFilterMasks, bits_from_ids, iter_bits
 from repro.pta.context import selector_for
 from repro.pta.heapmodel import AllocationSiteAbstraction
-from repro.pta.numbering import (
-    HierarchyNumbering,
-    resolve_numbering,
-    set_default_numbering,
-)
+from repro.pta.numbering import HierarchyNumbering
 from repro.pta.solver import Solver
 from repro.workloads import TINY, generate, load_profile
 
 from tests.program_strategies import ir_programs
-from tests.test_scc_differential import assert_same_results
+from tests.reference_solver import reference_solve
+from tests.test_reference_solver import (
+    assert_matches_reference,
+    assert_run_matches_reference,
+)
 
 #: A diamond-free but branchy hierarchy with one class (``Leaf``) that
 #: is never allocated and one (``Dead``) allocated only in dead code.
@@ -65,67 +56,6 @@ main {
 @pytest.fixture(scope="module")
 def hierarchy_program():
     return parse_program(HIERARCHY_SOURCE)
-
-
-# ----------------------------------------------------------------------
-# The on/off registry
-# ----------------------------------------------------------------------
-class TestResolveNumbering:
-    def test_explicit_values(self):
-        assert resolve_numbering(True) is True
-        assert resolve_numbering(False) is False
-        assert resolve_numbering("on") is True
-        assert resolve_numbering("off") is False
-        assert resolve_numbering("nonum") is False
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBERING", "off")
-        assert resolve_numbering() is False
-        monkeypatch.setenv("REPRO_NUMBERING", "on")
-        assert resolve_numbering() is True
-        monkeypatch.delenv("REPRO_NUMBERING")
-        assert resolve_numbering() is True  # process default
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBERING", "off")
-        assert resolve_numbering(True) is True
-
-    def test_unknown_value_raises(self):
-        with pytest.raises(ValueError):
-            resolve_numbering("sometimes")
-
-    def test_set_default(self):
-        previous = set_default_numbering(False)
-        try:
-            assert resolve_numbering() is False
-        finally:
-            set_default_numbering(previous)
-
-    def test_config_suffix_parsing(self):
-        assert parse_config("2obj").numbering is None
-        assert parse_config("2obj@num").numbering is True
-        assert parse_config("M-2obj@nonum").numbering is False
-        combined = parse_config("2obj@set@noscc@nonum")
-        assert combined.pts_backend == BACKEND_SET
-        assert combined.scc is False
-        assert combined.numbering is False
-        with pytest.raises(ValueError):
-            parse_config("2obj@num@nonum")
-
-    def test_next_rung_carries_numbering_suffix(self):
-        assert next_rung("M-3obj@nonum", "main") == "M-2obj@nonum"
-        assert next_rung("M-2obj@set@nonum", "pre") == "2obj@set@nonum"
-
-    def test_suffix_reaches_solver(self, figure1_program, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMBERING", raising=False)
-        assert run_analysis(figure1_program, "2obj@nonum").result.stats()[
-            "numbering"] is False
-        assert run_analysis(figure1_program, "2obj").result.stats()[
-            "numbering"] is True
-
-    def test_env_reaches_solver(self, figure1_program, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBERING", "off")
-        assert Solver(figure1_program).solve().stats()["numbering"] is False
 
 
 # ----------------------------------------------------------------------
@@ -196,17 +126,23 @@ class TestHierarchyNumbering:
 # ----------------------------------------------------------------------
 # Range masks vs the scatter oracle
 # ----------------------------------------------------------------------
+def scatter_mask(object_classes, is_subtype, filter_class):
+    """The per-object definition of a filter mask: bit ``i`` set exactly
+    when object ``i``'s class is a subtype of ``filter_class``."""
+    return bits_from_ids(i for i, cls in enumerate(object_classes)
+                         if is_subtype(cls, filter_class))
+
+
 class TestRangeFilterMasks:
     def test_matches_scatter_oracle_after_solve(self, hierarchy_program):
-        solver = Solver(hierarchy_program, numbering=True)
+        solver = Solver(hierarchy_program)
         solver.solve()
         masks = solver._filter_masks
         assert isinstance(masks, RangeFilterMasks)
-        oracle = ClassFilterMasks(solver._object_class,
-                                  solver._is_subtype_name)
-        for cls in hierarchy_program.classes:
-            assert masks.mask_for(cls) == oracle.mask_for(cls), cls
-        assert masks.mask_for("Ghost") == oracle.mask_for("Ghost") == 0
+        for cls in [*hierarchy_program.classes, "Ghost"]:
+            assert masks.mask_for(cls) == scatter_mask(
+                solver._object_class, solver._is_subtype_name, cls), cls
+        assert masks.mask_for("Ghost") == 0
 
     def test_range_builds_need_no_subtype_tests(self, hierarchy_program):
         """With every object numbered (no overflow ids), the range path
@@ -226,8 +162,7 @@ class TestRangeFilterMasks:
 
     def test_overflow_objects_extend_by_scatter(self, hierarchy_program):
         """Ids above the numbered block (here: interned by hand) are
-        covered by the watermark scatter, exactly like the legacy
-        masks."""
+        covered by the watermark scatter."""
         numbering = HierarchyNumbering.build(hierarchy_program,
                                              AllocationSiteAbstraction())
         hierarchy = hierarchy_program.hierarchy
@@ -240,14 +175,14 @@ class TestRangeFilterMasks:
         after = masks.mask_for("A")
         assert after == before | (1 << numbering.count)  # D <: A, Object not
         assert masks.subtype_tests == 2
-        oracle = ClassFilterMasks(classes, hierarchy.is_subtype_names)
         for cls in hierarchy_program.classes:
-            assert masks.mask_for(cls) == oracle.mask_for(cls), cls
+            assert masks.mask_for(cls) == scatter_mask(
+                classes, hierarchy.is_subtype_names, cls), cls
 
     def test_mask_bits_name_live_subtypes(self, hierarchy_program):
         """Decoded mask bits of a post-solve range mask are exactly the
         interned objects whose class is a subtype of the filter."""
-        solver = Solver(hierarchy_program, numbering=True)
+        solver = Solver(hierarchy_program)
         result = solver.solve()
         masks = solver._filter_masks
         for cls in ("A", "B", "Object"):
@@ -262,30 +197,6 @@ class TestRangeFilterMasks:
 # ----------------------------------------------------------------------
 # The tentpole invariant: numbering only relabels ids
 # ----------------------------------------------------------------------
-def solve_numbering_four_way(program, config="ci"):
-    """Solve under {numbering on, off} x {bitset, set}; results keyed
-    by ``(numbering, backend)``."""
-    results = {}
-    for numbering in (True, False):
-        for backend in (BACKEND_BITSET, BACKEND_SET):
-            solver = Solver(program, selector_for(config),
-                            pts_backend=backend, numbering=numbering)
-            results[(numbering, backend)] = solver.solve()
-    return results
-
-
-def assert_numbering_four_way(program, results):
-    on_bits = results[(True, BACKEND_BITSET)]
-    off_bits = results[(False, BACKEND_BITSET)]
-    on_sets = results[(True, BACKEND_SET)]
-    off_sets = results[(False, BACKEND_SET)]
-    assert on_bits.stats()["numbering"] is True
-    assert off_bits.stats()["numbering"] is False
-    assert_same_results(program, on_bits, off_bits)
-    assert_same_results(program, on_bits, on_sets)
-    assert_same_results(program, on_bits, off_sets)
-
-
 class TestNumberingDifferential:
     @pytest.fixture(scope="class")
     def programs(self, figure1_program, hierarchy_program):
@@ -301,47 +212,43 @@ class TestNumberingDifferential:
                              ["figure1", "hierarchy", "tiny", "luindex"])
     def test_four_way_matches(self, programs, name, config):
         program = programs[name]
-        results = solve_numbering_four_way(program, config)
-        assert_numbering_four_way(program, results)
+        result = Solver(program, selector_for(config)).solve()
+        assert_matches_reference(program, result)
 
     @pytest.mark.parametrize("config", ["M-2obj", "T-2type"])
     def test_pipeline_four_way(self, programs, config):
-        """Full pipeline (pre-analysis + merge + main) across the
-        numbering axis: the MAHJONG merge decisions and the main solve
-        must both be numbering-blind."""
+        """Full pipeline (pre-analysis + merge + main): the MAHJONG merge
+        decisions and the main solve must both be numbering-blind."""
         program = programs["hierarchy"]
-        on = run_analysis(program, f"{config}@num").result
-        off = run_analysis(program, f"{config}@nonum").result
-        assert_same_results(program, on, off)
+        assert_run_matches_reference(program, run_analysis(program, config))
 
     def test_unreached_slots_not_observable(self, programs):
         """The dead-code allocation reserves a slot but never
-        materializes: object counts and iteration agree with the
-        unnumbered run, and live ids may have gaps."""
+        materializes: the object count is the reference's, and live ids
+        may have gaps."""
         program = programs["hierarchy"]
-        on = Solver(program, numbering=True)
-        on_result = on.solve()
-        off_result = Solver(program, numbering=False).solve()
-        assert on_result.object_count == off_result.object_count
-        live = list(on_result.objects())
-        assert len(live) == on_result.object_count
+        solver = Solver(program)
+        result = solver.solve()
+        reference = reference_solve(program, selector_for("ci"))
+        assert result.object_count == len(reference.obj_class)
+        live = list(result.objects())
+        assert len(live) == result.object_count
         assert live == sorted(live)
         # the Dead slot is reserved in the numbering but not live
-        assert on._numbering.count == on_result.object_count + 1
+        assert solver._numbering.count == result.object_count + 1
 
 
 class TestHypothesisDifferential:
     @given(program=ir_programs())
     @settings(max_examples=25, deadline=None)
     def test_random_programs_four_way(self, program):
-        results = solve_numbering_four_way(program, "ci")
-        assert_numbering_four_way(program, results)
+        assert_matches_reference(program, Solver(program).solve())
 
     @given(program=ir_programs())
     @settings(max_examples=10, deadline=None)
     def test_random_programs_context_sensitive(self, program):
-        results = solve_numbering_four_way(program, "2obj")
-        assert_numbering_four_way(program, results)
+        result = Solver(program, selector_for("2obj")).solve()
+        assert_matches_reference(program, result)
 
 
 # ----------------------------------------------------------------------
@@ -357,21 +264,8 @@ class TestPickleRoundTrips:
         assert clone.class_ranges == numbering.class_ranges
         assert clone.count == numbering.count
 
-    def test_class_filter_masks_round_trip(self, hierarchy_program):
-        solver = Solver(hierarchy_program, numbering=False)
-        solver.solve()
-        masks = solver._filter_masks
-        assert isinstance(masks, ClassFilterMasks)
-        warm = {c: masks.mask_for(c) for c in hierarchy_program.classes}
-        clone = pickle.loads(pickle.dumps(masks))
-        # derived caches dropped, masks rebuild lazily and identically
-        assert len(clone) == 0
-        assert clone.extensions == 0
-        for cls, mask in warm.items():
-            assert clone.mask_for(cls) == mask
-
     def test_range_filter_masks_round_trip(self, hierarchy_program):
-        solver = Solver(hierarchy_program, numbering=True)
+        solver = Solver(hierarchy_program)
         solver.solve()
         masks = solver._filter_masks
         assert isinstance(masks, RangeFilterMasks)

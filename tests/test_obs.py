@@ -23,7 +23,6 @@ from repro.obs import (
     SpanEnd,
     Tracer,
 )
-from repro.pta.bitset import BACKEND_NAMES
 
 
 class FakeClock:
@@ -258,7 +257,7 @@ class TestSummary:
 
     def test_summarize_trace_payload_accepts_chrome_form(self):
         tracer, sink = _traced()
-        with tracer.span("solve", backend="set"):
+        with tracer.span("solve", scc=False):
             pass
         text = obs.summarize_trace_payload(obs.to_chrome_trace(sink.events))
         assert "solve" in text
@@ -282,12 +281,10 @@ class TestProcessWideScoping:
         assert obs.current_tracer() is outer
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
 class TestPipelineIntegration:
-    def test_trace_covers_all_phases_and_solver_windows(self, tiny_program,
-                                                        backend):
+    def test_trace_covers_all_phases_and_solver_windows(self, tiny_program):
         sink = InMemorySink()
-        run = run_analysis(tiny_program, "M-2obj", pts_backend=backend,
+        run = run_analysis(tiny_program, "M-2obj",
                            tracer=Tracer(sinks=(sink,)))
         assert run.succeeded
         names = sink.span_names()
@@ -304,8 +301,7 @@ class TestPipelineIntegration:
             assert sum(s.attrs["iterations"] for s in strides) == \
                 solve.attrs["iterations"]
 
-    def test_ladder_attempts_and_exhaustions_are_traced(self, tiny_program,
-                                                        backend):
+    def test_ladder_attempts_and_exhaustions_are_traced(self, tiny_program):
         sink = InMemorySink()
         governor = ResourceGovernor(
             budgets={"main": PhaseBudget(memory_bytes=1 << 30)},
@@ -313,9 +309,8 @@ class TestPipelineIntegration:
         plan = FaultPlan([FaultSpec(point="memory-spike", times=-1,
                                     bytes=1 << 40)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, "2obj", pts_backend=backend,
-                               governor=governor, degrade=True,
-                               tracer=Tracer(sinks=(sink,)))
+            run = run_analysis(tiny_program, "2obj", governor=governor,
+                               degrade=True, tracer=Tracer(sinks=(sink,)))
         assert run.degraded
         attempts = sink.find("attempt")
         assert len(attempts) == len(run.attempts) == 2
@@ -326,8 +321,7 @@ class TestPipelineIntegration:
         assert "governor.exhausted" in sink.instant_names()
         assert "fault" in sink.instant_names()  # the spike firing
 
-    def test_failed_attempt_keeps_its_own_recorder(self, tiny_program,
-                                                   backend):
+    def test_failed_attempt_keeps_its_own_recorder(self, tiny_program):
         perf = PerfRecorder()
         governor = ResourceGovernor(
             budgets={"main": PhaseBudget(memory_bytes=1 << 30)},
@@ -335,8 +329,8 @@ class TestPipelineIntegration:
         plan = FaultPlan([FaultSpec(point="memory-spike", times=-1,
                                     bytes=1 << 40)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, "2obj", pts_backend=backend,
-                               governor=governor, degrade=True, perf=perf)
+            run = run_analysis(tiny_program, "2obj", governor=governor,
+                               degrade=True, perf=perf)
         failed, rescued = run.attempts
         assert failed.recorder is not None
         assert failed.recorder is not perf
@@ -346,10 +340,9 @@ class TestPipelineIntegration:
         # the merged recorder equals the successful attempt's alone
         assert perf.counters == rescued.recorder.counters
 
-    def test_tracing_changes_no_analysis_facts(self, tiny_program, backend):
+    def test_tracing_changes_no_analysis_facts(self, tiny_program):
         def facts(tracer):
-            run = run_analysis(tiny_program, "M-2obj", pts_backend=backend,
-                               tracer=tracer)
+            run = run_analysis(tiny_program, "M-2obj", tracer=tracer)
             result = run.result
             pts = {}
             for method in tiny_program.all_methods():

@@ -291,30 +291,28 @@ class TestPickleRoundTrips:
     def test_analysis_config_round_trip(self):
         from repro.analysis.config import parse_config
 
-        config = parse_config("M-2obj@bitset@scc")
+        config = parse_config("M-2obj@scc")
         assert pickle.loads(pickle.dumps(config)) == config
-        config = parse_config("2obj@set@noscc@nonum")
+        config = parse_config("2obj@noscc")
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_filter_masks_round_trip_rebuild(self):
         """Mask caches are derived state: a worker receiving a pickled
         solver payload must get lean masks that rebuild identically
         (the deep checks live in tests/test_numbering.py)."""
-        from repro.pta.bitset import ClassFilterMasks, RangeFilterMasks
+        from repro.pta.bitset import RangeFilterMasks
         from repro.pta.solver import Solver
         from repro.workloads import corpus_program
 
         program = corpus_program("cache")
-        for numbering, kind in ((True, RangeFilterMasks),
-                                (False, ClassFilterMasks)):
-            solver = Solver(program, numbering=numbering)
-            solver.solve()
-            masks = solver._filter_masks
-            assert isinstance(masks, kind)
-            warm = {c: masks.mask_for(c) for c in program.classes}
-            clone = pickle.loads(pickle.dumps(masks))
-            assert len(clone) == 0
-            assert {c: clone.mask_for(c) for c in program.classes} == warm
+        solver = Solver(program)
+        solver.solve()
+        masks = solver._filter_masks
+        assert isinstance(masks, RangeFilterMasks)
+        warm = {c: masks.mask_for(c) for c in program.classes}
+        clone = pickle.loads(pickle.dumps(masks))
+        assert len(clone) == 0
+        assert {c: clone.mask_for(c) for c in program.classes} == warm
 
     def test_fpg_round_trip(self, spectrum_fpg):
         clone = pickle.loads(pickle.dumps(spectrum_fpg))
@@ -348,19 +346,17 @@ class TestTraceEventWire:
             == [e.kind for e in sink.events]
 
 
-@pytest.mark.parametrize("backend", ["set", "bitset"])
 class TestDifferentialSerialVsParallel:
-    """ISSUE acceptance: parallel and serial produce identical analysis
-    results on both points-to backends."""
+    """Parallel and serial merges produce identical analysis results."""
 
-    def test_full_analysis_identical(self, backend):
+    def test_full_analysis_identical(self):
         from repro.analysis.pipeline import run_analysis
         from repro.workloads import load_profile
 
         program = load_profile("chart", 0.3)
 
         def facts(merge_options):
-            run = run_analysis(program, f"M-2obj@{backend}",
+            run = run_analysis(program, "M-2obj",
                                merge_options=merge_options)
             metrics = dict(run.metrics())
             metrics.pop("main_seconds", None)

@@ -1,10 +1,10 @@
-"""Unit tests for the perf instrumentation (repro.perf) and its wiring
-into the solver and the shared-automata universe."""
+"""Unit tests for the perf instrumentation (repro.obs.metrics) and its
+wiring into the solver and the shared-automata universe."""
 
 from __future__ import annotations
 
 from repro.analysis import run_analysis, run_pre_analysis
-from repro.perf import PerfRecorder, null_recorder
+from repro.obs.metrics import PerfRecorder, null_recorder
 from repro.pta.solver import Solver
 
 

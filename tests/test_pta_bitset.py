@@ -1,23 +1,16 @@
-"""Unit tests for the bitset backend machinery (repro.pta.bitset)."""
+"""Unit tests for the bit-vector machinery (repro.pta.bitset)."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pta.bitset import (
-    BACKEND_BITSET,
-    BACKEND_NAMES,
-    BACKEND_SET,
-    ClassFilterMasks,
+    RangeFilterMasks,
     bits_from_ids,
     bits_to_list,
-    default_backend,
     iter_bits,
     popcount,
-    resolve_backend,
-    set_default_backend,
 )
 
 
@@ -64,34 +57,11 @@ class TestPrimitives:
         assert set(bits_to_list(ba ^ common)) == a - b
 
 
-class TestBackendRegistry:
-    def test_names(self):
-        assert BACKEND_BITSET in BACKEND_NAMES
-        assert BACKEND_SET in BACKEND_NAMES
-
-    def test_resolve_explicit(self):
-        assert resolve_backend(BACKEND_SET) == BACKEND_SET
-        with pytest.raises(ValueError):
-            resolve_backend("roaring")
-
-    def test_resolve_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PTS_BACKEND", BACKEND_SET)
-        assert resolve_backend() == BACKEND_SET
-        monkeypatch.delenv("REPRO_PTS_BACKEND")
-        assert resolve_backend() == default_backend()
-
-    def test_set_default_roundtrip(self):
-        previous = set_default_backend(BACKEND_SET)
-        try:
-            assert default_backend() == BACKEND_SET
-            assert resolve_backend() == BACKEND_SET
-        finally:
-            set_default_backend(previous)
-        with pytest.raises(ValueError):
-            set_default_backend("nope")
-
-
 class TestClassFilterMasks:
+    """The watermark scatter of :class:`RangeFilterMasks`, on its own:
+    no class ranges and no numbered block, so every object is an
+    overflow id the scatter must cover."""
+
     @staticmethod
     def _is_subtype(sub: str, sup: str) -> bool:
         # toy hierarchy: A <: Object, B <: A <: Object
@@ -99,9 +69,12 @@ class TestClassFilterMasks:
                   "Object": {"Object"}}
         return sup in chains.get(sub, ())
 
+    def _scatter_masks(self, classes):
+        return RangeFilterMasks({}, classes, self._is_subtype, start=0)
+
     def test_lazy_build_and_watermark_extension(self):
         classes = ["A", "B"]
-        masks = ClassFilterMasks(classes, self._is_subtype)
+        masks = self._scatter_masks(classes)
         assert len(masks) == 0
         assert masks.mask_for("A") == 0b11
         assert len(masks) == 1
@@ -117,7 +90,7 @@ class TestClassFilterMasks:
 
     def test_distinct_filters_distinct_masks(self):
         classes = ["A", "B", "Object"]
-        masks = ClassFilterMasks(classes, self._is_subtype)
+        masks = self._scatter_masks(classes)
         assert masks.mask_for("B") == 0b010
         assert masks.mask_for("Object") == 0b111
         assert masks.mask_for("Unknown") == 0
@@ -128,7 +101,7 @@ class TestClassFilterMasks:
     def test_matches_solver_filter_semantics(self):
         """mask & delta must equal the per-object subtype filter."""
         classes = ["A", "B", "Object", "B", "A"]
-        masks = ClassFilterMasks(classes, self._is_subtype)
+        masks = self._scatter_masks(classes)
         delta = bits_from_ids([0, 1, 2, 3, 4])
         for filter_class in ("A", "B", "Object"):
             expected = {

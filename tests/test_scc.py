@@ -19,7 +19,6 @@ from repro.analysis.governor import ResourceGovernor
 from repro.analysis.pipeline import next_rung
 from repro.core.disjoint_sets import IntDisjointSets
 from repro.frontend import parse_program
-from repro.pta.bitset import BACKEND_BITSET, BACKEND_SET
 from repro.pta.context import selector_for
 from repro.pta.scc import (
     AdaptiveGate,
@@ -209,9 +208,6 @@ class TestResolveScc:
         assert parse_config("2obj").scc is None
         assert parse_config("2obj@scc").scc is True
         assert parse_config("M-2obj@noscc").scc is False
-        combined = parse_config("2obj@set@noscc")
-        assert combined.pts_backend == BACKEND_SET
-        assert combined.scc is False
         with pytest.raises(ValueError):
             parse_config("2obj@scc@noscc")
         with pytest.raises(ValueError):
@@ -219,7 +215,7 @@ class TestResolveScc:
 
     def test_next_rung_carries_scc_suffix(self):
         assert next_rung("M-3obj@noscc", "main") == "M-2obj@noscc"
-        assert next_rung("M-2obj@set@noscc", "pre") == "2obj@set@noscc"
+        assert next_rung("M-2obj@noscc", "pre") == "2obj@noscc"
 
     def test_suffix_reaches_solver(self, figure1_program, monkeypatch):
         monkeypatch.delenv("REPRO_SCC", raising=False)
@@ -237,11 +233,10 @@ class TestResolveScc:
 # Collapse behavior inside the solver
 # ----------------------------------------------------------------------
 class TestCollapse:
-    @pytest.mark.parametrize("backend", [BACKEND_BITSET, BACKEND_SET])
-    def test_cycles_collapse_and_save_work(self, cycles_program, backend):
-        on = Solver(cycles_program, pts_backend=backend, scc=True)
+    def test_cycles_collapse_and_save_work(self, cycles_program):
+        on = Solver(cycles_program, scc=True)
         on.solve()
-        off = Solver(cycles_program, pts_backend=backend, scc=False)
+        off = Solver(cycles_program, scc=False)
         off.solve()
         assert on.counters["sccs_collapsed"] > 0
         assert on.counters["scc_nodes_merged"] > 0
@@ -270,13 +265,6 @@ class TestCollapse:
         solver.solve()
         assert solver._uf.merges == 0
 
-    def test_propagation_seeds_keyed_by_representatives(self, cycles_program):
-        solver = Solver(cycles_program, scc=True)
-        solver.solve()
-        parent = solver._uf.parent
-        for node in solver.propagation_seeds():
-            assert parent[node] == node
-
 
 # ----------------------------------------------------------------------
 # Satellite regression: stride accounting under merges
@@ -284,21 +272,19 @@ class TestCollapse:
 class TestStrideAccountingAfterMerges:
     """Collapsed nodes must not distort governor work guards or skip the
     stride callback: the wave loop counts *every* pop (stale and merged
-    included) on the same monotone iteration clock as the FIFO loops."""
+    included) on the same monotone iteration clock as the FIFO loop."""
 
-    @pytest.mark.parametrize("backend", [BACKEND_BITSET, BACKEND_SET])
-    def test_work_guard_trips_exactly(self, cycles_program, backend):
+    def test_work_guard_trips_exactly(self, cycles_program):
         # learn the full iteration count under the same stride, then
         # budget half of it
-        baseline = Solver(cycles_program, pts_backend=backend, scc=True,
+        baseline = Solver(cycles_program, scc=True,
                           governor=ResourceGovernor(check_stride=1))
         baseline.solve()
         assert baseline.iterations > 4
         limit = baseline.iterations // 2
         governor = ResourceGovernor.from_limits(max_iterations=limit,
                                                 check_stride=1)
-        solver = Solver(cycles_program, pts_backend=backend, scc=True,
-                        governor=governor)
+        solver = Solver(cycles_program, scc=True, governor=governor)
         with pytest.raises(WorkBudgetExceeded):
             solver.solve()
         # stride 1 ⇒ the guard saw every single iteration; merges must
@@ -405,20 +391,18 @@ class TestAdaptiveFifoRegression:
     """The PR 3 regression, pinned: on a luindex-shaped acyclic
     deep-context workload, ``scc=on`` must do **no more** pops than
     ``scc=off`` — the adaptive gate keeps mid-solve Tarjan passes off
-    the hot path entirely (the up-front pass is the only one) and FIFO
-    delta coalescing strictly reduces pop count."""
+    the hot path entirely (the up-front pass is the only one), and the
+    ranking pass's topological seed order is all that differs from the
+    ``scc=off`` run of the same FIFO loop."""
 
     @pytest.fixture(scope="class")
     def luindex(self):
         return load_profile("luindex", 0.25)
 
-    @pytest.mark.parametrize("backend", [BACKEND_BITSET, BACKEND_SET])
-    def test_scc_on_does_not_exceed_off(self, luindex, backend):
-        on = Solver(luindex, selector_for("2obj"), pts_backend=backend,
-                    scc=True)
+    def test_scc_on_does_not_exceed_off(self, luindex):
+        on = Solver(luindex, selector_for("2obj"), scc=True)
         on_result = on.solve()
-        off = Solver(luindex, selector_for("2obj"), pts_backend=backend,
-                     scc=False)
+        off = Solver(luindex, selector_for("2obj"), scc=False)
         off_result = off.solve()
         assert on.iterations <= off.iterations
         assert on_result.stats()["pts_facts"] == off_result.stats()["pts_facts"]
@@ -432,18 +416,6 @@ class TestAdaptiveFifoRegression:
         assert on.counters["scc_passes_deferred"] > 0
         assert on.counters["scc_promotions"] == 0
         assert on.counters["sccs_collapsed"] == 0
-
-    def test_both_backends_pop_identically(self, luindex):
-        """The coalescing discipline is backend-symmetric: bits and
-        sets pop the same merged sequence."""
-        counts = {}
-        for backend in (BACKEND_BITSET, BACKEND_SET):
-            solver = Solver(luindex, selector_for("2obj"),
-                            pts_backend=backend, scc=True)
-            solver.solve()
-            counts[backend] = (solver.iterations,
-                               solver.counters["propagations_saved"])
-        assert counts[BACKEND_BITSET] == counts[BACKEND_SET]
 
 
 #: Acyclic seed graph; the copy cycle x -> v -> ret -> x only forms

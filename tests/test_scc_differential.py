@@ -1,20 +1,16 @@
-"""Four-way differential: condensation must be observation-invisible.
+"""Differential: condensation must be observation-invisible.
 
 Every observable a client can ask for — reachable methods, call-graph
 edges, per-variable points-to sets (compared through site-key/heap-
 context identities, since interned object ids may differ between runs),
-cast verdicts, fact counts — must be identical across the four solver
-combinations {SCC on, SCC off} × {bitset, set}.
+cast verdicts, fact counts — must be identical with SCC on (the wave
+loop, after an up-front ranking pass) and SCC off (the plain FIFO
+loop), and both must equal the reference solver
+(:mod:`tests.reference_solver`).
 
-What is *not* compared: ``iterations`` and raw object ids.  Across the
-SCC axis wave scheduling does strictly less work on cyclic programs —
-that asymmetry is the whole point.  Across the backend axis iteration
-counts may wobble by a handful under condensation: mid-solve node
-creation (virtual dispatch) happens in delta-iteration order, which
-differs between the two representations, and the wave heap breaks
-priority ties by node id.  The FIFO-loop pairs on the legacy corpus
-still assert exact iteration equality in
-:mod:`tests.test_backend_differential`.
+What is *not* compared across the SCC axis: ``iterations`` and raw
+object ids.  Wave scheduling does strictly less work on cyclic
+programs — that asymmetry is the whole point.
 """
 
 from __future__ import annotations
@@ -24,81 +20,34 @@ from hypothesis import given, settings
 
 from repro.analysis import run_analysis
 from repro.analysis.governor import ResourceGovernor
-from repro.clients import check_casts
-from repro.pta.bitset import BACKEND_BITSET, BACKEND_SET
 from repro.pta.context import selector_for
 from repro.pta.solver import Solver
 from repro.workloads import TINY, generate, load_profile
 
 from tests.program_strategies import ir_programs
-from tests.test_backend_differential import (
-    _all_var_pts,
-    _canonical_casts,
-    _object_identity,
-    assert_equivalent,
-)
+from tests.test_backend_differential import assert_equivalent
+from tests.test_reference_solver import assert_matches_reference
 
 #: Raw-solver context selectors (pipeline configs like ``M-2obj`` go
 #: through :func:`run_analysis` in the pipeline test below).
 CONFIGS = ["ci", "2cs", "2obj", "2type"]
 
 
-def assert_same_results(program, a, b):
-    """Cross-SCC battery: everything observable, minus iteration counts
-    and backend equality (the two runs may differ on both axes)."""
-    assert a.object_count == b.object_count
-    assert a.reachable_methods() == b.reachable_methods()
-    assert a.call_graph_edges() == b.call_graph_edges()
-    assert (a.context_sensitive_edge_count()
-            == b.context_sensitive_edge_count())
-    assert a.call_site_targets() == b.call_site_targets()
-
-    a_vars = _all_var_pts(program, a)
-    b_vars = _all_var_pts(program, b)
-    assert a_vars.keys() == b_vars.keys()
-    for key in a_vars:
-        a_ids = {_object_identity(a, o) for o in a_vars[key]}
-        b_ids = {_object_identity(b, o) for o in b_vars[key]}
-        assert a_ids == b_ids, key
-
-    assert _canonical_casts(a) == _canonical_casts(b)
-    a_casts = check_casts(a)
-    b_casts = check_casts(b)
-    assert a_casts.may_fail_sites == b_casts.may_fail_sites
-    assert a_casts.safe_sites == b_casts.safe_sites
-
-    assert a.stats()["pts_facts"] == b.stats()["pts_facts"]
-
-
-def solve_four_way(program, config="ci", governor_factory=None):
-    """Solve under all four combinations; returns results keyed by
-    ``(scc, backend)``."""
+def solve_both_loops(program, config="ci", governor_factory=None):
+    """Solve with SCC on and off; returns results keyed by ``scc``."""
     results = {}
     for scc in (True, False):
-        for backend in (BACKEND_BITSET, BACKEND_SET):
-            governor = governor_factory() if governor_factory else None
-            solver = Solver(program, selector_for(config),
-                            pts_backend=backend, scc=scc,
-                            governor=governor)
-            results[(scc, backend)] = solver.solve()
+        governor = governor_factory() if governor_factory else None
+        solver = Solver(program, selector_for(config), scc=scc,
+                        governor=governor)
+        results[scc] = solver.solve()
     return results
 
 
-def assert_four_way(program, results):
-    on_bits = results[(True, BACKEND_BITSET)]
-    on_sets = results[(True, BACKEND_SET)]
-    off_bits = results[(False, BACKEND_BITSET)]
-    off_sets = results[(False, BACKEND_SET)]
-    assert on_bits.pts_backend == off_bits.pts_backend == BACKEND_BITSET
-    assert on_sets.pts_backend == off_sets.pts_backend == BACKEND_SET
-    # compare every pair against one pivot: observational equality
-    assert_same_results(program, on_bits, on_sets)
-    assert_same_results(program, on_bits, off_bits)
-    assert_same_results(program, on_bits, off_sets)
-    # the uncondensed FIFO pair additionally agrees on iteration counts
-    # (both run the order-insensitive FIFO loops)
-    assert (off_bits.stats()["iterations"]
-            == off_sets.stats()["iterations"])
+def assert_loops_match_reference(program, results):
+    """Both loops agree with each other and with the reference."""
+    assert_equivalent(program, results[True], results[False])
+    assert_matches_reference(program, results[True])
 
 
 class TestSolverFourWay:
@@ -114,56 +63,48 @@ class TestSolverFourWay:
     @pytest.mark.parametrize("name", ["figure1", "tiny", "cycles"])
     def test_four_way_matches(self, programs, name, config):
         program = programs[name]
-        results = solve_four_way(program, config)
-        assert_four_way(program, results)
+        results = solve_both_loops(program, config)
+        assert_loops_match_reference(program, results)
         if name == "cycles":
             # sanity: the SCC runs really did condense something
-            assert results[(True, BACKEND_BITSET)].stats()["scc"] is True
-            assert results[(False, BACKEND_BITSET)].stats()["scc"] is False
+            assert results[True].stats()["scc"] is True
+            assert results[False].stats()["scc"] is False
 
     def test_four_way_with_forced_collapse(self, programs):
         """check_stride=1 makes the collapse pass run at every pop, so
         even programs too small to hit the production stride exercise
         mid-solve condensation."""
         for name, program in programs.items():
-            results = solve_four_way(
+            results = solve_both_loops(
                 program, "ci",
                 governor_factory=lambda: ResourceGovernor(check_stride=1),
             )
-            assert_four_way(program, results)
+            assert_loops_match_reference(program, results)
 
     def test_pipeline_four_way_cycles(self, programs):
-        """Full pipeline (pre-analysis + merge + main) across the four
-        combinations on the cycle-heavy program."""
+        """Full pipeline (pre-analysis + merge + main) with SCC on and
+        off on the cycle-heavy program."""
         program = programs["cycles"]
-        runs = {}
-        for scc in (True, False):
-            for backend in (BACKEND_BITSET, BACKEND_SET):
-                runs[(scc, backend)] = run_analysis(
-                    program, "M-2obj", pts_backend=backend, scc=scc
-                ).result
-        # the uncondensed pair goes through the strict legacy battery
-        # (FIFO loops: exact iteration equality holds)
-        assert_equivalent(program, runs[(False, BACKEND_BITSET)],
-                          runs[(False, BACKEND_SET)])
-        assert_same_results(program, runs[(True, BACKEND_BITSET)],
-                            runs[(True, BACKEND_SET)])
-        assert_same_results(program, runs[(True, BACKEND_BITSET)],
-                            runs[(False, BACKEND_BITSET)])
+        runs = {scc: run_analysis(program, "M-2obj", scc=scc)
+                for scc in (True, False)}
+        assert runs[True].pre.merge.mom == runs[False].pre.merge.mom
+        assert_equivalent(program, runs[True].result, runs[False].result)
+        assert_matches_reference(program, runs[True].result,
+                                 runs[True].pre.abstraction)
 
 
 class TestHypothesisFourWay:
     @given(program=ir_programs())
     @settings(max_examples=25, deadline=None)
     def test_random_programs_four_way(self, program):
-        results = solve_four_way(
+        results = solve_both_loops(
             program, "ci",
             governor_factory=lambda: ResourceGovernor(check_stride=1),
         )
-        assert_four_way(program, results)
+        assert_loops_match_reference(program, results)
 
     @given(program=ir_programs())
     @settings(max_examples=10, deadline=None)
     def test_random_programs_context_sensitive(self, program):
-        results = solve_four_way(program, "2obj")
-        assert_four_way(program, results)
+        results = solve_both_loops(program, "2obj")
+        assert_loops_match_reference(program, results)

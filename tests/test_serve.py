@@ -75,14 +75,14 @@ class TestProtocol:
             protocol.load_program(spec)
 
     def test_cache_key_varies_by_each_component(self):
-        base = protocol.cache_key("source:x", "M-2obj", "backend=bitset")
+        base = protocol.cache_key("source:x", "M-2obj", "scc=on")
         assert protocol.cache_key("source:y", "M-2obj",
-                                  "backend=bitset") != base
-        assert protocol.cache_key("source:x", "ci", "backend=bitset") != base
+                                  "scc=on") != base
+        assert protocol.cache_key("source:x", "ci", "scc=on") != base
         assert protocol.cache_key("source:x", "M-2obj",
-                                  "backend=set") != base
+                                  "scc=off") != base
         assert protocol.cache_key("source:x", "M-2obj",
-                                  "backend=bitset") == base
+                                  "scc=on") == base
 
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": [2, 3]}) == \
@@ -90,16 +90,16 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# The byte-identity contract, on both points-to-set backends
+# The byte-identity contract, under both solver loops
 # ----------------------------------------------------------------------
 class TestDifferential:
-    @pytest.mark.parametrize("config", ["M-2obj", "M-2obj@set",
-                                        "ci", "2obj@set"])
+    @pytest.mark.parametrize("config", ["M-2obj", "M-2obj@noscc",
+                                        "ci", "2obj@noscc"])
     def test_served_equals_direct(self, config):
         """A served analysis returns byte-identical deterministic
         payloads to a direct ``run_analysis`` — the service's
-        correctness contract, pinned per backend via the ``@set``
-        suffix."""
+        correctness contract, pinned for both solver loops via the
+        ``@noscc`` suffix."""
         direct = run_analysis(parse_program(WORKLOAD), config)
         direct_bytes = canonical_json(deterministic_result(direct))
 
