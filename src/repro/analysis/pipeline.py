@@ -61,7 +61,6 @@ from repro.core.heap_modeler import build_heap_abstraction
 from repro.core.merging import MergeOptions, MergeResult, merge_type_consistent_objects
 from repro.faults import InjectedFault
 from repro.incr.cache import FPGArtifact, MergeArtifact
-from repro.incr.diff import diff_programs
 from repro.ir.program import Program
 from repro.pta.context import selector_for
 from repro.pta.heapmodel import (
@@ -71,7 +70,7 @@ from repro.pta.heapmodel import (
     MahjongAbstraction,
 )
 from repro.pta.results import PointsToResult
-from repro.pta.solver import AnalysisTimeout, Solver, WarmStartMismatch
+from repro.pta.solver import AnalysisTimeout, Solver
 from repro.resources import ResourceExhausted
 
 __all__ = [
@@ -204,9 +203,8 @@ class AnalysisRun:
     exhaustion_cause: Optional[str] = None
     #: one record per ladder attempt, in order (last one is this run's).
     attempts: List[AttemptRecord] = field(default_factory=list)
-    #: incremental-solve provenance (``mode`` = ``warm``/``cold`` plus
-    #: either the reuse numbers or the reason for falling back), set
-    #: only when the caller passed ``incremental=``.
+    #: always ``None``: kept only because perfbench/cells.py
+    #: (``Counts.add``) reads it.
     incr: Optional[Dict[str, object]] = None
 
     @property
@@ -242,8 +240,6 @@ class AnalysisRun:
             metrics["exhaustion_cause"] = self.exhaustion_cause
         if any(not attempt.succeeded for attempt in self.attempts):
             metrics["attempts"] = [a.as_dict() for a in self.attempts]
-        if self.incr is not None:
-            metrics["incremental"] = dict(self.incr)
         if self.result is not None:
             call_graph = build_call_graph(self.result)
             devirt = devirtualize(call_graph)
@@ -523,16 +519,13 @@ def _solve_main(
     governor,
     scc: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
-    warm_start=None,
 ) -> AnalysisRun:
-    """Phase 4 for one configuration; raises on exhaustion (or on
-    :class:`~repro.pta.solver.WarmStartMismatch` when ``warm_start``
-    does not translate — callers retry cold)."""
+    """Phase 4 for one configuration; raises on exhaustion."""
     selector = selector_for(config.sensitivity)
     solver = Solver(program, selector, heap_model,
                     timeout_seconds=timeout_seconds, perf=perf,
                     governor=governor, phase_label="main", scc=scc,
-                    tracer=tracer, warm_start=warm_start)
+                    tracer=tracer)
     start = time.monotonic()
     with _maybe_span(tracer, "phase:main"):
         with _phase_scope(governor, "main"):
@@ -545,46 +538,10 @@ def _solve_main(
     )
 
 
-def _prepare_incremental(incremental, program: Program,
-                         config: AnalysisConfig, tracer):
-    """Resolve one ``incremental=`` base into ``(warm_start, note)``.
-
-    ``warm_start`` is ``None`` whenever the attempt must solve cold;
-    ``note`` is the provenance dict surfaced as
-    ``metrics()["incremental"]`` either way.
-    """
-    from repro.incr import resolve_incr
-    from repro.incr.engine import prepare_warm_start
-
-    if not resolve_incr(incremental.enabled):
-        return None, {"mode": "cold", "reason": "disabled"}
-    base_run = incremental.run
-    if base_run is None or base_run.result is None:
-        return None, {"mode": "cold", "reason": "no base result"}
-    if (base_run.config.sensitivity != config.sensitivity
-            or base_run.config.heap != config.heap):
-        return None, {
-            "mode": "cold",
-            "reason": (f"base config {base_run.config.name!r} does not "
-                       f"match {config.name!r}"),
-        }
-    delta = diff_programs(incremental.program, program)
-    if delta.is_structural:
-        return None, {"mode": "cold",
-                      "reason": "structural: " + "; ".join(delta.structural)}
-    warm = prepare_warm_start(base_run.result, program, delta)
-    if warm is None:
-        return None, {"mode": "cold",
-                      "reason": f"heap model {config.heap!r} not warmable"}
-    note = {
-        "mode": "warm",
-        "edited": list(delta.edited),
-        "warm_pairs": len(warm.pairs),
-        "warm_seeds": len(warm.seeds),
-    }
-    if tracer is not None:
-        tracer.instant("incr:warm-start", **note)
-    return warm, note
+def diff_programs(*args, **kwargs):
+    """Not called: perfbench/tracing.py (``instrument_incr``) wraps
+    this name under ``--trace 1``."""
+    raise NotImplementedError("edits re-solve cold; there is no diff")
 
 
 def run_analysis(
@@ -598,7 +555,6 @@ def run_analysis(
     degrade: Union[None, bool, str, Sequence[str]] = None,
     scc: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
-    incremental=None,
     artifact_cache=None,
 ) -> AnalysisRun:
     """Run a named analysis configuration end to end.
@@ -631,21 +587,10 @@ def run_analysis(
     merge into ``perf``, so a failed rung cannot pollute the rescued
     run's counters.
 
-    ``incremental`` (an :class:`~repro.incr.IncrementalBase`) arms the
-    warm-start path: when the edit between the base program and this
-    one is non-structural, the attempt whose configuration matches the
-    base run's re-seeds the solver with the edit's retained facts and
-    re-propagates only the invalidation cone, converging to the exact
-    cold fixpoint (``result_digest`` byte-identity).  Anything that
-    cannot be warmed — structural deltas, mismatched configurations,
-    ``REPRO_INCR=off``, or a translation mismatch mid-apply — falls
-    back to a cold solve of the same rung; the choice and its reason
-    are surfaced as ``metrics()["incremental"]``.  An aborted warm
-    solve collects into a recorder of its own that is dropped, so the
-    cold retry's counters are the attempt's.  ``artifact_cache``
-    (an :class:`~repro.incr.ArtifactCache`) is threaded into the
-    pre-analysis so unchanged modules reuse on-disk FPG/merge
-    artifacts.
+    ``artifact_cache`` (an :class:`~repro.incr.ArtifactCache`) is
+    threaded into the pre-analysis so a program whose text was seen
+    before reuses its on-disk FPG/merge artifacts.  It is the only
+    incremental mechanism: an edited program is solved cold.
     """
     if tracer is None:
         tracer = obs.current_tracer()
@@ -693,37 +638,9 @@ def run_analysis(
                     heap_model = AllocationTypeAbstraction(program)
                 else:
                     heap_model = AllocationSiteAbstraction()
-                warm_start = None
-                if incremental is not None:
-                    warm_start, incr_note = _prepare_incremental(
-                        incremental, program, config, tracer)
-                # A warm solve collects into its own recorder, merged
-                # into the attempt's unless a mismatch aborts it.
-                solve_perf = attempt_perf
-                if warm_start is not None and attempt_perf is not None:
-                    solve_perf = PerfRecorder()
-                try:
-                    run = _solve_main(program, config, heap_model,
-                                      timeout_seconds, solve_perf, governor,
-                                      scc=use_scc, tracer=tracer,
-                                      warm_start=warm_start)
-                except WarmStartMismatch as exc:
-                    # The base solve could not be translated onto the new
-                    # program — solve the same rung cold instead.
-                    solve_perf = attempt_perf
-                    incr_note = {"mode": "cold",
-                                 "reason": f"warm-start mismatch: {exc}"}
-                    if tracer is not None:
-                        tracer.instant("incr:warm-start-mismatch",
-                                       detail=str(exc))
-                    run = _solve_main(program, config, heap_model,
-                                      timeout_seconds, attempt_perf,
-                                      governor, scc=use_scc, tracer=tracer)
-                finally:
-                    if solve_perf is not attempt_perf:
-                        attempt_perf.merge(solve_perf)
-                if incremental is not None:
-                    run.incr = incr_note
+                run = _solve_main(program, config, heap_model,
+                                  timeout_seconds, attempt_perf, governor,
+                                  scc=use_scc, tracer=tracer)
             except (ResourceExhausted, FPGIntegrityError) as exc:
                 seconds = time.monotonic() - start
                 phase = getattr(exc, "phase", None) or "main"

@@ -77,22 +77,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.cache_dir:
         from repro.incr import ArtifactCache
 
-        artifact_cache = ArtifactCache(args.cache_dir)
-    incremental = None
-    if args.incremental_from:
-        from repro.incr import IncrementalBase
-
-        with open(args.incremental_from, "r", encoding="utf-8") as handle:
-            base_program = parse_program(handle.read())
-        base_run = run_analysis(base_program, args.analysis,
-                                timeout_seconds=args.budget,
-                                merge_options=merge_options,
-                                degrade=degrade, scc=scc,
-                                artifact_cache=artifact_cache)
-        enabled = None if args.incremental is None \
-            else (args.incremental == "on")
-        incremental = IncrementalBase(base_program, base_run,
-                                      enabled=enabled)
+        try:
+            artifact_cache = ArtifactCache(args.cache_dir)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         with plan_scope:
             run = run_analysis(program, args.analysis,
@@ -100,7 +89,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                merge_options=merge_options,
                                governor=governor, degrade=degrade, scc=scc,
                                tracer=tracer,
-                               incremental=incremental,
                                artifact_cache=artifact_cache)
     except Exception as exc:  # noqa: BLE001 - classified, not a traceback
         from repro.analysis.pipeline import classify_failure
@@ -314,12 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--scc", choices=("on", "off"), default=None,
                          help="constraint-graph condensation (default: "
                               "@scc/@noscc suffix, then $REPRO_SCC, then on)")
-    analyze.add_argument("--incremental", choices=("on", "off"), default=None,
-                         help="warm-start from --incremental-from's solve "
-                              "(default: $REPRO_INCR, then on)")
-    analyze.add_argument("--incremental-from", default=None, metavar="OLDFILE",
-                         help="previous version of FILE; its solve seeds an "
-                              "incremental re-analysis of FILE")
     analyze.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="on-disk artifact cache for pre-analysis/FPG/"
                               "merge reuse across invocations")

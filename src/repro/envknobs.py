@@ -26,7 +26,6 @@ __all__ = ["ENV_KNOBS", "NON_RESULT_KNOBS", "env_knobs"]
 ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_FAULTS",
     "REPRO_FAULTS_SEED",
-    "REPRO_INCR",
     "REPRO_SCC",
 )
 

@@ -14,6 +14,12 @@ type — degrades to a cache miss with an ``obs`` instant event
 (``artifact-cache:corrupt``), never a crash or a silently wrong
 result.  Writes are atomic (temp file + ``os.replace``) so a crashed
 writer leaves either the old artifact or none, not a torn one.
+
+Trust boundary: entries are unpickled, so whoever can write the
+directory can run code in the reader.  The header digest only catches
+accidents, not a forged entry.  :class:`ArtifactCache` therefore
+refuses a directory that is group- or world-writable, and creates
+missing directories private (``0o700``).
 """
 
 from __future__ import annotations
@@ -117,11 +123,24 @@ class _Stats:
 
 class ArtifactCache:
     """Directory-backed artifact store; safe to share across threads
-    and across server requests (entries are immutable once written)."""
+    and across server requests (entries are immutable once written).
+
+    Raises ``ValueError`` when ``directory`` is group- or
+    world-writable: its entries are unpickled, so only its owner may
+    write it.
+    """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        mode = os.stat(directory).st_mode
+        if mode & 0o022:
+            raise ValueError(
+                f"artifact cache directory {directory!r} is group- or "
+                f"world-writable (mode {mode & 0o777:#o}); its entries are "
+                f"unpickled, so only its owner may write it "
+                f"(chmod go-w)"
+            )
         self._lock = threading.Lock()
         self._stats = _Stats()
 

@@ -1,6 +1,6 @@
 """Deterministic single-method program edits.
 
-The differential tests and ``repro.bench incr`` need realistic "IDE
+The tests and the benchmark's edit loop need realistic "IDE
 keystroke" edits: clone a program, change exactly one method's body,
 keep everything else identical.  Edits are seeded
 (:class:`random.Random`) so every run of a test or bench cell replays

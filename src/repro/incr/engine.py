@@ -1,391 +1,31 @@
-"""Warm-start preparation: the edit's cone of influence over an old solve.
+"""The edit → re-analyze loop.
 
-Given a finished base analysis and an edited program, the engine
-computes which of the old solve's facts are provably unaffected by the
-edit and re-expresses them as a :class:`~repro.pta.solver.WarmStart`.
-The fresh solver pre-seeds those facts and re-propagates only the
-edit's cone, converging to exactly the cold fixpoint
-(``protocol.result_digest`` byte-identity is the enforced contract).
-
-The computation is a DRed-style over-deletion closure:
-
-* **Taint sources** — var/exception nodes of edited (changed or
-  removed) methods, and field nodes of *tainted objects* (objects
-  allocated at an edited site or under a heap context mentioning one).
-* **Taint flow** — forward reachability over the old solve's
-  materialized pointer-flow edges, plus the fact-dependent edges the
-  constraint graph does not store explicitly: the receiver variable of
-  each discovered call feeds the callee's ``this``/parameter nodes,
-  the caller's return target and exceptional exit (the call edge
-  itself vanishes if the receiver set changes); a load's base feeds
-  the load target; a store's base feeds the stored-into field nodes.
-* **Retained pairs** — (context, method) pairs re-derivable without
-  the edit: BFS from the entry pair over old call-graph edges whose
-  call site is unedited, whose contexts mention no edited site, and
-  (for virtual calls) whose receiver node is untainted.  Nodes of
-  non-retained pairs are added as taint sources and the closure
-  iterates to fixpoint (taint only grows, so it terminates).
-
-Everything untainted in a retained pair is extracted under *semantic*
-keys (contexts, qualified names, field names, object descriptors), so
-the warm start survives the old solve's interning order.
-
-Limits (checked up front; any of these returns ``None`` → cold solve):
-structural deltas (:attr:`ProgramDelta.structural`), non-allocation-
-site heap models (merged-object maps re-key the heap between
-versions), and base runs that degraded to a different configuration.
+Every version of the program is solved cold; the session's
+:class:`~repro.incr.ArtifactCache` (when given) serves the MAHJONG
+pre-analysis of any program text it has seen before, so an undo back
+to an earlier version skips the pre-analysis, FPG and merge.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from repro.ir.program import Program
 
-from repro.incr.diff import ProgramDelta, diff_programs
-from repro.ir.program import Method, Program
-from repro.ir.statements import Invoke, Load, Store
-from repro.pta.bitset import bits_to_list
-from repro.pta.context import Context, EMPTY_CONTEXT
-from repro.pta.solver import WarmStart
-
-__all__ = ["prepare_warm_start", "IncrementalBase", "IncrementalSession"]
-
-Pair = Tuple[Context, str]
+__all__ = ["IncrementalSession"]
 
 
-def prepare_warm_start(old_result, new_program: Program,
-                       delta: Optional[ProgramDelta] = None
-                       ) -> Optional[WarmStart]:
-    """Build a :class:`WarmStart` from a finished base solve, or return
-    ``None`` when the delta is not incrementally solvable.
-
-    ``old_result`` is the base :class:`~repro.pta.results.PointsToResult`
-    (its solver must still be attached — results never drop it).
-    """
-    s = old_result._solver
-    old_program: Program = s.program
-    if delta is None:
-        delta = diff_programs(old_program, new_program)
-    if delta.is_structural:
-        return None
-    if s.heap_model.name != "alloc-site":
-        # Merged / by-type heaps re-key objects through a program-wide
-        # artifact (the merged-object map); an edit can re-cluster the
-        # heap, so per-object identity does not survive the edit.
-        return None
-
-    edited = set(delta.edited)
-    edited_sites = set(delta.edited_sites)
-    find = s._find
-
-    # --- lookup tables over the old program -----------------------------
-    methods_by_name: Dict[str, Method] = {
-        m.qualified_name: m for m in old_program.all_methods()
-    }
-    site_stmt: Dict[int, object] = {}
-    site_method: Dict[int, Method] = {}
-    for m in old_program.all_methods():
-        for stmt in m.statements:
-            cs = getattr(stmt, "call_site", None)
-            if cs is not None:
-                site_stmt[cs] = stmt
-                site_method[cs] = m
-
-    ctx_taint_memo: Dict[Context, bool] = {}
-
-    def ctx_tainted(ctx: Context) -> bool:
-        cached = ctx_taint_memo.get(ctx)
-        if cached is None:
-            cached = any(
-                isinstance(elem, int) and elem in edited_sites
-                for elem in ctx
-            )
-            ctx_taint_memo[ctx] = cached
-        return cached
-
-    # --- object taint ----------------------------------------------------
-    tainted_obj_bits = 0
-    for obj in s._live_objects:
-        site_key = s._object_site_key[obj]
-        if ((isinstance(site_key, int) and site_key in edited_sites)
-                or any(site in edited_sites
-                       for site in s._object_alloc_sites[obj])
-                or ctx_tainted(s._object_heap_ctx[obj])):
-            tainted_obj_bits |= 1 << obj
-
-    # Which (context, method) pairs allocate each object — a retained
-    # object must have a retained allocating pair, or its re-interning
-    # is not guaranteed during warm-start replay.
-    alloc_pairs: Dict[int, Set[Pair]] = {}
-    for mkey, contexts in s._reachable.items():
-        method = s._method_by_id[mkey]
-        info = s._method_info[mkey]
-        qual = method.qualified_name
-        for ctx in contexts:
-            for stmt in info.allocs:
-                key = s.heap_model.site_key(stmt.site, stmt.class_name)
-                if s._ci:
-                    hctx: Context = EMPTY_CONTEXT
-                else:
-                    hctx = s.selector.select_heap(ctx, stmt.site)
-                obj = s._object_ids.get((key, hctx))
-                if obj is not None:
-                    alloc_pairs.setdefault(obj, set()).add((ctx, qual))
-
-    # --- taint-flow graph ------------------------------------------------
-    n_nodes = len(s._succs)
-    adj: List[List[int]] = [[] for _ in range(n_nodes)]
-    for node in range(n_nodes):
-        out = s._succs[node]
-        if out:
-            src = find(node)
-            bucket = adj[src]
-            for target, _filter in out:
-                bucket.append(find(target))
-
-    node_ids = s._node_ids
-
-    def var_node(ctx: Context, method: Method, var: str) -> Optional[int]:
-        return node_ids.get((0, ctx, id(method), var))
-
-    # Fact-dependent edges the constraint graph does not record: a
-    # load/store/call base's facts decide which edges materialize, so
-    # taint at the base invalidates everything those edges carried.
-    for mkey, contexts in s._reachable.items():
-        method = s._method_by_id[mkey]
-        for ctx in contexts:
-            for stmt in method.statements:
-                if isinstance(stmt, Load):
-                    base = var_node(ctx, method, stmt.base)
-                    target = var_node(ctx, method, stmt.target)
-                    if base is not None and target is not None:
-                        adj[find(base)].append(find(target))
-                elif isinstance(stmt, Store):
-                    base = var_node(ctx, method, stmt.base)
-                    if base is None:
-                        continue
-                    src = find(base)
-                    bucket = adj[src]
-                    for obj in s.node_pts_ids(base):
-                        fnode = node_ids.get((1, obj, stmt.field_name))
-                        if fnode is not None:
-                            bucket.append(find(fnode))
-
-    # Receiver-dependent call edges: base var -> callee this/params,
-    # caller target, caller exceptional exit.
-    virtual_edges: List[Tuple[Pair, int, Context, str, Optional[int]]] = []
-    static_edges: List[Tuple[Pair, int, Context, str]] = []
-    for ctx, site, callee_ctx, callee_name in s._cg_edges_ctx:
-        caller = site_method.get(site)
-        stmt = site_stmt.get(site)
-        callee = methods_by_name.get(callee_name)
-        if caller is None or stmt is None or callee is None:
-            continue
-        caller_pair: Pair = (ctx, caller.qualified_name)
-        if not isinstance(stmt, Invoke):
-            static_edges.append((caller_pair, site, callee_ctx, callee_name))
-            continue
-        base = var_node(ctx, caller, stmt.base)
-        virtual_edges.append(
-            (caller_pair, site, callee_ctx, callee_name, base)
-        )
-        if base is None:
-            continue
-        src = find(base)
-        bucket = adj[src]
-        targets = [node_ids.get((0, callee_ctx, id(callee), "this"))]
-        for param in callee.params:
-            targets.append(node_ids.get((0, callee_ctx, id(callee), param)))
-        if stmt.target is not None:
-            targets.append(var_node(ctx, caller, stmt.target))
-        targets.append(node_ids.get((3, ctx, id(caller))))
-        for tnode in targets:
-            if tnode is not None:
-                bucket.append(find(tnode))
-
-    edges_by_caller: Dict[Pair, List[Tuple[int, Context, str,
-                                           Optional[int], bool]]] = {}
-    for caller_pair, site, callee_ctx, callee_name, base in virtual_edges:
-        edges_by_caller.setdefault(caller_pair, []).append(
-            (site, callee_ctx, callee_name, base, True)
-        )
-    for caller_pair, site, callee_ctx, callee_name in static_edges:
-        edges_by_caller.setdefault(caller_pair, []).append(
-            (site, callee_ctx, callee_name, None, False)
-        )
-
-    # --- base taint sources ----------------------------------------------
-    base_sources: List[int] = []
-    for node, (ctx, method, _var) in s._var_meta.items():
-        if method.qualified_name in edited:
-            base_sources.append(node)
-    for node, (ctx, method) in s._exc_meta.items():
-        if method.qualified_name in edited:
-            base_sources.append(node)
-    for key, node in node_ids.items():
-        if (isinstance(key, tuple) and key and key[0] == 1
-                and (tainted_obj_bits >> key[1]) & 1):
-            base_sources.append(node)
-
-    def compute_tainted(extra: Set[int]) -> Set[int]:
-        tainted: Set[int] = set()
-        queue: deque = deque()
-        for node in base_sources:
-            rep = find(node)
-            if rep not in tainted:
-                tainted.add(rep)
-                queue.append(rep)
-        for node in extra:
-            rep = find(node)
-            if rep not in tainted:
-                tainted.add(rep)
-                queue.append(rep)
-        while queue:
-            node = queue.popleft()
-            for target in adj[node]:
-                if target not in tainted:
-                    tainted.add(target)
-                    queue.append(target)
-        return tainted
-
-    assert old_program.entry is not None
-    entry_pair: Pair = (EMPTY_CONTEXT, old_program.entry.qualified_name)
-
-    def compute_retained(tainted: Set[int]) -> Set[Pair]:
-        retained: Set[Pair] = {entry_pair}
-        queue: deque = deque([entry_pair])
-        while queue:
-            pair = queue.popleft()
-            for site, callee_ctx, callee_name, base, virtual in \
-                    edges_by_caller.get(pair, ()):
-                if site in edited_sites:
-                    continue
-                if ctx_tainted(callee_ctx):
-                    continue
-                if virtual and (base is None or find(base) in tainted):
-                    continue
-                callee_pair = (callee_ctx, callee_name)
-                if callee_pair not in retained:
-                    retained.add(callee_pair)
-                    queue.append(callee_pair)
-        return retained
-
-    # --- taint / retained-pairs fixpoint ---------------------------------
-    extra: Set[int] = set()
-    while True:
-        tainted = compute_tainted(extra)
-        retained = compute_retained(tainted)
-        grown = set(extra)
-        for node, (ctx, method, _var) in s._var_meta.items():
-            if (ctx, method.qualified_name) not in retained:
-                grown.add(node)
-        for node, (ctx, method) in s._exc_meta.items():
-            if (ctx, method.qualified_name) not in retained:
-                grown.add(node)
-        if grown == extra:
-            break
-        extra = grown
-
-    # --- extraction ------------------------------------------------------
-    new_methods = {m.qualified_name for m in new_program.all_methods()}
-    kept_pairs = [p for p in retained if p[1] in new_methods]
-    kept_pairs.sort(key=repr)
-
-    obj_ordinal: Dict[int, int] = {}
-    objects: List[Tuple[object, Context, str]] = []
-
-    def ordinal_of(obj: int) -> int:
-        ordinal = obj_ordinal.get(obj)
-        if ordinal is None:
-            ordinal = len(objects)
-            obj_ordinal[obj] = ordinal
-            objects.append((s._object_site_key[obj], s._object_heap_ctx[obj],
-                            s._object_class[obj]))
-        return ordinal
-
-    keepable_memo: Dict[int, bool] = {}
-
-    def keepable(obj: int) -> bool:
-        cached = keepable_memo.get(obj)
-        if cached is None:
-            cached = (
-                not (tainted_obj_bits >> obj) & 1
-                and any(pair in retained
-                        for pair in alloc_pairs.get(obj, ()))
-            )
-            keepable_memo[obj] = cached
-        return cached
-
-    def extract(node: int) -> Tuple[int, ...]:
-        kept = [obj for obj in bits_to_list(s.node_pts_bits(node))
-                if keepable(obj)]
-        return tuple(ordinal_of(obj) for obj in kept)
-
-    seeds: List[Tuple[Tuple[object, ...], Tuple[int, ...]]] = []
-    for node, (ctx, method, var) in s._var_meta.items():
-        qual = method.qualified_name
-        if (ctx, qual) not in retained or qual not in new_methods:
-            continue
-        if find(node) in tainted:
-            continue
-        ordinals = extract(node)
-        if ordinals:
-            seeds.append((("var", ctx, qual, var), ordinals))
-    for node, (ctx, method) in s._exc_meta.items():
-        qual = method.qualified_name
-        if (ctx, qual) not in retained or qual not in new_methods:
-            continue
-        if find(node) in tainted:
-            continue
-        ordinals = extract(node)
-        if ordinals:
-            seeds.append((("exc", ctx, qual), ordinals))
-    for key, node in node_ids.items():
-        if not (isinstance(key, tuple) and key):
-            continue
-        if key[0] == 1:
-            obj = key[1]
-            if not keepable(obj) or find(node) in tainted:
-                continue
-            ordinals = extract(node)
-            if ordinals:
-                seeds.append((("field", ordinal_of(obj), key[2]), ordinals))
-        elif key[0] == 2:
-            if find(node) in tainted:
-                continue
-            ordinals = extract(node)
-            if ordinals:
-                seeds.append((("static", key[1], key[2]), ordinals))
-
-    return WarmStart(
-        pairs=tuple(kept_pairs),
-        objects=tuple(objects),
-        seeds=tuple(seeds),
-    )
-
-
-@dataclass
-class IncrementalBase:
-    """A finished analysis to warm-start from.
-
-    ``program`` is the version the ``run`` analyzed; ``run`` is the
-    :class:`~repro.analysis.pipeline.AnalysisRun` it produced.
-    ``enabled`` overrides the ``REPRO_INCR`` knob (``None`` → env →
-    default on, via :func:`repro.incr.resolve_incr`).
-    """
-
-    program: Program
-    run: object
-    enabled: Optional[object] = None
+def prepare_warm_start(*args, **kwargs):
+    """Not called: perfbench/tracing.py (``instrument_incr``) wraps
+    this name under ``--trace 1``."""
+    raise NotImplementedError("edits re-solve cold; there is no warm start")
 
 
 class IncrementalSession:
     """Convenience wrapper for edit → re-analyze loops.
 
-    Keeps the latest program + run as the base; each :meth:`update`
-    re-analyzes the edited program incrementally against it and
-    rebases.
+    Keeps the latest program + run; each :meth:`update` analyzes the
+    edited program through the session's artifact cache and rebases
+    onto it.  ``run_kwargs`` are passed to every
+    :func:`~repro.analysis.pipeline.run_analysis` call.
     """
 
     def __init__(self, program: Program, config: str = "ci",
@@ -397,23 +37,15 @@ class IncrementalSession:
         self.run = None
 
     def analyze(self):
-        """Cold-solve the current program and make it the base."""
-        from repro.analysis.pipeline import run_analysis
-
-        self.run = run_analysis(self.program, self.config,
-                                artifact_cache=self.artifact_cache,
-                                **self.run_kwargs)
-        return self.run
+        """Solve the current program and make it the base."""
+        return self.update(self.program)
 
     def update(self, new_program: Program):
-        """Re-analyze ``new_program`` incrementally against the base
-        (cold when no base exists yet), then rebase onto the result."""
+        """Solve ``new_program`` cold (pre-analysis from the artifact
+        cache when it has the program), then rebase onto the result."""
         from repro.analysis.pipeline import run_analysis
 
-        incremental = (IncrementalBase(self.program, self.run)
-                       if self.run is not None else None)
         run = run_analysis(new_program, self.config,
-                           incremental=incremental,
                            artifact_cache=self.artifact_cache,
                            **self.run_kwargs)
         self.program = new_program

@@ -120,8 +120,6 @@ __all__ = [
     "AnalysisTimeout",
     "solve",
     "ObjectDescriptor",
-    "WarmStart",
-    "WarmStartMismatch",
 ]
 
 #: Worklist pops between wall-clock checks.  ``time.monotonic()`` per
@@ -168,46 +166,6 @@ class ObjectDescriptor:
     def __str__(self) -> str:
         ctx = "" if not self.heap_context else f" @{self.heap_context}"
         return f"o{self.site_key}:{self.class_name}{ctx}"
-
-
-class WarmStartMismatch(RuntimeError):
-    """A :class:`WarmStart` referenced state the new program cannot
-    reproduce (a retained method, object, or node that no longer
-    interns).  The incremental engine guarantees retained state maps
-    cleanly; hitting this means the diff missed a structural change —
-    callers fall back to a cold solve of the same configuration."""
-
-
-@dataclass(frozen=True)
-class WarmStart:
-    """Retained state of a previous solve, re-expressed in *semantic*
-    keys so it can be re-interned into a fresh :class:`Solver` over the
-    edited program.
-
-    Produced by :func:`repro.incr.engine.prepare_warm_start`: the
-    complement of the edit's cone of influence over copy/load/store
-    edges.  The solver replays it in three steps (``_apply_warm_start``)
-    — re-intern every retained (context, method) pair, pre-set the
-    retained points-to facts, then replay statement processing for the
-    seeded variable nodes so loads/stores/dispatches re-materialize
-    their downstream constraints.  Because the retained facts are a
-    subset of the new fixpoint (the engine over-deletes), the solve
-    converges to exactly the cold result while re-propagating only the
-    cone.
-
-    * ``pairs`` — retained ``(context, qualified_name)`` pairs.
-    * ``objects`` — ordinal-indexed ``(site_key, heap_context,
-      class_name)`` descriptors; seeds reference objects by ordinal so
-      the facts survive the old solve's id assignment.
-    * ``seeds`` — ``(node key, object ordinals)`` where the node key is
-      one of ``("var", ctx, qualname, var)``, ``("exc", ctx,
-      qualname)``, ``("field", base ordinal, field)``, or ``("static",
-      class_name, field)``.
-    """
-
-    pairs: Tuple[Tuple[Context, str], ...]
-    objects: Tuple[Tuple[object, Context, str], ...]
-    seeds: Tuple[Tuple[Tuple[object, ...], Tuple[int, ...]], ...]
 
 
 class _MethodInfo:
@@ -304,7 +262,6 @@ class Solver:
         phase_label: str = "main",
         scc: Optional[object] = None,
         tracer=None,
-        warm_start: Optional[WarmStart] = None,
     ) -> None:
         if program.entry is None:
             raise ValueError("program has no entry method")
@@ -462,11 +419,7 @@ class Solver:
             "propagations_saved": 0,
             "scc_passes_deferred": 0,
             "scc_promotions": 0,
-            "warm_pairs": 0,
-            "warm_seed_nodes": 0,
-            "warm_seed_facts": 0,
         }
-        self.warm_start = warm_start
 
     # ------------------------------------------------------------------
     # Public API
@@ -516,16 +469,6 @@ class Solver:
                         self._enter_wave_mode()
                     else:
                         self._sort_worklist_topologically()
-                # Warm-start replay runs after the mode decision so the
-                # ranking pass sees the same entry-only graph a cold
-                # solve ranks — replaying thousands of retained pairs
-                # first would hand Tarjan the fully materialized copy
-                # graph and flip the solve into wave mode up front.
-                # Cycles the replay materializes are found the same way
-                # a cold solve finds fact-dependent cycles: at the
-                # adaptive stride-gate probes.
-                if self.warm_start is not None:
-                    self._apply_warm_start(self.warm_start)
                 if not self._wave:
                     self._run_fifo(deadline)
                     if self._worklist:
@@ -561,8 +504,6 @@ class Solver:
         """
         self._wave = True
         self._push = self._push_wave
-        if self.warm_start is not None:
-            self._install_push_filter()
         worklist = self._worklist
         push = self._push
         while worklist:
@@ -582,140 +523,6 @@ class Solver:
             topo = self._topo_order
             self._worklist = deque(
                 sorted(worklist, key=lambda entry: topo[entry[0]]))
-
-    # ------------------------------------------------------------------
-    # Warm start (incremental re-solve)
-    # ------------------------------------------------------------------
-    def _apply_warm_start(self, warm: WarmStart) -> None:
-        """Re-intern the retained state of a previous solve.
-
-        Three steps, in order: (1) replay reachability for every
-        retained (context, method) pair — this re-interns their nodes,
-        objects, and statically-known edges exactly as the cold solve
-        would; (2) pre-set the retained points-to facts directly into
-        ``_pts`` (the retained facts are a subset of the new fixpoint,
-        so pre-setting them is sound and makes later pushes of the same
-        facts absorb on pop); (3) replay statement processing for every
-        seeded variable node so its loads/stores/dispatches
-        re-materialize downstream constraints against the *new*
-        program.  Any referenced method/object that fails to re-intern
-        raises :class:`WarmStartMismatch` — the caller cold-solves.
-        """
-        methods = {m.qualified_name: m for m in self.program.all_methods()}
-        for ctx, qualname in warm.pairs:
-            method = methods.get(qualname)
-            if method is None:
-                raise WarmStartMismatch(
-                    f"retained method {qualname!r} missing from program"
-                )
-            self._add_reachable(ctx, method)
-        # Translate the warm start's object ordinals into this solve's
-        # interned ids.  Every retained object must already be interned:
-        # each one is allocated by some retained pair whose reachability
-        # was just replayed (the engine taints objects whose every
-        # allocating pair was dropped).
-        obj_ids: List[int] = []
-        object_ids = self._object_ids
-        for site_key, heap_ctx, class_name in warm.objects:
-            obj = object_ids.get((site_key, heap_ctx))
-            if obj is None or self._object_class[obj] != class_name:
-                raise WarmStartMismatch(
-                    f"retained object ({site_key!r}, {heap_ctx}) "
-                    f"of class {class_name!r} did not re-intern"
-                )
-            obj_ids.append(obj)
-        pts = self._pts
-        seeded_nodes = 0
-        seeded_facts = 0
-        # Most seeds carry one or two objects, so the per-seed cost is
-        # dominated by building the delta bitset; precomputing each
-        # object's single-bit mask once keeps the common case to a list
-        # index instead of a fresh ``1 << obj`` big-int shift.
-        singles = [1 << obj for obj in obj_ids]
-        replay: List[Tuple[Tuple[Context, Method, str], int]] = []
-        for key, ordinals in warm.seeds:
-            kind = key[0]
-            meta: Optional[Tuple[Context, Method, str]] = None
-            try:
-                if kind == "var":
-                    _, ctx, qualname, var = key
-                    method = methods[qualname]
-                    node = self._var_node(ctx, method, var)
-                    meta = (ctx, method, var)
-                elif kind == "exc":
-                    _, ctx, qualname = key
-                    node = self._exception_node(ctx, methods[qualname])
-                elif kind == "field":
-                    _, ordinal, field_name = key
-                    node = self._field_node(obj_ids[ordinal], field_name)
-                elif kind == "static":
-                    _, class_name, field_name = key
-                    node = self._static_field_node(class_name, field_name)
-                else:
-                    raise WarmStartMismatch(f"unknown seed key {key!r}")
-                if len(ordinals) == 1:
-                    delta = singles[ordinals[0]]
-                else:
-                    delta = 0
-                    for ordinal in ordinals:
-                        delta |= singles[ordinal]
-            except (KeyError, IndexError):
-                raise WarmStartMismatch(
-                    f"seed {key!r} references state that did not re-intern"
-                )
-            if not delta:
-                continue
-            known = pts[node]
-            fresh = delta & ~known
-            if fresh:
-                pts[node] = known | fresh
-                seeded_facts += popcount(fresh)
-            seeded_nodes += 1
-            if meta is not None:
-                replay.append((meta, delta))
-        # Replay statement processing only after every retained fact has
-        # landed, with the push filter installed first: edges
-        # materialized here would otherwise push every retained
-        # points-to set back into the worklist only to be absorbed on
-        # pop — the filter drops the already-seeded bits at push time,
-        # which is where the warm solve's work savings come from.
-        # Wave mode (entered by the up-front ranking when the static
-        # graph already had cycles) installs the filter itself when it
-        # rebinds the push.
-        if not self._wave:
-            self._install_push_filter()
-        for meta, delta in replay:
-            self._process_var_delta(meta, delta)
-        self.counters["warm_pairs"] += len(warm.pairs)
-        self.counters["warm_seed_nodes"] += seeded_nodes
-        self.counters["warm_seed_facts"] += seeded_facts
-
-    def _install_push_filter(self) -> None:
-        """Wrap the bound ``_push`` with warm-only difference
-        propagation at push time: bits the (representative) target
-        already knows are dropped before they ever enter the worklist.
-
-        Sound unconditionally — an absorbed push is popped, XORed to an
-        empty delta, and skipped without side effects — but only
-        *profitable* when most pushes are already known, i.e. after
-        warm seeding; cold solves keep the unwrapped push so their
-        iteration counts are untouched.  Re-installed by
-        :meth:`_enter_wave_mode` when it rebinds the push variant.
-        """
-        inner = self._push
-        parent = self._uf.parent
-        find = self._find
-        pts = self._pts
-
-        def push(node: int, delta: int) -> None:
-            rep = node if parent[node] == node else find(node)
-            common = delta & pts[rep]
-            if common:
-                delta ^= common
-                if not delta:
-                    return
-            inner(node, delta)
-        self._push = push
 
     # ------------------------------------------------------------------
     # Stride-window tracing (tracer present only; never on the per-pop
@@ -1472,9 +1279,8 @@ def solve(program: Program, selector: Optional[ContextSelector] = None,
           timeout_seconds: Optional[float] = None,
           perf: Optional[PerfRecorder] = None,
           governor=None, phase_label: str = "main",
-          scc: Optional[object] = None, tracer=None,
-          warm_start: Optional[WarmStart] = None):
+          scc: Optional[object] = None, tracer=None):
     """Convenience wrapper: build a :class:`Solver` and run it."""
     return Solver(program, selector, heap_model, timeout_seconds,
                   perf=perf, governor=governor, phase_label=phase_label,
-                  scc=scc, tracer=tracer, warm_start=warm_start).solve()
+                  scc=scc, tracer=tracer).solve()

@@ -156,8 +156,7 @@ def cache_key(key_material: str, config: str,
 
     ``environment`` defaults to :func:`repro.envknobs.env_knobs` — the
     one registry of result-affecting knobs (``$REPRO_SCC``,
-    ``$REPRO_INCR``, ``$REPRO_FAULTS``/``_SEED``, and whatever gets
-    added there next) —
+    ``$REPRO_FAULTS``/``_SEED``, and whatever gets added there next) —
     so no caller can forget to fold a knob in by hand.  Pass an
     explicit string only to pin a specific environment (tests).
     """
@@ -179,9 +178,9 @@ def result_digest(result: PointsToResult) -> str:
     a solve.  Objects are spelled as *semantic descriptor tokens*
     (allocation-site key, heap context, class name) rather than
     solver-interned ids: interning order depends on fact discovery
-    order, which an incremental warm start legitimately changes, and
-    the byte-identity contract (incremental ≡ cold, served ≡ direct)
-    must hold across that.
+    order, which the solver's scheduling (``scc`` on or off, FIFO or
+    wave loop) legitimately changes, and the byte-identity contract
+    (``scc`` on ≡ off, served ≡ direct) must hold across that.
     """
     def token(obj: int) -> str:
         return (f"{result.object_site_key(obj)!r}"

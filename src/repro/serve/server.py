@@ -600,8 +600,9 @@ class ServeDaemon(ThreadingHTTPServer):
     """The bound server: ``service`` plus drain orchestration."""
 
     def __init__(self, config: ServiceConfig) -> None:
-        super().__init__((config.host, config.port), _Handler)
+        # The service first: a config it refuses never binds the port.
         self.service = AnalysisService(config)
+        super().__init__((config.host, config.port), _Handler)
         self._drained = threading.Event()
 
     @property
@@ -688,7 +689,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         artifact_cache_dir=args.artifact_cache_dir,
         seed=args.seed,
     )
-    daemon = ServeDaemon(config)
+    try:
+        daemon = ServeDaemon(config)
+    except ValueError as exc:  # e.g. a group-writable --artifact-cache-dir
+        parser.error(str(exc))
     host, port = daemon.address
 
     def _on_signal(signum: int, _frame: Any) -> None:

@@ -150,3 +150,25 @@ def test_analyze_rejects_bad_config_before_any_phase(figure1_file, config,
     err = capsys.readouterr().err
     assert "argument --analysis" in err
     assert "failure in main phase" not in err
+
+
+@pytest.mark.parametrize("flags", [["--incremental", "on"],
+                                   ["--incremental-from", "old.mj"]],
+                         ids=["incremental", "incremental-from"])
+def test_analyze_rejects_retired_incremental_flags(figure1_file, flags,
+                                                   capsys):
+    """Edits re-solve cold; the warm-start flags are gone, so argparse
+    rejects them as usage errors (exit 2) before any phase runs."""
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", figure1_file, *flags])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_analyze_refuses_shared_writable_cache_dir(figure1_file, tmp_path,
+                                                   capsys):
+    shared = tmp_path / "cache"
+    shared.mkdir()
+    shared.chmod(0o777)
+    assert main(["analyze", figure1_file, "--cache-dir", str(shared)]) == 2
+    assert "writable" in capsys.readouterr().err

@@ -49,6 +49,13 @@ class TestRegistryCoverage:
         assert list(ENV_KNOBS) == sorted(ENV_KNOBS)
         assert not set(ENV_KNOBS) & set(NON_RESULT_KNOBS)
 
+    def test_retired_knobs_are_neither_registered_nor_read(self):
+        """Switches whose code was deleted must leave the registry (and
+        so every cache key) with it."""
+        retired = {"REPRO_INCR", "REPRO_NUMBERING", "REPRO_PTS_BACKEND"}
+        assert not retired & set(ENV_KNOBS)
+        assert not retired & _knobs_read_in_source()
+
 
 class TestEnvKnobsString:
     def test_mentions_every_registered_knob(self):

@@ -158,6 +158,37 @@ class TestCorruptionIsAMiss:
                    for e in sink.events)
 
 
+class TestTrustBoundary:
+    """Entries are unpickled, so a directory other users can write is
+    refused before any entry is read."""
+
+    @pytest.mark.parametrize("mode", [0o770, 0o702, 0o777],
+                             ids=["group", "world", "both"])
+    def test_shared_writable_directory_is_refused(self, tmp_path,
+                                                  monkeypatch, mode):
+        directory = str(tmp_path / "shared")
+        planted = ArtifactCache(directory)
+        assert planted.store("fpg", "key", _fpg_artifact())
+        os.chmod(directory, mode)
+        loads = []
+        monkeypatch.setattr("repro.incr.cache.pickle.loads",
+                            lambda payload: loads.append(payload))
+        with pytest.raises(ValueError, match="writable"):
+            ArtifactCache(directory)
+        assert loads == []
+
+    def test_missing_directory_is_created_private(self, tmp_path):
+        directory = tmp_path / "fresh" / "cache"
+        ArtifactCache(str(directory))
+        assert not os.stat(directory).st_mode & 0o077
+
+    def test_owner_only_directory_is_accepted(self, tmp_path):
+        os.chmod(tmp_path, 0o755)
+        cache = ArtifactCache(str(tmp_path))
+        assert cache.store("fpg", "key", _fpg_artifact())
+        assert cache.load("fpg", "key") == _fpg_artifact()
+
+
 class TestContentAddressing:
     def test_key_varies_with_program_text(self, cache):
         a = cache.key_for("fpg", corpus_program("cache"), "c")

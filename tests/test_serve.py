@@ -522,3 +522,17 @@ class TestHTTPEndToEnd:
         tenants = stats["admission"]["tenants"]
         assert tenants["bob"]["admitted"] >= 1
         assert tenants["bob"]["outcomes"].get("ok", 0) >= 1
+
+    def test_shared_writable_artifact_cache_dir_is_a_usage_error(
+            self, tmp_path, capsys):
+        """Cache entries are unpickled, so ``serve`` refuses a directory
+        other users can write (exit 2) before it binds the port."""
+        from repro.serve.server import main as serve_main
+
+        shared = tmp_path / "artifacts"
+        shared.mkdir()
+        shared.chmod(0o777)
+        with pytest.raises(SystemExit) as info:
+            serve_main(["--port", "0", "--artifact-cache-dir", str(shared)])
+        assert info.value.code == 2
+        assert "writable" in capsys.readouterr().err
