@@ -1,39 +1,17 @@
-"""Parallel execution layer benchmarks: merge-phase pools and the
-sharded batch runner.
+"""Sharded batch runner benchmark.
 
 Mirrors ``python -m repro.bench parallel`` under pytest-benchmark: the
-wide-type-spectrum ``spectrum`` profile's merge phase serial vs thread
-vs process pool, and the corpus batch serial vs sharded.  Absolute
-speedups depend on host cores (recorded by the standalone harness in
-``bench_results/parallel.txt``); here the suite mainly guards against
-regressions in the serial path and pathological pool overhead.
+corpus batch serial vs sharded.  Absolute speedups depend on host cores
+(recorded by the standalone harness in ``bench_results/parallel.txt``);
+here the suite mainly guards against regressions in the serial path and
+pathological pool overhead.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.merging import MergeOptions, merge_type_consistent_objects
 from repro.workloads import corpus_names, corpus_program
-
-from benchmarks.conftest import pre_for
-
-_POOL_OPTIONS = {
-    "serial": None,
-    "thread": MergeOptions(jobs=4, pool="thread"),
-    "process": MergeOptions(jobs=2, pool="process"),
-}
-
-
-@pytest.mark.parametrize("pool", list(_POOL_OPTIONS))
-def test_merge_pools(benchmark, pool):
-    pre = pre_for("spectrum", 1.0)
-    baseline = merge_type_consistent_objects(pre.fpg)
-    benchmark.group = "parallel-merge"
-    result = benchmark(
-        lambda: merge_type_consistent_objects(pre.fpg, _POOL_OPTIONS[pool]))
-    assert (sorted(tuple(sorted(cls)) for cls in result.classes)
-            == sorted(tuple(sorted(cls)) for cls in baseline.classes))
 
 
 @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "jobs2"])

@@ -325,9 +325,12 @@ def classify_failure(exc: BaseException) -> FailureInfo:
 
 def _pre_cache_component(merge_options, scc) -> str:
     """Cache-key component for the pre-analysis artifacts: every
-    *explicit* argument that can change them.  (Env-knob defaults are
-    folded in separately via :func:`repro.envknobs.env_knobs`.)"""
-    return f"scc={scc}|merge={merge_options!r}"
+    *explicit* argument that can change them, with ``None`` options
+    normalised to the defaults.  (Env-knob defaults are folded in
+    separately via :func:`repro.envknobs.env_knobs`.)"""
+    opts = merge_options if merge_options is not None else MergeOptions()
+    return (f"scc={scc}|strategy={opts.strategy}"
+            f"|policy={opts.representative_policy}")
 
 
 def run_pre_analysis(

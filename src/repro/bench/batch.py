@@ -30,8 +30,8 @@ per solve) plus the governor knobs (``--max-iterations``,
 ``--memory-mb``); fault injection from ``--faults``/``--faults-seed``;
 ``--trace-dir`` writes one Chrome trace (:mod:`repro.obs`) per program.
 
-**Sharded execution.**  With ``--jobs N`` (or ``$REPRO_JOBS``; see
-:mod:`repro.parallel`) the batch fans programs out over a worker pool.
+**Sharded execution.**  With ``--jobs N`` (``0`` = one worker per core)
+the batch fans programs out over a thread or process pool.
 Sharded mode trades the legacy serial path's *shared* state for
 *derived* per-program state so the two modes agree wherever they can
 and the sharded mode is identical at any worker count:
@@ -58,8 +58,10 @@ inline, which is why it matches ``--jobs 4`` exactly; only omitting
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -70,7 +72,6 @@ from repro.analysis.pipeline import run_analysis
 from repro.bench.reporting import format_seconds, render_table
 from repro.faults import TransientFault, derive_seed
 from repro.ir.program import Program
-from repro.parallel import JOBS_ENV_VAR, parallel_map, picklable, resolve_jobs
 from repro.retry import RetriesExhausted, RetryPolicy, RetryState, call_with_retry
 
 __all__ = ["BatchRecord", "BatchResult", "ShardTask", "run_batch", "main"]
@@ -454,6 +455,44 @@ def run_batch(
     return result
 
 
+def _resolve_jobs(jobs: int) -> int:
+    """The worker count for ``jobs``: ``0`` means one per core, and the
+    result is always at least 1."""
+    if jobs == 0:
+        jobs = os.cpu_count() or 1
+    return max(1, jobs)
+
+
+def _parallel_map(fn: Callable, items: Iterable, jobs: int = 1,
+                  pool: str = "thread") -> list:
+    """Map ``fn`` over ``items`` on a ``"thread"`` or ``"process"`` pool,
+    returning results in input order.
+
+    A process pool needs a module-level ``fn`` and picklable items.
+    With ``jobs <= 1`` or fewer than two items the map runs inline.  A
+    worker exception propagates to the caller.
+    """
+    if pool not in ("thread", "process"):
+        raise ValueError(f"unknown pool {pool!r}; known: thread, process")
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    executor_cls = (ThreadPoolExecutor if pool == "thread"
+                    else ProcessPoolExecutor)
+    with executor_cls(max_workers=min(jobs, len(items))) as executor:
+        return list(executor.map(fn, items))
+
+
+def _picklable(value: object) -> bool:
+    """Whether ``value`` survives pickling, i.e. whether a task may go
+    to the process pool (an unpicklable one runs in the parent)."""
+    try:
+        pickle.dumps(value)
+    except Exception:  # noqa: BLE001 - any pickling failure means "no"
+        return False
+    return True
+
+
 def _run_batch_sharded(
     programs: List[Tuple[str, ProgramSource]],
     *,
@@ -475,8 +514,6 @@ def _run_batch_sharded(
     fault_seed: int,
 ) -> BatchResult:
     """The sharded half of :func:`run_batch` (``jobs`` given)."""
-    if pool not in ("thread", "process"):
-        raise ValueError(f"unknown pool {pool!r}; known: thread, process")
     if governor_factory is not None:
         raise ValueError(
             "sharded mode needs a picklable governor recipe: pass "
@@ -485,7 +522,7 @@ def _run_batch_sharded(
         raise ValueError(
             "sharded mode cannot share one live tracer across workers: "
             "pass trace_dir to collect per-program traces instead")
-    workers = resolve_jobs(jobs)
+    workers = _resolve_jobs(jobs)
     if fault_spec is None:
         # $REPRO_FAULTS would otherwise reach the workers through the
         # injection points' env fallback as one *shared* plan whose
@@ -514,18 +551,16 @@ def _run_batch_sharded(
     ]
     outputs: List[Tuple[int, BatchRecord, Optional[List[Dict[str, object]]]]]
     if workers > 1 and pool == "process" and len(tasks) > 1:
-        remote = [t for t in tasks if picklable(t)]
-        local = [t for t in tasks if not picklable(t)]
-        outputs = parallel_map(_run_shard_task, remote,
-                               jobs=workers, pool="process")
+        remote = [t for t in tasks if _picklable(t)]
+        local = [t for t in tasks if not _picklable(t)]
+        outputs = _parallel_map(_run_shard_task, remote,
+                                jobs=workers, pool="process")
         # unpicklable sources (closures over live objects) still run —
         # just in the parent, after the pool is drained
         outputs += [_run_shard_task(t, sleeper=sleeper) for t in local]
-    elif workers > 1 and pool == "thread" and len(tasks) > 1:
-        outputs = parallel_map(lambda t: _run_shard_task(t, sleeper=sleeper),
-                               tasks, jobs=workers, pool="thread")
-    else:
-        outputs = [_run_shard_task(t, sleeper=sleeper) for t in tasks]
+    else:  # thread pool or inline; _parallel_map rejects an unknown pool
+        outputs = _parallel_map(lambda t: _run_shard_task(t, sleeper=sleeper),
+                                tasks, jobs=workers, pool=pool)
 
     records: List[Optional[BatchRecord]] = [None] * len(tasks)
     events_by_index: Dict[int, List[Dict[str, object]]] = {}
@@ -645,7 +680,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--faults-seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=None,
                         help="shard the batch over N workers (0 = one per "
-                             f"core; default ${JOBS_ENV_VAR} or serial)")
+                             "core; default serial)")
     parser.add_argument("--pool", choices=("process", "thread"),
                         default="process",
                         help="worker pool kind for --jobs (default process)")
@@ -664,10 +699,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.ladder:
         degrade = args.ladder
 
-    jobs = args.jobs
-    if jobs is None and os.environ.get(JOBS_ENV_VAR, "").strip():
-        jobs = resolve_jobs(None)
-
     governor_spec = None
     if args.max_iterations is not None or args.memory_mb is not None:
         governor_spec = GovernorSpec(
@@ -676,14 +707,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             check_stride=args.check_stride,
         )
 
-    if jobs is not None:
+    if args.jobs is not None:
         # sharded: per-program derived fault plans travel with the tasks
         result = run_batch(
             _collect_programs(args),
             config=args.config, budget=args.budget, degrade=degrade,
             max_retries=args.max_retries, backoff_seconds=args.backoff,
             seed=args.seed, governor_spec=governor_spec, verbose=True,
-            trace_dir=args.trace_dir, jobs=jobs, pool=args.pool,
+            trace_dir=args.trace_dir, jobs=args.jobs, pool=args.pool,
             fault_spec=args.faults, fault_seed=args.faults_seed,
         )
     else:

@@ -1,17 +1,10 @@
-"""Scaling benchmark for the parallel execution layer.
+"""Scaling benchmark for the sharded batch runner.
 
-Two legs, mirroring the two hot paths that dispatch through
-:mod:`repro.parallel`:
-
-* **merge** — :func:`~repro.core.merging.merge_type_consistent_objects`
-  on the wide-type-spectrum ``spectrum`` profile (dozens of independent
-  per-type partitions, the paper's Section 5 parallel unit), serial vs
-  thread pool vs process pool at the same worker count, identical
-  quotients asserted per cell;
-* **batch** — :func:`~repro.bench.batch.run_batch` fanning the
-  hand-written corpus plus a few profiles over the sharded process
-  pool, serial (``jobs=None``) vs ``--jobs N``, identical normalized
-  records asserted.
+:func:`~repro.bench.batch.run_batch` fans the hand-written corpus plus a
+few profiles over the sharded process pool, serial (``jobs=None``) vs
+``--jobs N``, and the normalized records are asserted identical.  The
+MAHJONG merge phase has no leg here: it is serial (see
+:mod:`repro.core.merging`).
 
 The report always records ``os.cpu_count()``: speedup is bounded by
 physical cores (a 1-core container will honestly report ~1x and the
@@ -26,41 +19,18 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.analysis.pipeline import run_pre_analysis
 from repro.bench.reporting import format_seconds, render_table
-from repro.core.merging import MergeOptions, merge_type_consistent_objects
 from repro.workloads import corpus_names, corpus_program, load_profile
 
-__all__ = ["MergeScaling", "BatchScaling", "ParallelResult",
-           "run_parallel_bench", "main"]
+__all__ = ["BatchScaling", "ParallelResult", "run_parallel_bench", "main"]
 
 DEFAULT_JOBS = 4
 DEFAULT_REPEATS = 3
-DEFAULT_MERGE_SCALE = 1.5
 DEFAULT_BATCH_PROFILES = ("luindex", "antlr")
 DEFAULT_BATCH_SCALE = 0.4
-
-
-@dataclass
-class MergeScaling:
-    """One merge-phase cell: serial vs a pool at ``jobs`` workers."""
-
-    profile: str
-    pool: str
-    jobs: int
-    partitions: int
-    classes: int
-    serial_seconds: float
-    parallel_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        if self.parallel_seconds <= 0:
-            return float("inf")
-        return self.serial_seconds / self.parallel_seconds
 
 
 @dataclass
@@ -84,47 +54,29 @@ class BatchScaling:
 class ParallelResult:
     jobs: int
     cores: Optional[int]
-    merge: List[MergeScaling] = field(default_factory=list)
-    batch: Optional[BatchScaling] = None
+    batch: BatchScaling
 
     def render(self) -> str:
+        b = self.batch
         parts = [f"host cores: {self.cores or 'unknown'} "
                  f"(speedup is bounded above by this)", ""]
-        rows = [
-            (m.profile, m.pool, m.jobs, m.partitions, m.classes,
-             format_seconds(m.serial_seconds),
-             format_seconds(m.parallel_seconds), f"{m.speedup:.2f}x")
-            for m in self.merge
-        ]
         parts.append(render_table(
-            ("profile", "pool", "jobs", "partitions", "classes",
-             "serial", "parallel", "speedup"),
-            rows,
-            title="Parallel merge phase (identical quotients asserted "
-                  "per row)",
+            ("programs", "pool", "jobs", "serial", "sharded", "speedup"),
+            [(b.programs, b.pool, b.jobs,
+              format_seconds(b.serial_seconds),
+              format_seconds(b.parallel_seconds),
+              f"{b.speedup:.2f}x")],
+            title="Sharded batch runner (identical normalized "
+                  "records asserted)",
         ))
-        if self.batch is not None:
-            b = self.batch
-            parts.append("")
-            parts.append(render_table(
-                ("programs", "pool", "jobs", "serial", "sharded",
-                 "speedup"),
-                [(b.programs, b.pool, b.jobs,
-                  format_seconds(b.serial_seconds),
-                  format_seconds(b.parallel_seconds),
-                  f"{b.speedup:.2f}x")],
-                title="Sharded batch runner (identical normalized "
-                      "records asserted)",
-            ))
         if self.cores is not None and self.cores < 2:
             parts.append("")
             parts.append(
                 "note: single-core host — no speedup is physically "
-                "achievable here; the ratios above measure pure pool "
-                "overhead.  The work units are independent (per-type "
-                "merge partitions, per-program batch shards), so "
-                "speedup on an N-core host is bounded by "
-                "min(N, work units).")
+                "achievable here; the ratio above measures pure pool "
+                "overhead.  The batch shards are independent programs, "
+                "so speedup on an N-core host is bounded by "
+                "min(N, programs).")
         return "\n".join(parts)
 
 
@@ -138,33 +90,6 @@ def _best_of(fn: Callable[[], object],
         if seconds < best_seconds:
             best_seconds, best_value = seconds, value
     return best_seconds, best_value
-
-
-def _canon(result) -> List[Tuple[int, ...]]:
-    return sorted(tuple(sorted(cls)) for cls in result.classes)
-
-
-def measure_merge(profile: str, scale: float, jobs: int, pool: str,
-                  repeats: int = DEFAULT_REPEATS) -> MergeScaling:
-    """Best-of-``repeats`` merge, serial vs ``pool`` at ``jobs``."""
-    fpg = run_pre_analysis(load_profile(profile, scale)).fpg
-    types = {fpg.type_of(obj) for obj in fpg.objects()}
-    partitions = sum(
-        1 for t in types
-        if sum(1 for o in fpg.objects() if fpg.type_of(o) == t) > 1)
-    serial_seconds, serial = _best_of(
-        lambda: merge_type_consistent_objects(fpg), repeats)
-    options = MergeOptions(jobs=jobs, pool=pool)
-    parallel_seconds, parallel = _best_of(
-        lambda: merge_type_consistent_objects(fpg, options), repeats)
-    if _canon(serial) != _canon(parallel):
-        raise AssertionError(
-            f"parallel merge diverged on {profile} ({pool}, jobs={jobs})")
-    return MergeScaling(
-        profile=profile, pool=pool, jobs=jobs, partitions=partitions,
-        classes=len(serial.classes), serial_seconds=serial_seconds,
-        parallel_seconds=parallel_seconds,
-    )
 
 
 def measure_batch(jobs: int, profiles: Sequence[str] = DEFAULT_BATCH_PROFILES,
@@ -201,18 +126,11 @@ def measure_batch(jobs: int, profiles: Sequence[str] = DEFAULT_BATCH_PROFILES,
 
 
 def run_parallel_bench(jobs: int = DEFAULT_JOBS,
-                       merge_scale: float = DEFAULT_MERGE_SCALE,
-                       repeats: int = DEFAULT_REPEATS,
-                       with_batch: bool = True) -> ParallelResult:
-    result = ParallelResult(jobs=jobs, cores=os.cpu_count())
-    for pool in ("thread", "process"):
-        result.merge.append(
-            measure_merge("spectrum", merge_scale, jobs, pool, repeats))
-    if with_batch:
-        # best-of-N on both sides, or the cold-start of whichever leg
-        # runs first masquerades as a scheduling effect
-        result.batch = measure_batch(jobs, repeats=max(2, repeats))
-    return result
+                       repeats: int = DEFAULT_REPEATS) -> ParallelResult:
+    # best-of-N on both sides, or the cold-start of whichever leg runs
+    # first masquerades as a scheduling effect
+    return ParallelResult(jobs=jobs, cores=os.cpu_count(),
+                          batch=measure_batch(jobs, repeats=max(2, repeats)))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -220,18 +138,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS)
-    parser.add_argument("--scale", type=float, default=DEFAULT_MERGE_SCALE,
-                        help="scale for the spectrum merge leg")
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
-    parser.add_argument("--no-batch", action="store_true",
-                        help="skip the batch leg (merge only)")
     parser.add_argument("--out", type=str, default=None,
                         help="also write the report to this file")
     args = parser.parse_args(argv)
-    result = run_parallel_bench(
-        jobs=args.jobs, merge_scale=args.scale, repeats=args.repeats,
-        with_batch=not args.no_batch,
-    )
+    result = run_parallel_bench(jobs=args.jobs, repeats=args.repeats)
     report = result.render()
     print(report)
     if args.out:

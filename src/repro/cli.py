@@ -40,16 +40,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro import faults, obs
     from repro.analysis.governor import ResourceGovernor
     from repro.analysis.pipeline import run_analysis
-    from repro.core.merging import MergeOptions
     from repro.frontend import parse_program
 
     with open(args.file, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read())
 
     degrade = False if args.no_degrade else (args.ladder or "auto")
-    merge_options = None
-    if args.jobs is not None:
-        merge_options = MergeOptions(jobs=args.jobs, pool=args.pool)
     governor = None
     if args.max_iterations is not None or args.memory_mb is not None:
         governor = ResourceGovernor.from_limits(
@@ -86,7 +82,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with plan_scope:
             run = run_analysis(program, args.analysis,
                                timeout_seconds=args.budget,
-                               merge_options=merge_options,
                                governor=governor, degrade=degrade, scc=scc,
                                tracer=tracer,
                                artifact_cache=artifact_cache)
@@ -125,15 +120,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     from repro.analysis.pipeline import run_pre_analysis
     from repro.core.heap_modeler import describe_classes
-    from repro.core.merging import MergeOptions
     from repro.frontend import parse_program
 
     with open(args.file, "r", encoding="utf-8") as handle:
         program = parse_program(handle.read())
-    merge_options = None
-    if args.jobs is not None:
-        merge_options = MergeOptions(jobs=args.jobs, pool=args.pool)
-    pre = run_pre_analysis(program, merge_options)
+    pre = run_pre_analysis(program)
     merge = pre.merge
     print(f"objects: {merge.object_count_before} -> "
           f"{merge.object_count_after} "
@@ -310,23 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "chart of the run to FILE")
     analyze.add_argument("--trace-out", default=None, metavar="FILE",
                          help="write the raw JSONL span/event log to FILE")
-    analyze.add_argument("--jobs", type=int, default=None,
-                         help="run the merge phase on N workers (0 = one "
-                              "per core; default $REPRO_JOBS or serial)")
-    analyze.add_argument("--pool", choices=("thread", "process"),
-                         default="thread",
-                         help="worker pool kind for --jobs (default thread)")
     analyze.set_defaults(func=_cmd_analyze)
 
     merge = sub.add_parser("merge", help="show MAHJONG equivalence classes")
     merge.add_argument("file")
     merge.add_argument("--limit", type=int, default=20)
-    merge.add_argument("--jobs", type=int, default=None,
-                       help="run the merge phase on N workers (0 = one "
-                            "per core; default $REPRO_JOBS or serial)")
-    merge.add_argument("--pool", choices=("thread", "process"),
-                       default="thread",
-                       help="worker pool kind for --jobs (default thread)")
     merge.set_defaults(func=_cmd_merge)
 
     generate = sub.add_parser("generate", help="emit a synthetic workload")

@@ -205,8 +205,7 @@ class SharedAutomata:
     All per-object DFAs live in one memo table keyed by the state's
     object set, so ``dfa_root(o1)`` and ``dfa_root(o2)`` share every
     common substructure — the paper's "shared sequential automata"
-    optimization.  The table is read-mostly after construction, which is
-    what makes the per-type parallel merging scheme synchronization-free.
+    optimization.
     """
 
     def __init__(self, fpg: FieldPointsToGraph,

@@ -4,8 +4,7 @@ Given the field points-to graph of a pre-analysis,
 :func:`merge_type_consistent_objects`:
 
 1. partitions the heap objects by type (objects of different types are
-   never type-consistent — line 5 of Algorithm 1; this partition is also
-   the paper's synchronization-free parallelization unit, Section 5);
+   never type-consistent — line 5 of Algorithm 1);
 2. within a partition, checks ``SINGLETYPE-CHECK`` (Condition 2) and
    automata equivalence (Condition 1, via Hopcroft–Karp over shared
    DFAs) for candidate pairs, merging with a disjoint-set forest;
@@ -22,29 +21,10 @@ Two pairing strategies are provided:
 * ``"all_pairs"`` — the literal Algorithm 1 double loop, kept as a
   correctness oracle and ablation baseline.
 
-**Parallel execution.**  Per-type partitions are independent classes of
-work (the paper's 8-thread setup), dispatched through
-:mod:`repro.parallel`: partitions are binned into size-balanced shards,
-each shard returns its union pairs instead of mutating shared state,
-and the parent joins them — synchronization-free by construction.  Two
-pools are selectable via :class:`MergeOptions`:
-
-* ``pool="thread"`` (default) — automata are pre-materialized serially
-  into the shared memo (read-only afterwards, per Section 5) and shards
-  run on a thread pool; the equivalence checks are big-int bitset ops
-  that release little of their time to pure-Python bookkeeping;
-* ``pool="process"`` — each worker process rebuilds its own
-  :class:`~repro.core.automata.SharedAutomata` from the pickled FPG and
-  checks its shard without the GIL; the per-worker memo loses cross-
-  shard state sharing, so ``MergeResult.shared_states`` reports the
-  widest worker universe rather than one global count.
-
-Activation: ``MergeOptions(parallel=True)`` (the paper's default 8
-threads), an explicit ``jobs=N``, or the ``REPRO_JOBS`` environment
-variable; with none of these the serial path runs, bit-for-bit as
-before.  Whatever the mode, the quotient is identical — unions are
-order-insensitive and every shard's decisions depend only on its own
-partitions.
+The paper checks the per-type partitions, its synchronization-free
+parallel unit, on 8 threads (Section 5).  Here they run serially: on
+this reproduction's workloads a worker pool never beat the serial loop
+(EXPERIMENTS.md, "Parallel execution scaling").
 """
 
 from __future__ import annotations
@@ -57,7 +37,6 @@ from repro.core.automata import SharedAutomata
 from repro.core.disjoint_sets import DisjointSets
 from repro.core.equivalence import shared_equivalent
 from repro.core.fpg import NULL_OBJECT, FieldPointsToGraph
-from repro.parallel import balanced_shards, parallel_map, resolve_jobs
 
 __all__ = ["MergeResult", "merge_type_consistent_objects", "MergeOptions"]
 
@@ -72,17 +51,6 @@ class MergeOptions:
     #: deterministic) — Example 3.2 shows the choice can change M-ktype
     #: precision, so it is exposed for the ablation bench.
     representative_policy: str = "min_site"
-    #: run per-type partitions on a worker pool.
-    parallel: bool = False
-    #: worker count when ``parallel`` and ``jobs`` is unset (paper used
-    #: 8 threads on 4 cores).
-    threads: int = 8
-    #: explicit worker count; ``None`` defers to ``parallel``/``threads``
-    #: or, with ``parallel`` unset, to ``$REPRO_JOBS``.
-    jobs: Optional[int] = None
-    #: "thread" (shared read-only automata) or "process" (GIL-free,
-    #: per-worker automata).
-    pool: str = "thread"
 
     def __post_init__(self) -> None:
         if self.strategy not in ("representatives", "all_pairs"):
@@ -91,20 +59,6 @@ class MergeOptions:
             raise ValueError(
                 f"unknown representative policy {self.representative_policy!r}"
             )
-        if self.pool not in ("thread", "process"):
-            raise ValueError(
-                f"unknown pool {self.pool!r}; known: thread, process"
-            )
-
-    def resolved_jobs(self) -> int:
-        """The effective worker count: explicit ``jobs`` first, else the
-        paper-style ``threads`` when ``parallel`` is set, else whatever
-        ``$REPRO_JOBS`` says (default 1 = serial)."""
-        if self.jobs is not None:
-            return resolve_jobs(self.jobs)
-        if self.parallel:
-            return max(1, self.threads)
-        return resolve_jobs(None, default=1)
 
 
 @dataclass
@@ -178,7 +132,7 @@ def merge_type_consistent_objects(
     start = time.monotonic()
     automata = shared if shared is not None else SharedAutomata(fpg)
 
-    # Partition by type (line 5 of Algorithm 1 / Section 5 parallelism).
+    # Partition by type (line 5 of Algorithm 1).
     by_type: Dict[str, List[int]] = {}
     for obj in fpg.objects():
         by_type.setdefault(fpg.type_of(obj), []).append(obj)
@@ -186,47 +140,14 @@ def merge_type_consistent_objects(
         objs.sort()
     partitions = [objs for objs in by_type.values() if len(objs) > 1]
 
-    counters = _Counters()
+    equivalence_tests = singletype_failures = 0
     sets: DisjointSets = DisjointSets(fpg.objects())
-    jobs = opts.resolved_jobs()
-    shared_states: Optional[int] = None
-    if jobs > 1 and len(partitions) > 1 and opts.pool == "process":
-        shards = balanced_shards(partitions, jobs, weight=len)
-        results = parallel_map(
-            _merge_shard_remote,
-            [(fpg, shard, opts) for shard in shards],
-            jobs=jobs, pool="process",
-        )
-        for pairs, tests, failures, states in results:
-            for a, b in pairs:
-                sets.union(a, b)
-            counters.equivalence_tests += tests
-            counters.singletype_failures += failures
-            # per-worker automata cannot share across shards; report the
-            # widest single universe as the advisory statistic
-            shared_states = max(shared_states or 0, states)
-    elif jobs > 1 and len(partitions) > 1:
-        # Pre-materialize shared automata serially (concurrently-read-only
-        # afterwards, per Section 5), then check shards in parallel.
-        for objs in partitions:
-            for obj in objs:
-                automata.dfa_root(obj)
-        shards = balanced_shards(partitions, jobs, weight=len)
-
-        def merge_shard(shard: List[List[int]]) -> List[Tuple[int, int]]:
-            pairs: List[Tuple[int, int]] = []
-            for objs in shard:
-                pairs.extend(_merge_partition(objs, automata, opts, counters))
-            return pairs
-
-        for pairs in parallel_map(merge_shard, shards, jobs=jobs,
-                                  pool="thread"):
-            for a, b in pairs:
-                sets.union(a, b)
-    else:
-        for objs in partitions:
-            for a, b in _merge_partition(objs, automata, opts, counters):
-                sets.union(a, b)
+    for objs in partitions:
+        pairs, tests, failures = _merge_partition(objs, automata, opts)
+        for a, b in pairs:
+            sets.union(a, b)
+        equivalence_tests += tests
+        singletype_failures += failures
 
     classes = [cls for cls in sets.classes()]
     mom = _build_mom(classes, opts.representative_policy)
@@ -234,52 +155,20 @@ def merge_type_consistent_objects(
         mom=mom,
         classes=classes,
         seconds=time.monotonic() - start,
-        equivalence_tests=counters.equivalence_tests,
-        singletype_failures=counters.singletype_failures,
-        shared_states=(shared_states if shared_states is not None
-                       else automata.state_count()),
+        equivalence_tests=equivalence_tests,
+        singletype_failures=singletype_failures,
+        shared_states=automata.state_count(),
     )
-
-
-class _Counters:
-    """Shared statistics; incremented without locks (counts are advisory
-    and each partition touches them from one thread at a time in the
-    serial path; in the parallel path GIL-atomic += races are tolerable
-    for advisory counters but we accumulate locally anyway)."""
-
-    __slots__ = ("equivalence_tests", "singletype_failures")
-
-    def __init__(self) -> None:
-        self.equivalence_tests = 0
-        self.singletype_failures = 0
-
-
-def _merge_shard_remote(
-    payload: Tuple[FieldPointsToGraph, List[List[int]], MergeOptions],
-) -> Tuple[List[Tuple[int, int]], int, int, int]:
-    """Process-pool worker: check one shard of partitions with a
-    worker-local automata universe; returns ``(union pairs,
-    equivalence tests, singletype failures, shared states)``."""
-    fpg, shard, opts = payload
-    automata = SharedAutomata(fpg)
-    counters = _Counters()
-    pairs: List[Tuple[int, int]] = []
-    for objs in shard:
-        pairs.extend(_merge_partition(objs, automata, opts, counters))
-    return (pairs, counters.equivalence_tests,
-            counters.singletype_failures, automata.state_count())
 
 
 def _merge_partition(
     objs: Sequence[int],
     automata: SharedAutomata,
     opts: MergeOptions,
-    counters: _Counters,
-) -> List[Tuple[int, int]]:
+) -> Tuple[List[Tuple[int, int]], int, int]:
     """Find the merges within one same-type partition.
 
-    Returns union pairs instead of mutating shared state, which keeps the
-    parallel path synchronization-free (Section 5).
+    Returns ``(union pairs, equivalence tests, singletype failures)``.
     """
     equivalence_tests = 0
     singletype_failures = 0
@@ -330,9 +219,7 @@ def _merge_partition(
                 ):
                     local.union(oi, oj)
                     pairs.append((oi, oj))
-    counters.equivalence_tests += equivalence_tests
-    counters.singletype_failures += singletype_failures
-    return pairs
+    return pairs, equivalence_tests, singletype_failures
 
 
 def _build_mom(classes: List[Set[int]], policy: str) -> Dict[int, int]:

@@ -10,10 +10,6 @@ testing and the ablation bench we keep the direct formulations:
   deeper of the two rooted subgraphs; a (sound) approximation under
   cycles, where only the automata reduction is exact.
 * :func:`reached_types` — ``{τ[o] | o ∈ pts(root.f̄)}`` for one string.
-* :func:`type_consistent_matrix` — the full pairwise oracle over an
-  object set, row-sharded through :mod:`repro.parallel` so differential
-  tests of the parallel merge path have an independently-parallel
-  ground truth to compare against.
 
 Both operate on the subset-construction frontier, so "pts(o.f̄) is empty"
 and "f̄ undefined" are distinguished exactly like the automata layer's
@@ -23,14 +19,12 @@ error convention does.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Sequence, Set, Tuple
 
 from repro.core.automata import ERROR_TYPE_NAME
 from repro.core.fpg import NULL_OBJECT, FieldPointsToGraph
-from repro.parallel import balanced_shards, parallel_map
 
-__all__ = ["reached_types", "type_consistent_by_paths", "all_field_strings",
-           "type_consistent_matrix"]
+__all__ = ["reached_types", "type_consistent_by_paths", "all_field_strings"]
 
 
 def _step(fpg: FieldPointsToGraph, frontier: FrozenSet[int],
@@ -88,62 +82,3 @@ def type_consistent_by_paths(fpg: FieldPointsToGraph, oi: int, oj: int,
             return False
     return True
 
-
-def _matrix_row(
-    payload: Tuple[FieldPointsToGraph, int, Tuple[int, ...], int],
-) -> List[bool]:
-    """One row of the oracle matrix: ``oi`` against every later object.
-
-    Module-level (and single-argument) so the process pool can pickle
-    it; each worker re-derives its row from the shipped FPG alone.
-    """
-    fpg, oi, later, max_length = payload
-    return [type_consistent_by_paths(fpg, oi, oj, max_length)
-            for oj in later]
-
-
-def type_consistent_matrix(
-    fpg: FieldPointsToGraph,
-    objects: Sequence[int],
-    max_length: int,
-    jobs: int = 1,
-    pool: str = "thread",
-) -> Dict[Tuple[int, int], bool]:
-    """The pairwise Definition-2.1 oracle over ``objects``.
-
-    Returns ``{(oi, oj): consistent}`` for every unordered pair (keyed
-    with ``oi < oj``).  Rows are independent — object ``oi``'s row only
-    reads the FPG — so they are size-balanced into shards and dispatched
-    through :func:`repro.parallel.parallel_map`; the result is identical
-    for any ``jobs``/``pool`` because each cell is a pure function of
-    the graph.  Oracle-grade cost (exponential in ``max_length``): meant
-    for tests and the ablation bench, not the pipeline.
-    """
-    ordered = sorted(set(objects))
-    rows: List[Tuple[FieldPointsToGraph, int, Tuple[int, ...], int]] = [
-        (fpg, oi, tuple(ordered[i + 1:]), max_length)
-        for i, oi in enumerate(ordered[:-1])
-    ]
-    shards = balanced_shards(rows, max(1, jobs),
-                             weight=lambda row: len(row[2]) or 1)
-
-    def run_shard(shard: List[Tuple]) -> List[Tuple[int, Tuple[int, ...],
-                                                    List[bool]]]:
-        return [(row[1], row[2], _matrix_row(row)) for row in shard]
-
-    if pool == "process":
-        # ship rows individually so the pool can pickle the payloads
-        flat = [row for shard in shards for row in shard]
-        verdicts = parallel_map(_matrix_row, flat, jobs=jobs, pool="process")
-        triples = [(row[1], row[2], verdict)
-                   for row, verdict in zip(flat, verdicts)]
-    else:
-        triples = [triple
-                   for shard_out in parallel_map(run_shard, shards,
-                                                 jobs=jobs, pool=pool)
-                   for triple in shard_out]
-    matrix: Dict[Tuple[int, int], bool] = {}
-    for oi, later, verdict in triples:
-        for oj, ok in zip(later, verdict):
-            matrix[(oi, oj)] = ok
-    return matrix

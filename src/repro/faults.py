@@ -413,9 +413,8 @@ def thread_active(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
     thread-local stack that :func:`current_plan` consults before the
     process-wide plan.  The injection points all fire on the thread
     that drives the pipeline (phase boundaries, solver strides,
-    governor samples), which is what makes thread scoping sufficient;
-    work fanned out to pool threads (the parallel merge) does not see
-    thread-scoped plans.  ``plan=None`` is a no-op scope, so call sites
+    governor samples), which is what makes thread scoping sufficient.
+    ``plan=None`` is a no-op scope, so call sites
     can use it unconditionally.
     """
     if plan is None:

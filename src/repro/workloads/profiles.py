@@ -26,7 +26,7 @@ from repro.ir.program import Program
 from repro.workloads.generator import WorkloadSpec, generate
 
 __all__ = ["PROFILES", "PROFILE_NAMES", "profile_spec", "load_profile",
-           "TINY", "CYCLES", "SPECTRUM"]
+           "TINY", "CYCLES"]
 
 
 def _spec(name: str, seed: int, **kwargs) -> WorkloadSpec:
@@ -53,22 +53,6 @@ CYCLES = _spec(
     cycle_chains=24, cycle_chain_length=40, cycle_size=5, cycle_hubs=3,
     kernel_receiver_sites=4, kernel_depth=3, kernel_fanout=2,
     factory_subtypes=3, poly_call_sites=4,
-)
-
-#: Wide-type-spectrum stressor (not one of the paper's 12): many
-#: same-type allocation groups spread across many distinct types, so
-#: the merge phase's partition-by-type parallel unit (Section 5) gets
-#: dozens of independent partitions to shard instead of a few large
-#: ones.  Used by ``repro bench parallel`` and the parallel-merge
-#: regression tests.
-SPECTRUM = _spec(
-    "spectrum", seed=67,
-    element_classes=24, box_groups=24, box_sites_per_group=20,
-    mixed_boxes=10, list_groups=12, list_sites_per_group=8,
-    null_objects=6, kernel_receiver_sites=8, kernel_depth=4,
-    kernel_fanout=10, kernel_strings=True,
-    factory_subtypes=8, poly_call_sites=10,
-    unique_records=300,
 )
 
 PROFILES: Dict[str, WorkloadSpec] = {
@@ -192,20 +176,18 @@ PROFILE_NAMES: List[str] = list(PROFILES)
 
 def profile_spec(name: str, scale: float = 1.0) -> WorkloadSpec:
     """The (possibly scaled) spec of a named profile; the out-of-suite
-    ``tiny``, ``cycles``, and ``spectrum`` specs included."""
+    ``tiny`` and ``cycles`` specs included."""
     if name == "tiny":
         spec = TINY
     elif name == "cycles":
         spec = CYCLES
-    elif name == "spectrum":
-        spec = SPECTRUM
     else:
         try:
             spec = PROFILES[name]
         except KeyError:
             raise ValueError(
                 f"unknown profile {name!r}; known: tiny, cycles, "
-                f"spectrum, {', '.join(PROFILES)}"
+                f"{', '.join(PROFILES)}"
             ) from None
     return spec if scale == 1.0 else spec.scaled(scale)
 

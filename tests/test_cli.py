@@ -165,6 +165,20 @@ def test_analyze_rejects_retired_incremental_flags(figure1_file, flags,
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--jobs", "2"],
+                                  ["merge", "--pool", "thread"]],
+                         ids=["analyze-jobs", "merge-pool"])
+def test_retired_merge_pool_flags_are_usage_errors(figure1_file, argv,
+                                                   capsys):
+    """The merge phase is serial; its worker-pool flags are gone, so
+    argparse rejects them as usage errors (exit 2)."""
+    command, *flags = argv
+    with pytest.raises(SystemExit) as info:
+        main([command, figure1_file, *flags])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_analyze_refuses_shared_writable_cache_dir(figure1_file, tmp_path,
                                                    capsys):
     shared = tmp_path / "cache"

@@ -113,15 +113,6 @@ class TestEquivalenceRelationProperties:
             fpg, MergeOptions(strategy="all_pairs"))
         assert classes_of(rep) == classes_of(allp)
 
-    @given(field_points_to_graphs(max_objects=7))
-    @settings(max_examples=25, deadline=None)
-    def test_parallel_equals_serial(self, fpg):
-        serial = merge_type_consistent_objects(
-            fpg, MergeOptions(parallel=False))
-        parallel = merge_type_consistent_objects(
-            fpg, MergeOptions(parallel=True, threads=4))
-        assert classes_of(serial) == classes_of(parallel)
-
 
 class TestAgainstDefinitionOracle:
     @given(dag_field_points_to_graphs(max_objects=6))

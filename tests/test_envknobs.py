@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from repro.envknobs import ENV_KNOBS, NON_RESULT_KNOBS, env_knobs
+from repro.envknobs import ENV_KNOBS, env_knobs
 from repro.incr.cache import artifact_key
 from repro.serve import protocol
 
@@ -33,26 +33,25 @@ def _knobs_read_in_source():
 class TestRegistryCoverage:
     def test_every_source_knob_is_classified(self):
         """A ``REPRO_*`` variable referenced anywhere in ``src/`` must
-        be registered as result-affecting or explicitly exempted —
-        otherwise cache keys silently collide across its settings."""
-        known = set(ENV_KNOBS) | set(NON_RESULT_KNOBS)
+        be registered as result-affecting — otherwise cache keys
+        silently collide across its settings."""
         read = _knobs_read_in_source()
         assert "REPRO_SCC" in read  # the scan sees the tree
-        unclassified = read - known
+        unclassified = read - set(ENV_KNOBS)
         assert not unclassified, (
-            f"unclassified REPRO_* knobs {sorted(unclassified)}; add them "
-            f"to repro.envknobs.ENV_KNOBS (result-affecting) or "
-            f"NON_RESULT_KNOBS (execution-only)"
+            f"unregistered REPRO_* knobs {sorted(unclassified)}; add them "
+            f"to repro.envknobs.ENV_KNOBS"
         )
 
     def test_registry_is_sorted_and_disjoint(self):
         assert list(ENV_KNOBS) == sorted(ENV_KNOBS)
-        assert not set(ENV_KNOBS) & set(NON_RESULT_KNOBS)
+        assert len(set(ENV_KNOBS)) == len(ENV_KNOBS)
 
     def test_retired_knobs_are_neither_registered_nor_read(self):
         """Switches whose code was deleted must leave the registry (and
         so every cache key) with it."""
-        retired = {"REPRO_INCR", "REPRO_NUMBERING", "REPRO_PTS_BACKEND"}
+        retired = {"REPRO_INCR", "REPRO_JOBS", "REPRO_NUMBERING",
+                   "REPRO_PTS_BACKEND"}
         assert not retired & set(ENV_KNOBS)
         assert not retired & _knobs_read_in_source()
 
@@ -87,12 +86,6 @@ class TestCacheKeyFoldsKnobs:
         before = protocol.cache_key("source", "M-2obj")
         monkeypatch.setenv(knob, "some-distinct-value")
         assert protocol.cache_key("source", "M-2obj") != before
-
-    def test_non_result_knob_leaves_the_key_alone(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        before = protocol.cache_key("source", "M-2obj")
-        monkeypatch.setenv("REPRO_JOBS", "8")
-        assert protocol.cache_key("source", "M-2obj") == before
 
     def test_explicit_environment_overrides_the_default(self, monkeypatch):
         key = protocol.cache_key("source", "M-2obj", environment="pinned")

@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.analysis.pipeline import run_pre_analysis
+from repro.core.merging import MergeOptions
 from repro.incr import (
     ArtifactCache,
     FPGArtifact,
@@ -208,6 +209,20 @@ class TestContentAddressing:
         before = cache.key_for("fpg", program, "c")
         monkeypatch.setenv("REPRO_SCC", "off")
         assert cache.key_for("fpg", program, "c") != before
+
+    def test_default_merge_options_share_one_key(self, cache):
+        """``merge_options=None`` and ``MergeOptions()`` ask for the same
+        result, so the second run is served from the first's entries;
+        a result-affecting field still selects its own entry."""
+        program = corpus_program("cache")
+        run_pre_analysis(program, artifact_cache=cache)
+        again = run_pre_analysis(program, MergeOptions(), artifact_cache=cache)
+        assert again.cache_hits == ("fpg", "merge")
+        assert cache.stats()["stores"] == 2
+        other = run_pre_analysis(
+            program, MergeOptions(representative_policy="max_site"),
+            artifact_cache=cache)
+        assert "merge" not in other.cache_hits
 
     def test_fingerprint_is_stable_across_parses(self):
         assert (program_fingerprint(corpus_program("cache"))

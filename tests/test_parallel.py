@@ -1,85 +1,29 @@
-"""The parallel execution layer: job resolution, sharding, pool
-dispatch, pickling hygiene, and serial/parallel result identity."""
+"""The sharded batch runner's pool helpers, the deterministic seed
+derivation its shards use, and the pickling hygiene of every payload
+that crosses its process pool."""
 
+import os
 import pickle
 
 import pytest
 
 from repro.analysis.governor import GovernorSpec
-from repro.core.merging import MergeOptions, merge_type_consistent_objects
-from repro.core.pathcheck import type_consistent_matrix
-from repro.parallel import (
-    JOBS_ENV_VAR,
-    balanced_shards,
-    derive_seed,
-    parallel_map,
-    picklable,
-    resolve_jobs,
-)
+from repro.bench.batch import _parallel_map as parallel_map
+from repro.bench.batch import _picklable as picklable
+from repro.bench.batch import _resolve_jobs as resolve_jobs
+from repro.core.merging import merge_type_consistent_objects
+from repro.faults import derive_seed
 
 
 class TestResolveJobs:
     def test_explicit_wins(self):
         assert resolve_jobs(3) == 3
 
-    def test_default_when_unset(self):
-        assert resolve_jobs(None, default=1, environ={}) == 1
-        assert resolve_jobs(None, default=5, environ={}) == 5
-
-    def test_env_var_consulted(self):
-        assert resolve_jobs(None, environ={JOBS_ENV_VAR: "4"}) == 4
-
-    def test_explicit_overrides_env(self):
-        assert resolve_jobs(2, environ={JOBS_ENV_VAR: "8"}) == 2
-
     def test_zero_means_per_core(self):
-        assert resolve_jobs(0) >= 1
-
-    def test_env_zero_means_per_core(self):
-        assert resolve_jobs(None, environ={JOBS_ENV_VAR: "0"}) >= 1
+        assert resolve_jobs(0) == (os.cpu_count() or 1)
 
     def test_negative_clamped_to_one(self):
         assert resolve_jobs(-4) == 1
-
-    def test_garbage_env_raises(self):
-        with pytest.raises(ValueError, match="must be an integer"):
-            resolve_jobs(None, environ={JOBS_ENV_VAR: "many"})
-
-
-class TestBalancedShards:
-    def test_fewer_items_than_shards(self):
-        assert balanced_shards([1, 2], 8) == [[1], [2]]
-
-    def test_empty(self):
-        assert balanced_shards([], 4) == []
-
-    def test_single_shard_keeps_order(self):
-        assert balanced_shards([3, 1, 2], 1) == [3, 1, 2][:0] + [[3, 1, 2]]
-
-    def test_weights_balance(self):
-        items = [10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
-        shards = balanced_shards(items, 2, weight=lambda x: x)
-        loads = sorted(sum(s) for s in shards)
-        assert loads == [10, 10]
-
-    def test_deterministic(self):
-        items = list(range(20))
-        a = balanced_shards(items, 3, weight=lambda x: x % 5)
-        b = balanced_shards(items, 3, weight=lambda x: x % 5)
-        assert a == b
-
-    def test_input_order_within_shard(self):
-        for shard in balanced_shards(list(range(17)), 4):
-            assert shard == sorted(shard)
-
-    def test_nothing_lost_or_duplicated(self):
-        items = list(range(23))
-        shards = balanced_shards(items, 5, weight=lambda x: x)
-        assert sorted(x for s in shards for x in s) == items
-
-    def test_nonpositive_shards_raise(self):
-        with pytest.raises(ValueError):
-            balanced_shards([1], 0)
 
 
 def _double(x):
@@ -160,7 +104,7 @@ class TestGovernorSpec:
 
 
 @pytest.fixture(scope="module")
-def spectrum_fpg():
+def antlr_fpg():
     from repro.analysis.pipeline import run_pre_analysis
     from repro.workloads import load_profile
 
@@ -169,74 +113,6 @@ def spectrum_fpg():
 
 def _canon(result):
     return sorted(tuple(sorted(cls)) for cls in result.classes)
-
-
-class TestParallelMerge:
-    """The parallel merge phase produces the serial quotient exactly,
-    for every pool kind and worker count."""
-
-    def test_thread_pool_identical(self, spectrum_fpg):
-        serial = merge_type_consistent_objects(spectrum_fpg)
-        threaded = merge_type_consistent_objects(
-            spectrum_fpg, MergeOptions(jobs=4, pool="thread"))
-        assert _canon(serial) == _canon(threaded)
-        assert serial.mom == threaded.mom
-        assert serial.equivalence_tests == threaded.equivalence_tests
-
-    def test_process_pool_identical(self, spectrum_fpg):
-        serial = merge_type_consistent_objects(spectrum_fpg)
-        remote = merge_type_consistent_objects(
-            spectrum_fpg, MergeOptions(jobs=2, pool="process"))
-        assert _canon(serial) == _canon(remote)
-        assert serial.mom == remote.mom
-        assert serial.equivalence_tests == remote.equivalence_tests
-
-    def test_paper_parallel_flag_identical(self, spectrum_fpg):
-        serial = merge_type_consistent_objects(spectrum_fpg)
-        paper = merge_type_consistent_objects(
-            spectrum_fpg, MergeOptions(parallel=True))
-        assert _canon(serial) == _canon(paper)
-
-    def test_jobs_precedence(self, monkeypatch):
-        assert MergeOptions(jobs=3).resolved_jobs() == 3
-        assert MergeOptions(parallel=True).resolved_jobs() == 8
-        assert MergeOptions(parallel=True, jobs=2).resolved_jobs() == 2
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert MergeOptions().resolved_jobs() == 1
-        monkeypatch.setenv(JOBS_ENV_VAR, "5")
-        assert MergeOptions().resolved_jobs() == 5
-
-    def test_env_var_activates_parallel_merge(self, monkeypatch,
-                                              spectrum_fpg):
-        serial = merge_type_consistent_objects(spectrum_fpg)
-        monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        via_env = merge_type_consistent_objects(spectrum_fpg)
-        assert _canon(serial) == _canon(via_env)
-
-    def test_bad_pool_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool"):
-            MergeOptions(pool="fiber")
-
-
-class TestParallelMatrix:
-    def test_matrix_identical_across_pools(self, spectrum_fpg):
-        objs = sorted(spectrum_fpg.objects())[:6]
-        serial = type_consistent_matrix(spectrum_fpg, objs, 3)
-        threaded = type_consistent_matrix(spectrum_fpg, objs, 3,
-                                          jobs=3, pool="thread")
-        remote = type_consistent_matrix(spectrum_fpg, objs, 3,
-                                        jobs=2, pool="process")
-        assert serial == threaded == remote
-        assert len(serial) == len(objs) * (len(objs) - 1) // 2
-
-    def test_matrix_agrees_with_pairwise_oracle(self, spectrum_fpg):
-        from repro.core.pathcheck import type_consistent_by_paths
-
-        objs = sorted(spectrum_fpg.objects())[:5]
-        matrix = type_consistent_matrix(spectrum_fpg, objs, 2, jobs=2)
-        for (oi, oj), verdict in matrix.items():
-            assert verdict == type_consistent_by_paths(
-                spectrum_fpg, oi, oj, 2)
 
 
 class TestPickleRoundTrips:
@@ -314,16 +190,16 @@ class TestPickleRoundTrips:
         assert len(clone) == 0
         assert {c: clone.mask_for(c) for c in program.classes} == warm
 
-    def test_fpg_round_trip(self, spectrum_fpg):
-        clone = pickle.loads(pickle.dumps(spectrum_fpg))
-        assert sorted(clone.objects()) == sorted(spectrum_fpg.objects())
-        for obj in spectrum_fpg.objects():
-            assert clone.type_of(obj) == spectrum_fpg.type_of(obj)
+    def test_fpg_round_trip(self, antlr_fpg):
+        clone = pickle.loads(pickle.dumps(antlr_fpg))
+        assert sorted(clone.objects()) == sorted(antlr_fpg.objects())
+        for obj in antlr_fpg.objects():
+            assert clone.type_of(obj) == antlr_fpg.type_of(obj)
             assert (sorted(clone.fields_of(obj))
-                    == sorted(spectrum_fpg.fields_of(obj)))
+                    == sorted(antlr_fpg.fields_of(obj)))
 
-    def test_merge_result_round_trip(self, spectrum_fpg):
-        result = merge_type_consistent_objects(spectrum_fpg)
+    def test_merge_result_round_trip(self, antlr_fpg):
+        result = merge_type_consistent_objects(antlr_fpg)
         clone = pickle.loads(pickle.dumps(result))
         assert clone.mom == result.mom
         assert _canon(clone) == _canon(result)
@@ -344,26 +220,3 @@ class TestTraceEventWire:
         assert obs.events_to_dicts(rebuilt) == payloads
         assert [e.kind for e in rebuilt] \
             == [e.kind for e in sink.events]
-
-
-class TestDifferentialSerialVsParallel:
-    """Parallel and serial merges produce identical analysis results."""
-
-    def test_full_analysis_identical(self):
-        from repro.analysis.pipeline import run_analysis
-        from repro.workloads import load_profile
-
-        program = load_profile("chart", 0.3)
-
-        def facts(merge_options):
-            run = run_analysis(program, "M-2obj",
-                               merge_options=merge_options)
-            metrics = dict(run.metrics())
-            metrics.pop("main_seconds", None)
-            metrics.pop("pre_seconds", None)
-            return metrics
-
-        serial = facts(None)
-        threaded = facts(MergeOptions(jobs=4, pool="thread"))
-        remote = facts(MergeOptions(jobs=2, pool="process"))
-        assert serial == threaded == remote

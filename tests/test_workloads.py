@@ -69,6 +69,11 @@ class TestProfiles:
         with pytest.raises(ValueError, match="unknown profile"):
             profile_spec("dacapo")
 
+    def test_retired_spectrum_profile_rejected(self):
+        """The wide-type stressor fed only the deleted merge pools."""
+        with pytest.raises(ValueError, match="unknown profile"):
+            load_profile("spectrum")
+
     def test_scaling_changes_site_counts(self):
         small = load_profile("luindex", scale=0.3)
         full = load_profile("luindex", scale=1.0)
