@@ -7,7 +7,7 @@ safe).
 
 The solver records, per reachable cast site, the objects flowing into
 the cast source (:meth:`repro.pta.results.PointsToResult.cast_records`);
-this client just applies the subtype test per object.
+this client applies the subtype test once per distinct incoming class.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ def check_casts(result: PointsToResult) -> CastReport:
     offenders: Dict[int, Set[str]] = {}
     for cast_site, target_class, objects in result.cast_records():
         bad = {
-            result.object_class(obj)
-            for obj in objects
-            if not result.is_subtype(result.object_class(obj), target_class)
+            class_name
+            for class_name in {result.object_class(obj) for obj in objects}
+            if not result.is_subtype(class_name, target_class)
         }
         if bad:
             may_fail.add(cast_site)

@@ -14,7 +14,9 @@ The solver stores points-to sets as bit-vector ints (see
 :mod:`repro.pta.bitset`); every accessor here materializes through the
 solver's ``node_pts_*`` methods, so clients never see the encoding.
 Unions over many nodes are taken in the bit-vector domain (``|`` on
-ints) and decoded once at the end.
+ints) and decoded once at the end.  Variable and exception queries read
+per-method indexes of node ids, each built on first use, so a query
+costs its matching nodes rather than a scan of the node table.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from repro.pta.solver import ObjectDescriptor, Solver
 
 __all__ = ["PointsToResult"]
 
+#: one index entry: the ``(ctx, node)`` pairs of a method or variable
+_Nodes = List[Tuple[Context, int]]
+
 
 class PointsToResult:
     """Immutable (by convention) view over a solved analysis."""
@@ -40,6 +45,11 @@ class PointsToResult:
         self.scc: bool = solver.use_scc
         self.solve_seconds: float = solver.solve_seconds
         self.iterations: int = solver.iterations
+        # Query indexes, each built in one pass over the solver's meta
+        # table on first use.  They hold raw node ids: bits are read at
+        # query time, through ``find()``.
+        self._exc_index: Optional[Dict[str, _Nodes]] = None
+        self._var_index: Optional[Dict[Tuple[str, str], _Nodes]] = None
 
     # ------------------------------------------------------------------
     # Objects
@@ -94,29 +104,37 @@ class PointsToResult:
     def var_points_to_ids(self, method_qualified_name: str, var: str,
                           context: Optional[Context] = None) -> Set[int]:
         """Like :meth:`var_points_to` but returns interned object ids."""
-        s = self._solver
-        bits = 0
-        for node, (ctx, method, name) in s._var_meta.items():
-            if name != var or method.qualified_name != method_qualified_name:
-                continue
-            if context is not None and ctx != context:
-                continue
-            bits |= s.node_pts_bits(node)
-        return set(bits_to_list(bits))
+        if self._var_index is None:
+            index: Dict[Tuple[str, str], _Nodes] = {}
+            for node, (ctx, method, name) in self._solver._var_meta.items():
+                index.setdefault((method.qualified_name, name), []).append(
+                    (ctx, node))
+            self._var_index = index
+        return self._union(
+            self._var_index.get((method_qualified_name, var), ()), context)
 
     def exception_points_to(self, method_qualified_name: str,
                             context: Optional[Context] = None) -> Set[int]:
         """Objects reaching the method's exceptional exit (its own throws
         plus everything propagating out of its callees), as interned
         object ids; union over contexts unless one is given."""
-        s = self._solver
+        if self._exc_index is None:
+            index: Dict[str, _Nodes] = {}
+            for node, (ctx, method) in self._solver._exc_meta.items():
+                index.setdefault(method.qualified_name, []).append((ctx, node))
+            self._exc_index = index
+        return self._union(
+            self._exc_index.get(method_qualified_name, ()), context)
+
+    def _union(self, entries: Iterable[Tuple[Context, int]],
+               context: Optional[Context]) -> Set[int]:
+        """Union of the ``(ctx, node)`` entries' points-to sets, only
+        those under ``context`` when one is given."""
+        node_pts_bits = self._solver.node_pts_bits
         bits = 0
-        for node, (ctx, method) in s._exc_meta.items():
-            if method.qualified_name != method_qualified_name:
-                continue
-            if context is not None and ctx != context:
-                continue
-            bits |= s.node_pts_bits(node)
+        for ctx, node in entries:
+            if context is None or ctx == context:
+                bits |= node_pts_bits(node)
         return set(bits_to_list(bits))
 
     def contexts_of_method(self, method_qualified_name: str) -> Set[Context]:

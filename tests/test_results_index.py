@@ -1,0 +1,193 @@
+"""The per-method query indexes of :class:`~repro.pta.results.PointsToResult`.
+
+``exception_points_to`` and ``var_points_to_ids`` read indexes built once
+per result.  They are checked here against a brute-force scan of the
+solver's meta tables that lives in this file, on hypothesis programs,
+the hand-written corpus and a generated program with exceptional flow,
+under ci, 2obj and 2type.  The condensation setting comes from
+``REPRO_SCC`` (CI runs this file with it off), except for the forced
+collapse case, which needs it on.  A work-count test pins the exception
+client to one visit per exception node.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import refinement_set, run_pre_analysis
+from repro.analysis.governor import ResourceGovernor
+from repro.clients import analyze_exceptions
+from repro.frontend import parse_program
+from repro.pta.context import selector_for
+from repro.pta.solver import Solver
+from repro.workloads import TINY, generate, load_profile
+from repro.workloads.corpus import corpus_names, corpus_program
+
+from tests.program_strategies import ir_programs
+from tests.test_introspective import HOT_COLD
+
+CONFIGS = ["ci", "2obj", "2type"]
+
+
+def exceptional_program():
+    return generate(replace(TINY, exception_sites=6, seed=21))
+
+
+def scan_exceptions(result, qname, context=None):
+    s = result._solver
+    objs = set()
+    for node, (ctx, method) in s._exc_meta.items():
+        if method.qualified_name == qname and context in (None, ctx):
+            objs.update(s.node_pts_ids(node))
+    return objs
+
+
+def scan_var(result, qname, var, context=None):
+    s = result._solver
+    objs = set()
+    for node, (ctx, method, name) in s._var_meta.items():
+        if (method.qualified_name, name) == (qname, var) \
+                and context in (None, ctx):
+            objs.update(s.node_pts_ids(node))
+    return objs
+
+
+def assert_queries_match_scans(program, result):
+    s = result._solver
+    exc_contexts = {}
+    for ctx, method in s._exc_meta.values():
+        exc_contexts.setdefault(method.qualified_name, set()).add(ctx)
+    per_method = {}
+    for method in program.all_methods():
+        qname = method.qualified_name
+        objs = scan_exceptions(result, qname)
+        assert result.exception_points_to(qname) == objs, qname
+        if objs:
+            per_method[qname] = frozenset(map(result.object_class, objs))
+        contexts = exc_contexts.get(qname, set()) \
+            | result.contexts_of_method(qname)
+        for ctx in contexts:
+            assert result.exception_points_to(qname, ctx) \
+                == scan_exceptions(result, qname, ctx), (qname, ctx)
+    assert analyze_exceptions(result).per_method == per_method
+
+    var_contexts = {}
+    for ctx, method, var in s._var_meta.values():
+        var_contexts.setdefault((method.qualified_name, var), set()).add(ctx)
+    for (qname, var), contexts in var_contexts.items():
+        assert result.var_points_to_ids(qname, var) \
+            == scan_var(result, qname, var), (qname, var)
+        for ctx in contexts:
+            assert result.var_points_to_ids(qname, var, ctx) \
+                == scan_var(result, qname, var, ctx), (qname, var, ctx)
+
+
+PROGRAMS = {
+    **{name: lambda name=name: corpus_program(name) for name in corpus_names()},
+    "exceptional_tiny": exceptional_program,
+}
+
+
+class TestIndexedQueriesMatchScans:
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_corpus(self, name, config):
+        program = PROGRAMS[name]()
+        result = Solver(program, selector_for(config)).solve()
+        assert_queries_match_scans(program, result)
+
+    @given(program=ir_programs(), config=st.sampled_from(CONFIGS))
+    @settings(max_examples=40, deadline=None)
+    def test_generated_programs(self, program, config):
+        result = Solver(program, selector_for(config)).solve()
+        assert_queries_match_scans(program, result)
+
+    def test_nodes_merged_by_collapse_resolve(self):
+        """Stride 1 collapses cycles mid-solve, so indexed variable
+        nodes are cycle members that read through ``find()``."""
+        program = load_profile("cycles", 0.3)
+        result = Solver(program, selector_for("ci"), scc=True,
+                        governor=ResourceGovernor(check_stride=1)).solve()
+        assert result.stats()["count_scc_nodes_merged"] > 0
+        assert_queries_match_scans(program, result)
+
+    def test_unknown_names_are_empty(self):
+        program = exceptional_program()
+        result = Solver(program, selector_for("2obj")).solve()
+        entry = program.entry.qualified_name
+        assert result.exception_points_to("No.such") == set()
+        assert result.exception_points_to(entry, ("no-such-context",)) == set()
+        assert result.var_points_to_ids("No.such", "this") == set()
+        assert result.var_points_to_ids(entry, "no_such_var") == set()
+
+
+class CountingMeta(dict):
+    """A meta table that counts the entries read out of it."""
+
+    reads = 0
+
+    def _count(self, items):
+        for item in items:
+            self.reads += 1
+            yield item
+
+    def __iter__(self):
+        return self._count(super().__iter__())
+
+    def keys(self):
+        return self._count(super().keys())
+
+    def values(self):
+        return self._count(super().values())
+
+    def items(self):
+        return self._count(super().items())
+
+
+class TestWorkCount:
+    def test_exception_client_visits_each_node_once(self):
+        """A scan of every exception node per method (O(methods x
+        nodes)) reads the meta table far more than once per node."""
+        program = exceptional_program()
+        result = Solver(program, selector_for("2obj")).solve()
+        solver = result._solver
+        methods = [m.qualified_name for m in program.all_methods()]
+        exc_nodes = len(solver._exc_meta)
+        assert len(methods) > 10 and exc_nodes > len(methods)
+        expected = {}
+        for qname in methods:
+            objs = scan_exceptions(result, qname)
+            if objs:
+                expected[qname] = frozenset(map(result.object_class, objs))
+        assert expected
+
+        solver._exc_meta = CountingMeta(solver._exc_meta)
+        bit_reads = 0
+        node_pts_bits = solver.node_pts_bits
+
+        def counting_node_pts_bits(node):
+            nonlocal bit_reads
+            bit_reads += 1
+            return node_pts_bits(node)
+
+        solver.node_pts_bits = counting_node_pts_bits
+        assert analyze_exceptions(result).per_method == expected
+        assert bit_reads <= exc_nodes
+        assert solver._exc_meta.reads <= exc_nodes
+
+    @pytest.mark.parametrize("threshold", [0, 1, 2, 8, 100])
+    @pytest.mark.parametrize("source", ["hot_cold", "tiny"])
+    def test_refinement_set_unchanged(self, source, threshold, tiny_program):
+        program = (parse_program(HOT_COLD) if source == "hot_cold"
+                   else tiny_program)
+        pre = run_pre_analysis(program)
+        expected = {
+            m.qualified_name for m in program.all_methods()
+            if m.is_static or len(scan_var(
+                pre.result, m.qualified_name, "this")) <= threshold
+        }
+        assert refinement_set(pre, program, threshold) == expected
