@@ -17,7 +17,8 @@ Subcommands:
   (:mod:`repro.obs`).
 
 Exit codes: 0 success, 1 analysis did not succeed (legacy), 2 bad
-usage, 3 resource budget exhausted on every degradation rung, 4 batch
+usage or malformed source (``FILE:LINE:COL: message`` on stderr), 3
+resource budget exhausted on every degradation rung, 4 batch
 ``--strict`` with unusable records.
 """
 
@@ -34,16 +35,37 @@ __all__ = ["main"]
 EXIT_EXHAUSTED = 3
 
 
+def _read_program(path: str):
+    """Parse the mini-Java file at ``path`` into a validated IR program.
+
+    A lexical or syntax error prints ``<path>:<line>:<col>: <message>``
+    to stderr, an IR validation failure ``<path>: <message>``; both
+    return ``None``, and callers exit 2.
+    """
+    from repro.frontend import FrontendError, parse_program
+    from repro.ir.validate import ValidationError
+
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    try:
+        return parse_program(source)
+    except FrontendError as exc:
+        print(f"{path}:{exc.position}: {exc.message}", file=sys.stderr)
+    except ValidationError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
+    return None
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from repro import faults, obs
     from repro.analysis.governor import ResourceGovernor
     from repro.analysis.pipeline import run_analysis
-    from repro.frontend import parse_program
 
-    with open(args.file, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = _read_program(args.file)
+    if program is None:
+        return 2
 
     degrade = False if args.no_degrade else (args.ladder or "auto")
     governor = None
@@ -120,10 +142,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     from repro.analysis.pipeline import run_pre_analysis
     from repro.core.heap_modeler import describe_classes
-    from repro.frontend import parse_program
 
-    with open(args.file, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = _read_program(args.file)
+    if program is None:
+        return 2
     pre = run_pre_analysis(program)
     merge = pre.merge
     print(f"objects: {merge.object_count_before} -> "
@@ -151,11 +173,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_viz(args: argparse.Namespace) -> int:
     from repro.analysis.pipeline import run_pre_analysis
-    from repro.frontend import parse_program
     from repro.viz import call_graph_to_dot, fpg_to_dot, hierarchy_to_dot
 
-    with open(args.file, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = _read_program(args.file)
+    if program is None:
+        return 2
     if args.kind == "hierarchy":
         dot = hierarchy_to_dot(program)
     elif args.kind == "callgraph":
@@ -183,10 +205,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         dump_json,
         pre_analysis_to_dict,
     )
-    from repro.frontend import parse_program
 
-    with open(args.file, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = _read_program(args.file)
+    if program is None:
+        return 2
     pre = run_pre_analysis(program)
     payload = {
         "program": program.stats(),

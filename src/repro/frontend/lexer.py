@@ -1,23 +1,26 @@
-"""Hand-written lexer for the mini-Java surface language.
+"""Lexer for the mini-Java surface language: one compiled pattern.
 
 Token kinds:
 
-* ``IDENT`` — identifiers (``[A-Za-z_<][A-Za-z0-9_<>]*``; angle brackets
-  let generated names like ``<Main>`` round-trip);
+* ``IDENT`` — identifiers: ``(?:[^\\W\\d]|[<$])[\\w<>$\\[\\]]*`` whose
+  first character is ``_``, ``<``, ``$`` or a letter (``str.isalpha``;
+  ``[^\\W\\d]`` alone would admit numerics such as ``²``).  ``\\w`` is
+  Unicode letters, digits and ``_``; the brackets let generated names
+  like ``<Main>`` and ``Obj[]`` round-trip;
 * keywords — ``class extends field method static main new null return
   throw catch``
   (lexed as their own kinds);
 * punctuation — ``{ } ( ) ; , . : :: =``;
 * ``EOF`` — end of input.
 
-Comments (``// ...`` and ``/* ... */``) and whitespace are skipped.
-Positions are tracked for diagnostics.
+Comments (``// ...`` and ``/* ... */``) and whitespace (``\\s``) are
+skipped.  Lines end at ``\\n`` only; columns count characters from 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple, NoReturn
 
 from repro.frontend.errors import LexError, SourcePosition
 
@@ -53,7 +56,9 @@ class TokenKind:
     CATCH = "CATCH"
 
 
-_KEYWORDS = {
+#: Spelling -> kind for every keyword and punctuation token; any other
+#: ``word`` match is an ``IDENT``.
+_KINDS = {
     "class": TokenKind.CLASS,
     "extends": TokenKind.EXTENDS,
     "field": TokenKind.FIELD,
@@ -65,9 +70,6 @@ _KEYWORDS = {
     "return": TokenKind.RETURN,
     "throw": TokenKind.THROW,
     "catch": TokenKind.CATCH,
-}
-
-_SINGLE_CHAR = {
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,
     "(": TokenKind.LPAREN,
@@ -75,119 +77,75 @@ _SINGLE_CHAR = {
     ";": TokenKind.SEMI,
     ",": TokenKind.COMMA,
     ".": TokenKind.DOT,
+    ":": TokenKind.COLON,
+    "::": TokenKind.DOUBLE_COLON,
     "=": TokenKind.ASSIGN,
 }
 
+#: Every position matches exactly one group, so ``finditer`` leaves no
+#: gaps.  ``[^\W\d]`` also admits non-ASCII numerics such as ``²``,
+#: which :func:`tokenize` rejects by checking an identifier's first
+#: character.
+_PATTERN = re.compile(
+    r"(?P<trivia>(?:\s+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<word>(?:[^\W\d]|[<$])[\w<>$\[\]]*|::|[{}();,.:=])"
+    r"|(?P<bad>/\*|.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
-    """A lexed token with its spelling and position."""
+
+class Token(NamedTuple):
+    """A lexed token with its spelling and 1-based line and column."""
 
     kind: str
     text: str
-    position: SourcePosition
+    line: int
+    column: int
 
-    def __str__(self) -> str:
-        return f"{self.kind}({self.text!r})@{self.position}"
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_<$"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_<>$[]"
-
-
-class _Cursor:
-    """Character stream with position tracking."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.index = 0
-        self.line = 1
-        self.column = 1
-
+    @property
     def position(self) -> SourcePosition:
         return SourcePosition(self.line, self.column)
 
-    def peek(self, offset: int = 0) -> str:
-        i = self.index + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.index]
-        self.index += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def at_end(self) -> bool:
-        return self.index >= len(self.text)
+    def __str__(self) -> str:
+        return f"{self.kind}({self.text!r})@{self.line}:{self.column}"
 
 
 def tokenize(text: str) -> List[Token]:
     """Lex ``text`` into a token list ending with an ``EOF`` token."""
-    return list(iter_tokens(text))
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    """Generator variant of :func:`tokenize`."""
-    cursor = _Cursor(text)
-    while True:
-        _skip_trivia(cursor)
-        if cursor.at_end():
-            yield Token(TokenKind.EOF, "", cursor.position())
-            return
-        pos = cursor.position()
-        ch = cursor.peek()
-        if _is_ident_start(ch):
-            yield _lex_ident(cursor, pos)
-        elif ch == ":":
-            cursor.advance()
-            if cursor.peek() == ":":
-                cursor.advance()
-                yield Token(TokenKind.DOUBLE_COLON, "::", pos)
-            else:
-                yield Token(TokenKind.COLON, ":", pos)
-        elif ch in _SINGLE_CHAR:
-            cursor.advance()
-            yield Token(_SINGLE_CHAR[ch], ch, pos)
+    tokens: List[Token] = []
+    append = tokens.append
+    kinds = _KINDS.get
+    ident = TokenKind.IDENT
+    new_token = tuple.__new__  # skips NamedTuple's Python-level __new__
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for match in _PATTERN.finditer(text):
+        group = match.lastgroup
+        start = match.start()
+        if group == "word":
+            word = match.group()
+            kind = kinds(word)
+            if kind is None:
+                head = word[0]
+                if head > "\x7f" and not head.isalpha():
+                    _unexpected(head, line, start - line_start + 1)
+                kind = ident
+            append(new_token(Token, (kind, word, line, start - line_start + 1)))
+        elif group == "trivia":
+            end = match.end()
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
         else:
-            raise LexError(f"unexpected character {ch!r}", pos)
+            bad = match.group()
+            if bad == "/*":
+                raise LexError("unterminated block comment",
+                               SourcePosition(line, start - line_start + 1))
+            _unexpected(bad, line, start - line_start + 1)
+    append(Token(TokenKind.EOF, "", line, len(text) - line_start + 1))
+    return tokens
 
 
-def _skip_trivia(cursor: _Cursor) -> None:
-    while not cursor.at_end():
-        ch = cursor.peek()
-        if ch.isspace():
-            cursor.advance()
-        elif ch == "/" and cursor.peek(1) == "/":
-            while not cursor.at_end() and cursor.peek() != "\n":
-                cursor.advance()
-        elif ch == "/" and cursor.peek(1) == "*":
-            open_pos = cursor.position()
-            cursor.advance()
-            cursor.advance()
-            while True:
-                if cursor.at_end():
-                    raise LexError("unterminated block comment", open_pos)
-                if cursor.peek() == "*" and cursor.peek(1) == "/":
-                    cursor.advance()
-                    cursor.advance()
-                    break
-                cursor.advance()
-        else:
-            return
-
-
-def _lex_ident(cursor: _Cursor, pos: SourcePosition) -> Token:
-    chars = [cursor.advance()]
-    while not cursor.at_end() and _is_ident_part(cursor.peek()):
-        chars.append(cursor.advance())
-    text = "".join(chars)
-    kind = _KEYWORDS.get(text, TokenKind.IDENT)
-    return Token(kind, text, pos)
+def _unexpected(ch: str, line: int, column: int) -> NoReturn:
+    raise LexError(f"unexpected character {ch!r}", SourcePosition(line, column))

@@ -47,7 +47,7 @@ from repro.frontend.ast import (
     AstStore,
     AstThrow,
 )
-from repro.frontend.errors import ParseError
+from repro.frontend.errors import LexError, ParseError
 from repro.frontend.lexer import Token, TokenKind, tokenize
 
 __all__ = ["parse_ast", "parse_with_diagnostics"]
@@ -61,9 +61,9 @@ class _Parser:
         self.errors: List[ParseError] = []
 
     # -- token plumbing -------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        i = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[i]
+    def _peek(self) -> Token:
+        # ``_advance`` never moves past the trailing EOF token.
+        return self._tokens[self._index]
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
@@ -298,11 +298,14 @@ def parse_with_diagnostics(source: str):
     Returns ``(ast_or_none, errors)``: statement-level errors are
     collected (parsing resumes after the next ``;``), declaration-level
     errors still abort (returning ``None`` plus everything collected so
-    far, ending with the fatal error).
+    far, ending with the fatal error).  A lexical error is fatal too:
+    ``(None, [lex_error])``.
     """
-    parser = _Parser(tokenize(source), collect_errors=True)
     try:
+        parser = _Parser(tokenize(source), collect_errors=True)
         ast = parser.parse_program()
+    except LexError as fatal:
+        return None, [fatal]
     except ParseError as fatal:
         return None, [*parser.errors, fatal]
     return ast, parser.errors

@@ -186,3 +186,33 @@ def test_analyze_refuses_shared_writable_cache_dir(figure1_file, tmp_path,
     shared.chmod(0o777)
     assert main(["analyze", figure1_file, "--cache-dir", str(shared)]) == 2
     assert "writable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,where,message", [
+    ("main {\n  a = %;\n}\n", "2:7", "unexpected character '%'"),
+    ("main {\n  a = ;\n}\n", "2:7", "expected right-hand side"),
+], ids=["lexical", "syntax"])
+@pytest.mark.parametrize("command", ["analyze", "merge", "viz", "report"])
+def test_malformed_source_is_reported_not_raised(tmp_path, capsys, command,
+                                                 source, where, message):
+    """Every subcommand that reads a program reports a frontend error as
+    ``path:line:col: message`` and exits 2, without a traceback."""
+    path = tmp_path / "bad.mj"
+    path.write_text(source)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}:{where}: {message}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_invalid_program_is_reported_not_raised(tmp_path, capsys):
+    """Source that parses but fails IR validation exits 2 with the
+    validation report, without a traceback."""
+    path = tmp_path / "invalid.mj"
+    path.write_text("main { a = new Nope(); }\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: invalid program:")
+    assert "unknown class 'Nope'" in err
+    assert "Traceback" not in err

@@ -1,6 +1,6 @@
 """Tests for statement-level parse-error recovery."""
 
-from repro.frontend import parse_with_diagnostics
+from repro.frontend import LexError, parse_with_diagnostics
 from repro.frontend.ast import AstCopy, AstNew
 
 
@@ -57,3 +57,19 @@ def test_unclosed_block_reported():
     ast, errors = parse_with_diagnostics("main { a = new A();")
     assert ast is None
     assert any("end of input" in e.message for e in errors)
+
+
+def test_lexical_error_is_returned_not_raised():
+    ast, errors = parse_with_diagnostics("main { a = %; }")
+    assert ast is None
+    assert [type(e) for e in errors] == [LexError]
+    assert errors[0].message == "unexpected character '%'"
+    assert (errors[0].position.line, errors[0].position.column) == (1, 12)
+
+
+def test_unclosed_block_comment_is_returned_not_raised():
+    ast, errors = parse_with_diagnostics("main { a = new A(); }\n/* never")
+    assert ast is None
+    assert [type(e) for e in errors] == [LexError]
+    assert "unterminated block comment" in errors[0].message
+    assert (errors[0].position.line, errors[0].position.column) == (2, 1)
