@@ -50,7 +50,10 @@ class ReceiverInfo:
     """What a selector may ask about the receiver object of a call.
 
     Decouples selectors from the solver's interning tables: the solver
-    builds one of these per receiver object.
+    builds one of these per dispatch attempt.  Under a selector that
+    ignores the receiver (:func:`ignores_receiver`) an attempt covers
+    every receiver object of one class at once and ``obj_id`` is the
+    lowest of them; otherwise an attempt is one receiver object.
     """
 
     __slots__ = ("obj_id", "heap_context", "context_element")
@@ -234,6 +237,15 @@ def wants_type_elements(selector: ContextSelector) -> bool:
     if isinstance(selector, IntrospectiveSensitive):
         return wants_type_elements(selector.base)
     return isinstance(selector, TypeSensitive)
+
+
+def ignores_receiver(selector: ContextSelector) -> bool:
+    """True when ``select_virtual`` never reads the receiver, so every
+    receiver object of one class dispatches to the same callee context.
+    The solver then dispatches one class's objects as one slice."""
+    if isinstance(selector, IntrospectiveSensitive):
+        return ignores_receiver(selector.base)
+    return isinstance(selector, (ContextInsensitive, CallSiteSensitive))
 
 
 def selector_for(name: str) -> ContextSelector:

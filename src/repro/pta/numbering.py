@@ -60,24 +60,31 @@ class HierarchyNumbering:
       the mid-solve overflow space);
     * ``class_ranges`` — class name → ``(lo, hi)`` with the invariant
       that the reserved slots of all reflexive-transitive subtypes of
-      the class are exactly ``range(lo, hi)``.
+      the class are exactly ``range(lo, hi)``;
+    * ``own_end`` — per slot id, the end of its class's *own* block:
+      ``range(slot, own_end[slot])`` holds only keys of the slot's
+      class, and the next class's keys start at ``own_end[slot]``.  The
+      solver dispatches such a block as one bit-vector slice when the
+      context selector ignores the receiver.
 
     Keys whose class is not declared in the hierarchy get no slot (they
     cannot be ranged) and fall through to the overflow space.
     """
 
     __slots__ = ("slots", "slot_keys", "key_class", "first_site", "count",
-                 "class_ranges")
+                 "class_ranges", "own_end")
 
     def __init__(self, slots: Dict[object, int], slot_keys: List[object],
                  key_class: Dict[object, str], first_site: Dict[object, int],
-                 count: int, class_ranges: Dict[str, Tuple[int, int]]) -> None:
+                 count: int, class_ranges: Dict[str, Tuple[int, int]],
+                 own_end: List[int]) -> None:
         self.slots = slots
         self.slot_keys = slot_keys
         self.key_class = key_class
         self.first_site = first_site
         self.count = count
         self.class_ranges = class_ranges
+        self.own_end = own_end
 
     @classmethod
     def build(cls, program: Program,
@@ -108,6 +115,7 @@ class HierarchyNumbering:
         order = hierarchy.subtypes(hierarchy.get(OBJECT_CLASS_NAME))
         slots: Dict[object, int] = {}
         slot_keys: List[object] = []
+        own_end: List[int] = []
         lo: Dict[str, int] = {}
         subtree: Dict[str, int] = {}
         for klass in order:
@@ -117,6 +125,7 @@ class HierarchyNumbering:
             for key in own:
                 slots[key] = len(slot_keys)
                 slot_keys.append(key)
+            own_end.extend([len(slot_keys)] * len(own))
         # Pre-order lists every parent before its descendants, so a
         # reverse sweep accumulates subtree slot totals bottom-up.
         for klass in reversed(order):
@@ -126,7 +135,7 @@ class HierarchyNumbering:
             name: (start, start + subtree[name]) for name, start in lo.items()
         }
         return cls(slots, slot_keys, key_class, first_site,
-                   len(slot_keys), class_ranges)
+                   len(slot_keys), class_ranges, own_end)
 
     def stats(self) -> Dict[str, int]:
         """Numbering-shape statistics for benchmarks and the recorder."""

@@ -66,6 +66,17 @@ Design:
   clones and other mid-solve objects intern above the numbered block
   and are covered by the masks' watermark scatter.
 
+* **Two dispatch paths.**  When the selector ignores the receiver
+  (:func:`~repro.pta.context.ignores_receiver`: ci, k-call-site, and
+  introspective over either), a virtual call site dispatches once per
+  receiver *class*: each class's own numbered objects are one
+  contiguous id block (``HierarchyNumbering.own_end``), so the delta
+  splits into class slices, each resolved, context-selected, pushed to
+  ``this`` and linked once.  Object- and type-sensitive selectors, and
+  overflow ids, dispatch once per receiver object.  Both paths pop the
+  same nodes and derive the same facts; ``dispatch_attempts`` counts
+  slices on the first and objects on the second.
+
 * **Reference oracle.**  ``tests/reference_solver.py`` re-derives the
   same facts by naive chaotic iteration, sharing no code with this
   module, and ``tests/test_reference_solver.py`` compares the two
@@ -111,6 +122,7 @@ from repro.pta.context import (
     ContextSelector,
     EMPTY_CONTEXT,
     ReceiverInfo,
+    ignores_receiver,
     wants_type_elements,
 )
 from repro.pta.heapmodel import AllocationSiteAbstraction, HeapModel
@@ -274,6 +286,7 @@ class Solver:
         self.use_scc = resolve_scc(scc)
         self.perf = perf
         self._type_elements = wants_type_elements(self.selector)
+        self._class_dispatch = ignores_receiver(self.selector)
         self._ci = isinstance(self.selector, ContextInsensitive)
         hierarchy = program.hierarchy
         self._hierarchy = hierarchy
@@ -1142,7 +1155,8 @@ class Solver:
         # Register reachable virtual call sites even before (or without)
         # any receiver object arriving — a site whose receiver set stays
         # empty is an *unresolved* dispatch, which the devirtualization
-        # client reports separately from mono/poly.
+        # client reports separately from mono/poly.  This is the only
+        # registration: dispatch only runs on sites of reached methods.
         for invokes in info.invokes_by_base.values():
             for stmt in invokes:
                 self._virtual_sites_seen.add(stmt.call_site)
@@ -1193,7 +1207,9 @@ class Solver:
         invokes = info.invokes_by_base.get(var)
         if loads is None and stores is None and invokes is None:
             return
-        objs = bits_to_list(delta)
+        class_dispatch = self._class_dispatch
+        if loads or stores or not class_dispatch:
+            objs = bits_to_list(delta)
         if loads:
             for stmt in loads:
                 target = self._var_node(ctx, method, stmt.target)
@@ -1206,15 +1222,40 @@ class Solver:
                 for obj in objs:
                     self.counters["store_edges"] += 1
                     self._add_edge(source, self._field_node(obj, stmt.field_name))
-        if invokes:
+        if not invokes:
+            return
+        dispatch = self._process_virtual_dispatch
+        if not class_dispatch:
             for stmt in invokes:
                 for obj in objs:
-                    self._process_virtual_dispatch(ctx, method, stmt, obj)
+                    dispatch(ctx, method, stmt, obj, 1 << obj)
+            return
+        # Class slices: the selector ignores the receiver, so every
+        # object of one class reaches the same (callee, context).  Each
+        # class's own numbered objects are one contiguous id block
+        # ending at ``own_end``; overflow ids sort after every block and
+        # dispatch one by one.
+        count = self._numbering.count
+        own_end = self._numbering.own_end
+        for stmt in invokes:
+            rest = delta
+            while rest:
+                low = rest & -rest
+                obj = low.bit_length() - 1
+                if obj >= count:
+                    for obj in bits_to_list(rest):
+                        dispatch(ctx, method, stmt, obj, 1 << obj)
+                    break
+                block = rest & ((1 << own_end[obj]) - low)
+                rest ^= block
+                dispatch(ctx, method, stmt, obj, block)
 
     def _process_virtual_dispatch(self, ctx: Context, caller: Method,
-                                  stmt: Invoke, obj: int) -> None:
+                                  stmt: Invoke, obj: int, bits: int) -> None:
+        """Dispatch ``stmt`` on the receivers ``bits``: one object, or
+        under a receiver-free selector one class slice whose lowest
+        object is ``obj``.  Counted as one ``dispatch_attempts``."""
         self.counters["dispatch_attempts"] += 1
-        self._virtual_sites_seen.add(stmt.call_site)
         callee = self.program.dispatch(self._object_class[obj], stmt.method_name)
         if callee is None or len(callee.params) != len(stmt.args):
             return
@@ -1224,9 +1265,9 @@ class Solver:
         callee_ctx = self.selector.select_virtual(
             ctx, stmt.call_site, receiver, callee.qualified_name
         )
-        # `this` receives exactly this object, unconditionally (cheap,
-        # dedups in propagate).
-        self._push(self._var_node(callee_ctx, callee, "this"), 1 << obj)
+        # `this` receives exactly the dispatching objects, unconditionally
+        # (cheap, dedups in propagate).
+        self._push(self._var_node(callee_ctx, callee, "this"), bits)
         edge = (ctx, stmt.call_site, callee_ctx, callee.qualified_name)
         if edge in self._cg_edges_ctx:
             return

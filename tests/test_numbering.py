@@ -74,6 +74,22 @@ def assert_contiguous_ranges(program, numbering):
         assert member_slots == set(range(lo, hi)), name
 
 
+def assert_own_blocks(numbering):
+    """The invariant class-granular dispatch slices by: ``[slot,
+    own_end[slot])`` holds only keys of the slot's own class, and the
+    next class's keys begin at ``own_end[slot]``."""
+    classes = [numbering.key_class[key] for key in numbering.slot_keys]
+    own_end = numbering.own_end
+    assert len(own_end) == numbering.count
+    for slot, end in enumerate(own_end):
+        assert slot < end <= numbering.count
+        assert set(classes[slot:end]) == {classes[slot]}, slot
+        if end < numbering.count:
+            assert classes[end] != classes[slot], slot
+        # every slot of one block shares its end
+        assert own_end[end - 1] == end
+
+
 class TestHierarchyNumbering:
     @pytest.fixture(scope="class")
     def numbering(self, hierarchy_program):
@@ -94,6 +110,7 @@ class TestHierarchyNumbering:
 
     def test_subtype_ranges_contiguous(self, hierarchy_program, numbering):
         assert_contiguous_ranges(hierarchy_program, numbering)
+        assert_own_blocks(numbering)
 
     def test_range_shapes(self, numbering):
         ranges = numbering.class_ranges
@@ -121,6 +138,7 @@ class TestHierarchyNumbering:
         numbering = HierarchyNumbering.build(program,
                                              AllocationSiteAbstraction())
         assert_contiguous_ranges(program, numbering)
+        assert_own_blocks(numbering)
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +281,7 @@ class TestPickleRoundTrips:
         assert clone.slot_keys == numbering.slot_keys
         assert clone.class_ranges == numbering.class_ranges
         assert clone.count == numbering.count
+        assert clone.own_end == numbering.own_end
 
     def test_range_filter_masks_round_trip(self, hierarchy_program):
         solver = Solver(hierarchy_program)

@@ -91,8 +91,12 @@ def reference_facts(ref):
     }
 
 
-def assert_matches_reference(program, result, heap_model=None):
-    selector = selector_for(result.selector_name)
+def assert_matches_reference(program, result, heap_model=None,
+                             selector=None):
+    """``selector`` defaults to the one ``result``'s selector name
+    builds; pass it for selectors no name builds (introspective)."""
+    if selector is None:
+        selector = selector_for(result.selector_name)
     want = reference_facts(reference_solve(program, selector, heap_model))
     got = production_facts(result)
     for relation in want:
