@@ -38,15 +38,22 @@ EXIT_EXHAUSTED = 3
 def _read_program(path: str):
     """Parse the mini-Java file at ``path`` into a validated IR program.
 
-    A lexical or syntax error prints ``<path>:<line>:<col>: <message>``
-    to stderr, an IR validation failure ``<path>: <message>``; both
+    A file that cannot be read as UTF-8 text prints ``<path>: <reason>``
+    to stderr, a lexical or syntax error ``<path>:<line>:<col>:
+    <message>``, an IR validation failure ``<path>: <message>``; all
     return ``None``, and callers exit 2.
     """
     from repro.frontend import FrontendError, parse_program
     from repro.ir.validate import ValidationError
 
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        # ``strerror`` leaves out the path that ``str(OSError)`` repeats
+        print(f"{path}: {getattr(exc, 'strerror', None) or exc}",
+              file=sys.stderr)
+        return None
     try:
         return parse_program(source)
     except FrontendError as exc:

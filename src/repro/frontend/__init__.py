@@ -1,7 +1,12 @@
 """Frontend for the mini-Java surface language.
 
-The main entry point is :func:`parse_program`, which lexes, parses and
-lowers source text into a validated IR :class:`~repro.ir.program.Program`.
+The main entry point is :func:`parse_program`, which turns source text
+into a validated IR :class:`~repro.ir.program.Program`.  It reads a
+well-formed source with the statement scanner
+(:mod:`repro.frontend.scanner`), straight into the IR builder; any other
+source goes whole through the token lexer and recursive-descent parser
+(:func:`parse_ast`) and :func:`lower`, which report every error with its
+position.
 """
 
 from repro.frontend.errors import FrontendError, LexError, ParseError, SourcePosition

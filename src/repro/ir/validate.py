@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.ir.program import Program
+from repro.ir.program import Method, Program
 from repro.ir.statements import (
     Cast,
     Catch,
@@ -23,10 +23,14 @@ from repro.ir.statements import (
     StaticInvoke,
     StaticLoad,
     StaticStore,
+    Statement,
     Store,
 )
 
 __all__ = ["validate", "ensure_valid", "ValidationError"]
+
+#: statements whose ``class_name`` must name a declared class
+_NAMES_A_CLASS = (New, Catch, Cast, StaticLoad, StaticStore, StaticInvoke)
 
 
 class ValidationError(ValueError):
@@ -37,82 +41,58 @@ def validate(program: Program) -> List[str]:
     """Return all well-formedness problems found (empty when valid)."""
     problems: List[str] = []
     hierarchy = program.hierarchy
+    # Field and virtual-call names are only checkable per class at
+    # runtime types; statically some class must declare the name (and,
+    # for a method, with the call's arity).
+    instance_fields = {
+        name for decl in program.classes.values()
+        for name, fdecl in decl.fields.items() if not fdecl.is_static
+    }
+    instance_methods = {
+        (name, len(method.params)) for decl in program.classes.values()
+        for name, method in decl.methods.items() if not method.is_static
+    }
 
-    def check_class(name: str, where: str) -> None:
-        if name not in hierarchy:
-            problems.append(f"{where}: unknown class {name!r}")
+    def report(method: Method, stmt: Statement, problem: str) -> None:
+        problems.append(f"{method.qualified_name}: {stmt}: {problem}")
 
     if program.entry is None:
         problems.append("program has no main method")
 
     for method in program.all_methods():
-        where_base = method.qualified_name
-        assigned = set(method.params)
-        if not method.is_static:
-            assigned.add("this")
         for stmt in method.statements:
-            where = f"{where_base}: {stmt}"
-            if isinstance(stmt, New):
-                check_class(stmt.class_name, where)
-                assigned.add(stmt.target)
-            elif isinstance(stmt, Catch):
-                check_class(stmt.class_name, where)
-                assigned.add(stmt.target)
-            elif isinstance(stmt, Cast):
-                check_class(stmt.class_name, where)
-                assigned.add(stmt.target)
-            elif isinstance(stmt, (Load, Store)):
-                field_name = stmt.field_name
-                # Field names are only checkable per-class at runtime types;
-                # statically we just require the name to exist *somewhere*.
-                if not _field_exists(program, field_name):
-                    problems.append(f"{where}: field {field_name!r} never declared")
-                if isinstance(stmt, Load):
-                    assigned.add(stmt.target)
-            elif isinstance(stmt, StaticLoad):
-                check_class(stmt.class_name, where)
+            if isinstance(stmt, _NAMES_A_CLASS) and stmt.class_name not in hierarchy:
+                report(method, stmt, f"unknown class {stmt.class_name!r}")
+            if isinstance(stmt, (Load, Store)):
+                if stmt.field_name not in instance_fields:
+                    report(method, stmt, f"field {stmt.field_name!r} never declared")
+            elif isinstance(stmt, (StaticLoad, StaticStore)):
                 if not _static_field_exists(program, stmt.class_name, stmt.field_name):
-                    problems.append(
-                        f"{where}: static field "
-                        f"{stmt.class_name}.{stmt.field_name} not declared"
-                    )
-                assigned.add(stmt.target)
-            elif isinstance(stmt, StaticStore):
-                check_class(stmt.class_name, where)
-                if not _static_field_exists(program, stmt.class_name, stmt.field_name):
-                    problems.append(
-                        f"{where}: static field "
-                        f"{stmt.class_name}.{stmt.field_name} not declared"
+                    report(
+                        method, stmt,
+                        f"static field {stmt.class_name}.{stmt.field_name} not declared"
                     )
             elif isinstance(stmt, StaticInvoke):
-                check_class(stmt.class_name, where)
                 callee = program.static_method(stmt.class_name, stmt.method_name)
                 if callee is None:
-                    problems.append(
-                        f"{where}: static method "
-                        f"{stmt.class_name}.{stmt.method_name} not declared"
+                    report(
+                        method, stmt,
+                        f"static method {stmt.class_name}.{stmt.method_name} "
+                        f"not declared"
                     )
                 elif len(callee.params) != len(stmt.args):
-                    problems.append(
-                        f"{where}: arity mismatch calling {callee.qualified_name} "
+                    report(
+                        method, stmt,
+                        f"arity mismatch calling {callee.qualified_name} "
                         f"({len(stmt.args)} args, {len(callee.params)} params)"
                     )
-                if stmt.target is not None:
-                    assigned.add(stmt.target)
             elif isinstance(stmt, Invoke):
-                # Dispatch target depends on runtime type; check only that
-                # *some* class declares the method with matching arity.
-                if not _virtual_method_exists(program, stmt.method_name, len(stmt.args)):
-                    problems.append(
-                        f"{where}: no class declares instance method "
+                if (stmt.method_name, len(stmt.args)) not in instance_methods:
+                    report(
+                        method, stmt,
+                        f"no class declares instance method "
                         f"{stmt.method_name!r} with {len(stmt.args)} params"
                     )
-                if stmt.target is not None:
-                    assigned.add(stmt.target)
-            else:
-                target = getattr(stmt, "target", None)
-                if target is not None:
-                    assigned.add(target)
     return problems
 
 
@@ -126,13 +106,6 @@ def ensure_valid(program: Program) -> Program:
     return program
 
 
-def _field_exists(program: Program, field_name: str) -> bool:
-    return any(
-        field_name in decl.fields and not decl.fields[field_name].is_static
-        for decl in program.classes.values()
-    )
-
-
 def _static_field_exists(program: Program, class_name: str, field_name: str) -> bool:
     decl = program.classes.get(class_name)
     if decl is None:
@@ -140,11 +113,3 @@ def _static_field_exists(program: Program, class_name: str, field_name: str) -> 
     fdecl = decl.fields.get(field_name)
     return fdecl is not None and fdecl.is_static
 
-
-def _virtual_method_exists(program: Program, method_name: str, arity: int) -> bool:
-    return any(
-        method_name in decl.methods
-        and not decl.methods[method_name].is_static
-        and len(decl.methods[method_name].params) == arity
-        for decl in program.classes.values()
-    )

@@ -216,3 +216,22 @@ def test_invalid_program_is_reported_not_raised(tmp_path, capsys):
     assert err.startswith(f"{path}: invalid program:")
     assert "unknown class 'Nope'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content,reason", [
+    (None, "No such file or directory"),
+    (b"main { }\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 9"),
+], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("command", ["analyze", "merge", "viz", "report"])
+def test_unreadable_source_is_reported_not_raised(tmp_path, capsys, command,
+                                                  content, reason):
+    """A missing file or one that is not UTF-8 prints ``path: reason``
+    and exits 2, without a traceback."""
+    path = tmp_path / "unreadable.mj"
+    if content is not None:
+        path.write_bytes(content)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}: {reason}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -116,3 +116,57 @@ def test_ensure_valid_returns_program():
         m.new("A")
     p = b.build()
     assert ensure_valid(p) is p
+
+
+def test_problem_list_is_pinned_in_order():
+    """One problem of every kind, across two methods and a missing
+    ``main``: the exact texts and their order."""
+    from repro.ir.program import ClassDecl, FieldDecl, Method, Program
+    from repro.ir.statements import (
+        Cast, Catch, Invoke, Load, New, StaticInvoke, StaticLoad,
+        StaticStore, Store,
+    )
+    from repro.ir.types import TypeHierarchy
+
+    hierarchy = TypeHierarchy()
+    decl = ClassDecl(hierarchy.add_class("A"))
+    decl.add_field(FieldDecl("f", "A"))
+    decl.add_field(FieldDecl("sf", "A", is_static=True))
+    program = Program(hierarchy)
+    program.add_class(decl)
+    decl.add_method(Method("A", "foo", ("x",), [
+        New("a", "Ghost", 1),
+        Load("b", "a", "nothere"),
+        Store("a", "gone", "b"),
+        StaticLoad("c", "A", "missing"),
+        StaticStore("Nowhere", "sf", "c"),
+        Invoke("d", "a", "foo", (), 1),
+    ]))
+    decl.add_method(Method("A", "smk", (), [
+        Catch("e", "Phantom"),
+        Cast("g", "Phantom", "e", 1),
+        StaticInvoke(None, "A", "ghost", (), 2),
+        StaticInvoke("h", "A", "smk", ("e",), 3),
+        StaticInvoke(None, "Nowhere", "smk", (), 4),
+        Load("i", "e", "f"),
+    ], is_static=True))
+    program.finalize()
+    assert validate(program) == [
+        "program has no main method",
+        "A.foo: a = new Ghost();  // site 1: unknown class 'Ghost'",
+        "A.foo: b = a.nothere;: field 'nothere' never declared",
+        "A.foo: a.gone = b;: field 'gone' never declared",
+        "A.foo: c = A.missing;: static field A.missing not declared",
+        "A.foo: Nowhere.sf = c;: unknown class 'Nowhere'",
+        "A.foo: Nowhere.sf = c;: static field Nowhere.sf not declared",
+        "A.foo: d = a.foo();  // call site 1: no class declares instance "
+        "method 'foo' with 0 params",
+        "A.smk: e = catch (Phantom);: unknown class 'Phantom'",
+        "A.smk: g = (Phantom) e;: unknown class 'Phantom'",
+        "A.smk: A.ghost();  // call site 2: static method A.ghost not declared",
+        "A.smk: h = A.smk(e);  // call site 3: arity mismatch calling A.smk "
+        "(1 args, 0 params)",
+        "A.smk: Nowhere.smk();  // call site 4: unknown class 'Nowhere'",
+        "A.smk: Nowhere.smk();  // call site 4: static method Nowhere.smk "
+        "not declared",
+    ]
