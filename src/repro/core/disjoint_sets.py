@@ -121,8 +121,10 @@ class IntDisjointSets:
 
     def grow(self, size: int) -> None:
         """Ensure ids ``0..size-1`` exist (as singletons when new)."""
-        while len(self.parent) < size:
-            self.add()
+        start = len(self.parent)
+        if size > start:
+            self.parent.extend(range(start, size))
+            self._rank.extend([0] * (size - start))
 
     def __len__(self) -> int:
         return len(self.parent)

@@ -45,8 +45,14 @@ def max_site_id(program: Program) -> int:
 
 def _clone_with(program: Program, qualname: str,
                 statements: Sequence[Statement]) -> Program:
-    """Clone ``program`` with the named method's body replaced."""
+    """Clone ``program`` with the named method's body replaced.
+
+    A solver slot table depends only on a method's parameters, body and
+    staticness, so the clone shares ``program``'s tables for every
+    method it keeps: an edit session then holds one table per method
+    across its versions, not one per method per version."""
     found = False
+    layouts = {}
 
     def rebuild(method: Method) -> Method:
         nonlocal found
@@ -54,8 +60,12 @@ def _clone_with(program: Program, qualname: str,
             found = True
             return Method(method.class_name, method.name, method.params,
                           list(statements), method.is_static)
-        return Method(method.class_name, method.name, method.params,
+        kept = Method(method.class_name, method.name, method.params,
                       method.statements, method.is_static)
+        layout = program.frame_layouts.get(id(method))
+        if layout is not None:
+            layouts[id(kept)] = layout
+        return kept
 
     clone = Program(program.hierarchy)
     for decl in program.classes.values():
@@ -67,6 +77,7 @@ def _clone_with(program: Program, qualname: str,
         clone.add_class(new_decl)
     assert program.entry is not None
     clone.set_entry(rebuild(program.entry))
+    clone.frame_layouts.update(layouts)
     clone.finalize()
     if not found:
         raise KeyError(f"no method {qualname!r} in program")

@@ -55,7 +55,6 @@ class Method:
         "params",
         "statements",
         "is_static",
-        "return_var_names",
     )
 
     def __init__(
@@ -71,9 +70,6 @@ class Method:
         self.params = params
         self.statements = statements
         self.is_static = is_static
-        self.return_var_names = tuple(
-            stmt.source for stmt in statements if type(stmt).__name__ == "Return"
-        )
 
     @property
     def qualified_name(self) -> str:
@@ -149,13 +145,18 @@ class Program:
         self._alloc_site_methods: Dict[int, Method] = {}
         self._call_sites: Dict[int, Statement] = {}
         self._dispatch_cache: Dict[Tuple[str, str], Optional[Method]] = {}
+        # The points-to solver's per-method slot tables
+        # (``repro.pta.solver``), keyed by ``id(method)``: built when a
+        # solve first reaches a method and shared by every later solve.
+        self.frame_layouts: Dict[int, object] = {}
 
     def __getstate__(self) -> Dict[str, object]:
-        # Ship programs to worker processes without the dispatch memo:
-        # it is derived state, can be large after a solve, and each
-        # worker rebuilds exactly the entries it needs.
+        # Ship programs to worker processes without the dispatch memo
+        # and the slot tables: both are derived state, can be large
+        # after a solve, and each worker rebuilds the entries it needs.
         state = self.__dict__.copy()
         state["_dispatch_cache"] = {}
+        state["frame_layouts"] = {}
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:

@@ -45,9 +45,9 @@ class PointsToResult:
         self.scc: bool = solver.use_scc
         self.solve_seconds: float = solver.solve_seconds
         self.iterations: int = solver.iterations
-        # Query indexes, each built in one pass over the solver's meta
-        # table on first use.  They hold raw node ids: bits are read at
-        # query time, through ``find()``.
+        # Query indexes, each built in one pass over the solver's
+        # variable or exception node records on first use.  They hold
+        # raw node ids: bits are read at query time, through ``find()``.
         self._exc_index: Optional[Dict[str, _Nodes]] = None
         self._var_index: Optional[Dict[Tuple[str, str], _Nodes]] = None
 
@@ -106,7 +106,7 @@ class PointsToResult:
         """Like :meth:`var_points_to` but returns interned object ids."""
         if self._var_index is None:
             index: Dict[Tuple[str, str], _Nodes] = {}
-            for node, (ctx, method, name) in self._solver._var_meta.items():
+            for node, ctx, method, name in self._solver.variable_nodes():
                 index.setdefault((method.qualified_name, name), []).append(
                     (ctx, node))
             self._var_index = index
@@ -118,13 +118,18 @@ class PointsToResult:
         """Objects reaching the method's exceptional exit (its own throws
         plus everything propagating out of its callees), as interned
         object ids; union over contexts unless one is given."""
+        return self._union(self._exits(method_qualified_name), context)
+
+    def _exits(self, method_qualified_name: str
+               ) -> Iterable[Tuple[Context, int]]:
+        """The ``(ctx, node)`` exceptional exits of the named method:
+        one per context it was analyzed under."""
         if self._exc_index is None:
             index: Dict[str, _Nodes] = {}
-            for node, (ctx, method) in self._solver._exc_meta.items():
+            for node, ctx, method in self._solver.exception_nodes():
                 index.setdefault(method.qualified_name, []).append((ctx, node))
             self._exc_index = index
-        return self._union(
-            self._exc_index.get(method_qualified_name, ()), context)
+        return self._exc_index.get(method_qualified_name, ())
 
     def _union(self, entries: Iterable[Tuple[Context, int]],
                context: Optional[Context]) -> Set[int]:
@@ -138,16 +143,12 @@ class PointsToResult:
         return set(bits_to_list(bits))
 
     def contexts_of_method(self, method_qualified_name: str) -> Set[Context]:
-        s = self._solver
-        for mkey, method in s._method_by_id.items():
-            if method.qualified_name == method_qualified_name:
-                return set(s._reachable[mkey])
-        return set()
+        return {ctx for ctx, _ in self._exits(method_qualified_name)}
 
     def total_context_count(self) -> int:
         """Total (method, context) pairs analyzed — the cost driver that
         MAHJONG cuts for object-sensitive analyses."""
-        return sum(len(ctxs) for ctxs in self._solver._reachable.values())
+        return len(self._solver._frames)
 
     # ------------------------------------------------------------------
     # Field points-to (FPG input)
@@ -157,8 +158,10 @@ class PointsToResult:
         time — the compact form the FPG builder consumes (one bulk
         insert per field node instead of one call per fact)."""
         s = self._solver
+        # the solver interns field (tag 1) and static-field (tag 2)
+        # nodes by key; variable nodes live in frames
         for key, node in s._node_ids.items():
-            if isinstance(key, tuple) and key and key[0] == 1:
+            if key[0] == 1:
                 pointees = s.node_pts_ids(node)
                 if pointees:
                     yield key[1], key[2], pointees
@@ -174,7 +177,7 @@ class PointsToResult:
         s = self._solver
         result: Set[str] = set()
         for key in s._node_ids:
-            if isinstance(key, tuple) and key and key[0] == 1 and key[1] == obj:
+            if key[0] == 1 and key[1] == obj:
                 result.add(key[2])
         return result
 

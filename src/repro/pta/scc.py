@@ -33,7 +33,8 @@ trivially-satisfied ``pts(x) ⊇ filter_T(pts(x))`` and is dropped).
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle through repro.core
     from repro.core.disjoint_sets import IntDisjointSets
@@ -163,9 +164,10 @@ class AdaptiveGate:
 
 
 def condense_copy_graph(
-    succs: List[List[Tuple[int, Optional[str]]]],
+    succs: List[Sequence[Tuple[int, Optional[str]]]],
     uf: "IntDisjointSets",
     tracer=None,
+    idle: Optional[Callable[[int], bool]] = None,
 ) -> Tuple[List[List[int]], Dict[int, int]]:
     """One Tarjan pass over the copy-edge subgraph of the live nodes.
 
@@ -188,6 +190,14 @@ def condense_copy_graph(
     The traversal is fully iterative (explicit stacks); recursion depth
     is not bounded by component size.
 
+    ``idle`` (optional) names nodes without successors that should stay
+    unranked: such a node is not used as a start, so it appears in
+    ``order`` only when an edge reaches it.  The solver passes its
+    reserved frame slots that no statement has touched yet, so they keep
+    the fresh-node priority they would have had before they existed.
+    Skipping them changes nothing else: a start without copy edges is
+    emitted alone.
+
     ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives one
     ``scc:condense`` instant with the pass's visited/cycle counts.
     """
@@ -207,6 +217,8 @@ def condense_copy_graph(
 
     for start in range(n):
         if parent[start] != start or index[start] >= 0:
+            continue
+        if idle is not None and not succs[start] and idle(start):
             continue
         call: List[List[object]] = [[start, None]]
         while call:

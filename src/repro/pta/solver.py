@@ -6,11 +6,24 @@ worklist propagation with on-the-fly call-graph construction.
 
 Design:
 
-* **Nodes** are interned integers.  A node is one of
+* **Nodes** are integers indexing flat per-node lists (points-to set,
+  successor edges, statement metadata, pending delta).  A node is one of
 
-  - a variable node ``(context, method, var)``,
+  - a variable node ``(context, method, var)``: the first time a solve
+    reaches ``method`` under ``context`` it reserves the method's
+    *frame*, one contiguous block of node ids with a slot per variable
+    plus the exceptional exit, so variable ``slot`` is node ``base +
+    slot`` and nothing is hashed per variable.  The slot table
+    (``_FrameLayout``: variable names, statements rewritten over
+    slots) is built once per method and cached on the
+    :class:`~repro.ir.program.Program`, shared by every solve of it;
   - an instance field node ``(abstract object, field)``,
-  - a static field node ``(class, field)``.
+  - a static field node ``(class, field)``, both interned by key.
+
+  Every active variable node of a frame references the frame's one
+  shared record, and a node without edges shares one empty successor
+  tuple, so per-node state holds almost no objects the cyclic garbage
+  collector has to track.
 
 * **Abstract objects** are interned integers identifying
   ``(site_key, heap_context)`` pairs, where ``site_key`` comes from the
@@ -34,12 +47,14 @@ Design:
   allocation-type) are forced to the empty heap context here, per
   Section 3.6 of the paper.
 
-* **Two fixpoint loops.**  The FIFO loop coalesces pushes that land on
-  a still-queued node into its worklist entry, so the node is popped
-  once with the union.  The wave loop pops per-node pending deltas in
-  the constraint graph's topological order.  Both share one stride
-  gate (wall-clock deadline, governor, fault plan, trace windows) that
-  runs every 1024 pops.
+* **Two fixpoint loops.**  The FIFO loop's worklist is a deque of node
+  ids with the queued deltas in a flat int list beside it; a push that
+  lands on a still-queued node ORs into its waiting delta, so the node
+  is popped once with the union.  The wave loop pops per-node pending
+  deltas in the constraint graph's topological order, and nodes no
+  ranking has placed yet after every ranked one, in push order.  Both
+  share one stride gate (wall-clock deadline, governor, fault plan,
+  trace windows) that runs every 1024 pops.
 
 * **Constraint-graph condensation** (on by default; ``REPRO_SCC=off``
   or the ``@noscc`` config suffix turns it off): a union-find over
@@ -93,7 +108,8 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import faults as _faults
 from repro.ir.program import Method, Program
@@ -143,8 +159,9 @@ TIMEOUT_CHECK_STRIDE = 1024
 #: unproductive SCC detection passes — see ``Solver._maybe_collapse``.
 _MAX_COLLAPSE_BACKOFF = 64
 
-#: Wave priority of nodes created since the last detection pass: after
-#: every ranked node (a detection pass never emits this many indices).
+#: Wave priority of nodes no detection pass has ranked yet: after every
+#: ranked node (a detection pass never emits this many indices).  Among
+#: themselves they pop in push order (``Solver._push_wave``).
 _FRESH_NODE_ORDER = 1 << 60
 
 
@@ -180,56 +197,136 @@ class ObjectDescriptor:
         return f"o{self.site_key}:{self.class_name}{ctx}"
 
 
-class _MethodInfo:
-    """Pre-indexed statements of one method (computed once, shared by all
-    contexts the method is analyzed under)."""
+#: ``succs[node]`` of a node without outgoing edges: one shared empty
+#: tuple, replaced by a list on the node's first edge.
+_NO_EDGES: Tuple[Tuple[int, Optional[str]], ...] = ()
+
+#: A call in a frame layout: the statement, the slot of its result
+#: variable (``None`` when the result is dropped) and its argument slots.
+_Call = Tuple[object, Optional[int], Tuple[int, ...]]
+
+
+class _FrameLayout:
+    """One method's variable slots, with its statements rewritten over
+    them.  Built once per program (cached in ``Program.frame_layouts``)
+    and shared by every solve and every context of the method.
+
+    Slot ``i < len(names)`` holds the variable ``names[i]``; an instance
+    method's ``this`` is slot 0.  Slot ``exc`` (``len(names)``) is the
+    method's exceptional exit.  The frame of the method under one
+    context is the block of node ids ``base .. base + size - 1``.
+    ``uses`` maps each slot that is the base of a load, store or
+    virtual call to ``(loads, stores, invokes)``: only those slots carry
+    statement metadata.
+    """
 
     __slots__ = (
-        "allocs", "copies", "casts", "static_loads", "static_stores",
-        "static_invokes", "loads_by_base", "stores_by_base",
-        "invokes_by_base", "return_vars", "throws", "catches",
+        "names", "size", "exc", "params", "returns", "allocs", "copies",
+        "casts", "static_loads", "static_stores", "throws", "catches",
+        "static_invokes", "virtual_sites", "uses",
     )
 
     def __init__(self, method: Method) -> None:
-        self.allocs: List[New] = []
-        self.copies: List[Copy] = []
-        self.casts: List[Cast] = []
-        self.static_loads: List[StaticLoad] = []
-        self.static_stores: List[StaticStore] = []
-        self.static_invokes: List[StaticInvoke] = []
-        self.loads_by_base: Dict[str, List[Load]] = {}
-        self.stores_by_base: Dict[str, List[Store]] = {}
-        self.invokes_by_base: Dict[str, List[Invoke]] = {}
-        self.return_vars: Tuple[str, ...] = ()
-        self.throws: List[Throw] = []
-        self.catches: List[Catch] = []
-        returns: List[str] = []
+        slots: Dict[str, int] = {}
+
+        def slot(name: str) -> int:
+            index = slots.get(name)
+            if index is None:
+                index = slots[name] = len(slots)
+            return index
+
+        def call(stmt) -> _Call:
+            target = None if stmt.target is None else slot(stmt.target)
+            return stmt, target, tuple(slot(arg) for arg in stmt.args)
+
+        if not method.is_static:
+            slot("this")
+        self.params: Tuple[int, ...] = tuple(slot(p) for p in method.params)
+        allocs: List[Tuple[int, int, str]] = []
+        copies: List[Tuple[int, int]] = []
+        casts: List[Tuple[int, int, str, int]] = []
+        static_loads: List[Tuple[str, str, int]] = []
+        static_stores: List[Tuple[int, str, str]] = []
+        throws: List[int] = []
+        catches: List[Tuple[int, str]] = []
+        static_invokes: List[_Call] = []
+        returns: List[int] = []
+        uses: Dict[int, Tuple[list, list, list]] = {}
+
+        def uses_of(base: str) -> Tuple[list, list, list]:
+            index = slot(base)
+            entry = uses.get(index)
+            if entry is None:
+                entry = uses[index] = ([], [], [])
+            return entry
+
         for stmt in method.statements:
             if isinstance(stmt, New):
-                self.allocs.append(stmt)
+                allocs.append((slot(stmt.target), stmt.site, stmt.class_name))
             elif isinstance(stmt, Copy):
-                self.copies.append(stmt)
+                copies.append((slot(stmt.source), slot(stmt.target)))
             elif isinstance(stmt, Cast):
-                self.casts.append(stmt)
+                casts.append((slot(stmt.source), slot(stmt.target),
+                              stmt.class_name, stmt.cast_site))
             elif isinstance(stmt, StaticLoad):
-                self.static_loads.append(stmt)
+                static_loads.append((stmt.class_name, stmt.field_name,
+                                     slot(stmt.target)))
             elif isinstance(stmt, StaticStore):
-                self.static_stores.append(stmt)
+                static_stores.append((slot(stmt.source), stmt.class_name,
+                                      stmt.field_name))
             elif isinstance(stmt, StaticInvoke):
-                self.static_invokes.append(stmt)
+                static_invokes.append(call(stmt))
             elif isinstance(stmt, Load):
-                self.loads_by_base.setdefault(stmt.base, []).append(stmt)
+                uses_of(stmt.base)[0].append((slot(stmt.target),
+                                              stmt.field_name))
             elif isinstance(stmt, Store):
-                self.stores_by_base.setdefault(stmt.base, []).append(stmt)
+                uses_of(stmt.base)[1].append((slot(stmt.source),
+                                              stmt.field_name))
             elif isinstance(stmt, Invoke):
-                self.invokes_by_base.setdefault(stmt.base, []).append(stmt)
+                uses_of(stmt.base)[2].append(call(stmt))
             elif isinstance(stmt, Return):
-                returns.append(stmt.source)
+                returns.append(slot(stmt.source))
             elif isinstance(stmt, Throw):
-                self.throws.append(stmt)
+                throws.append(slot(stmt.source))
             elif isinstance(stmt, Catch):
-                self.catches.append(stmt)
-        self.return_vars = tuple(returns)
+                catches.append((slot(stmt.target), stmt.class_name))
+        self.names: Tuple[str, ...] = tuple(slots)
+        self.exc = len(slots)
+        self.size = self.exc + 1
+        self.returns: Tuple[int, ...] = tuple(returns)
+        self.allocs = tuple(allocs)
+        self.copies = tuple(copies)
+        self.casts = tuple(casts)
+        self.static_loads = tuple(static_loads)
+        self.static_stores = tuple(static_stores)
+        self.throws = tuple(throws)
+        self.catches = tuple(catches)
+        self.static_invokes = tuple(static_invokes)
+        self.virtual_sites: Tuple[int, ...] = tuple(
+            stmt.call_site for _, _, invokes in uses.values()
+            for stmt, _, _ in invokes)
+        self.uses: Dict[int, Tuple[tuple, tuple, tuple]] = {
+            index: (tuple(loads), tuple(stores), tuple(invokes))
+            for index, (loads, stores, invokes) in uses.items()}
+
+
+class _Frame:
+    """A method under one context: its layout, the first id of its node
+    block, and whether its statements were processed.  Every active
+    variable node of the frame points at this one record in
+    ``Solver._meta_by_node``.  A frame is reserved just before it is
+    reached, so a finished solve has one frame per reached (method,
+    context) pair."""
+
+    __slots__ = ("ctx", "method", "layout", "base", "reached")
+
+    def __init__(self, ctx: Context, method: Method, layout: _FrameLayout,
+                 base: int) -> None:
+        self.ctx = ctx
+        self.method = method
+        self.layout = layout
+        self.base = base
+        self.reached = False
 
 
 class Solver:
@@ -340,24 +437,26 @@ class Solver:
             self._is_subtype_name, start=numbered.count,
         )
 
-        # nodes: key -> id ; pts / succs indexed by id.  ``_pts[i]`` is
-        # the node's points-to set as an int bit-vector.
+        # Per-node state lives in flat lists indexed by node id:
+        # ``_pts[i]`` is the node's points-to set as an int bit-vector,
+        # ``_succs[i]`` its ``(target, filter_class)`` edges (the shared
+        # ``_NO_EDGES`` until the first one), and ``_meta_by_node[i]``
+        # the frame whose loads, stores or calls read the node (else
+        # None; a collapsed representative holds its members' ``(frame,
+        # slot)`` pairs).  Variable and exception nodes are frame slots
+        # (``_frame``); ``_node_ids`` interns field and static-field
+        # nodes only.  ``_edges`` holds every ``(source, target,
+        # filter_class)`` edge, for deduplication.
         self._node_ids: Dict[object, int] = {}
         self._pts: List[int] = []
-        self._succs: List[List[Tuple[int, Optional[str]]]] = []
-        self._edge_seen: List[Set[Tuple[int, Optional[str]]]] = []
-        # var-node metadata for statement processing: id -> (ctx, method)
-        self._var_meta: Dict[int, Tuple[Context, Method, str]] = {}
-        # same metadata as a node-indexed array (hot-loop form; the
-        # dict stays the source of truth for results materialization)
-        self._meta_by_node: List[Optional[Tuple[Context, Method, str]]] = []
-        # exception-node metadata: node id -> (ctx, method)
-        self._exc_meta: Dict[int, Tuple[Context, Method]] = {}
+        self._succs: List[Sequence[Tuple[int, Optional[str]]]] = []
+        self._edges: Set[Tuple[int, int, Optional[str]]] = set()
+        self._meta_by_node: List[object] = []
+        # (ctx, id(method)) -> frame, in reservation order
+        self._frames: Dict[Tuple[Context, int], _Frame] = {}
+        self._layouts: Dict[int, object] = program.frame_layouts
 
-        self._method_info: Dict[int, _MethodInfo] = {}  # id(method) keyed
-        self._reachable: Dict[int, Set[Context]] = {}   # id(method) -> ctxs
         self._reachable_methods: Set[str] = set()
-        self._method_by_id: Dict[int, Method] = {}
 
         # call graph
         self._cg_edges_ctx: Set[Tuple[Context, int, Context, str]] = set()
@@ -395,6 +494,7 @@ class Solver:
         self._topo_order: List[int] = []
         self._pending: Dict[int, int] = {}
         self._heap: List[Tuple[int, int]] = []
+        self._fresh_pushes = 0
         # Copy-edge watermark: a detection pass only runs on the stride
         # when the copy subgraph grew since the previous pass.  On top
         # of that, unproductive passes back off exponentially: a pass is
@@ -408,13 +508,15 @@ class Solver:
         # the up-front ranking pass (or a later FIFO-mode probe that
         # finds cycles) switches to wave scheduling via
         # ``_enter_wave_mode``.  With SCC off neither ever happens.
-        # The FIFO push coalesces pushes landing on an already-queued
-        # node into its entry (``_fifo_queued``, a flat array over node
-        # ids — grown in ``_node`` in lockstep with ``_pts``) — the same
-        # merging the wave pending dict performs, kept in FIFO order.
+        # The FIFO worklist is a deque of node ids; a queued node's
+        # delta waits in ``_fifo_delta`` (a flat list over node ids,
+        # grown in lockstep with ``_pts``, 0 when the node is not
+        # queued), so a push landing on a queued node ORs into it — the
+        # same merging the wave pending dict performs, kept in FIFO
+        # order.
         self._wave = False
         self._adaptive = AdaptiveGate() if self.use_scc else None
-        self._fifo_queued: List[Optional[list]] = []
+        self._fifo_delta: List[int] = []
         self._push = self._push_fifo_coalesce
 
         # instrumentation: where the propagation work went
@@ -464,7 +566,7 @@ class Solver:
                                       scc=self.use_scc)
         scope = (self.governor.ensure_phase(self.phase_label)
                  if self.governor is not None else nullcontext())
-        self._add_reachable(EMPTY_CONTEXT, self.program.entry)
+        self._add_reachable(self._frame(EMPTY_CONTEXT, self.program.entry))
         try:
             with scope:
                 if tracer is not None:
@@ -518,12 +620,13 @@ class Solver:
         self._wave = True
         self._push = self._push_wave
         worklist = self._worklist
+        queued = self._fifo_delta
         push = self._push
         while worklist:
-            node, delta = worklist.popleft()
-            if delta:
-                push(node, delta)
-        self._fifo_queued.clear()
+            node = worklist.popleft()
+            delta = queued[node]
+            queued[node] = 0
+            push(node, delta)
 
     def _sort_worklist_topologically(self) -> None:
         """Reorder the seed worklist by the up-front ranking (stable, so
@@ -533,9 +636,8 @@ class Solver:
         per-pop heap cost."""
         worklist = self._worklist
         if len(worklist) > 1:
-            topo = self._topo_order
             self._worklist = deque(
-                sorted(worklist, key=lambda entry: topo[entry[0]]))
+                sorted(worklist, key=self._topo_order.__getitem__))
 
     # ------------------------------------------------------------------
     # Stride-window tracing (tracer present only; never on the per-pop
@@ -599,19 +701,20 @@ class Solver:
         """FIFO fixpoint loop with delta coalescing.
 
         Points-to sets are ints: the surviving delta is ``delta &
-        ~known`` and cast filters are mask ANDs.  Worklist entries are
-        mutable ``[node, delta]`` pairs (see :meth:`_push_fifo_coalesce`):
-        pushes landing on a queued node merge into its entry (counted as
-        ``propagations_saved``), so the node is popped once with the
-        union instead of once per push — the merging the wave loop's
-        pending dict performs, without the heap.  With SCC on, the
-        stride gate also probes for cycles (:meth:`_fifo_probe`) and
-        breaks out so :meth:`solve` can promote to the wave loop.
+        ~known`` and cast filters are mask ANDs.  The worklist holds
+        node ids; a queued node's delta waits in ``_fifo_delta`` (see
+        :meth:`_push_fifo_coalesce`): pushes landing on a queued node
+        merge into it (counted as ``propagations_saved``), so the node
+        is popped once with the union instead of once per push — the
+        merging the wave loop's pending dict performs, without the
+        heap.  With SCC on, the stride gate also probes for cycles
+        (:meth:`_fifo_probe`) and breaks out so :meth:`solve` can
+        promote to the wave loop.
         """
         worklist = self._worklist
         pop = worklist.popleft
         append = worklist.append
-        queued = self._fifo_queued
+        queued = self._fifo_delta
         pts = self._pts
         succs = self._succs
         meta_by_node = self._meta_by_node
@@ -630,11 +733,10 @@ class Solver:
                     gate(deadline, iterations, len(worklist), facts)
                     if probe is not None and probe():
                         break
-                entry = pop()
-                node = entry[0]
-                delta = entry[1]
+                node = pop()
+                delta = queued[node]
                 # consume: later pushes to this node re-queue it
-                entry[1] = 0
+                queued[node] = 0
                 known = pts[node]
                 # delta & ~known, without materializing the full-width
                 # complement: XOR out the already-known bits.
@@ -652,17 +754,16 @@ class Solver:
                             continue
                     else:
                         filtered = delta
-                    e = queued[succ]
-                    if e is not None and e[1]:
-                        e[1] |= filtered
+                    waiting = queued[succ]
+                    if waiting:
+                        queued[succ] = waiting | filtered
                         saved += 1
                     else:
-                        e = [succ, filtered]
-                        queued[succ] = e
-                        append(e)
+                        queued[succ] = filtered
+                        append(succ)
                 meta = meta_by_node[node]
                 if meta is not None:
-                    self._process_var_delta(meta, delta)
+                    self._process_var_delta(meta, node - meta.base, delta)
         finally:
             self.iterations = iterations
             self.counters["facts_propagated"] += facts
@@ -671,21 +772,19 @@ class Solver:
     def _push_fifo_coalesce(self, node: int, delta: int) -> None:
         """FIFO push with wave-style delta merging.
 
-        Worklist entries are mutable ``[node, delta]`` pairs indexed by
-        ``_fifo_queued``; a push landing on a node whose entry is still
-        unconsumed folds into it instead of appending another.  The
-        loop zeroes an entry's delta on pop, so later pushes re-queue
-        the node at the tail — plain FIFO order, strictly fewer pops.
+        A push landing on a queued node (nonzero ``_fifo_delta``) ORs
+        into its waiting delta instead of queueing the node again.  The
+        loop zeroes the delta on pop, so later pushes re-queue the node
+        at the tail — plain FIFO order, strictly fewer pops.
         """
-        queued = self._fifo_queued
-        entry = queued[node]
-        if entry is not None and entry[1]:
-            entry[1] |= delta
+        queued = self._fifo_delta
+        waiting = queued[node]
+        if waiting:
+            queued[node] = waiting | delta
             self.counters["propagations_saved"] += 1
             return
-        entry = [node, delta]
-        queued[node] = entry
-        self._worklist.append(entry)
+        queued[node] = delta
+        self._worklist.append(node)
 
     # ------------------------------------------------------------------
     # Wave-scheduled fixpoint loop (SCC mode)
@@ -704,7 +803,12 @@ class Solver:
         current = pending.get(node)
         if current is None:
             pending[node] = delta
-            heappush(self._heap, (self._topo_order[node], node))
+            rank = self._topo_order[node]
+            if rank == _FRESH_NODE_ORDER:
+                # unranked nodes pop after every ranked one, in push order
+                rank += self._fresh_pushes
+                self._fresh_pushes += 1
+            heappush(self._heap, (rank, node))
         else:
             pending[node] = current | delta
             self.counters["propagations_saved"] += 1
@@ -765,10 +869,13 @@ class Solver:
                 meta = meta_by_node[node]
                 if meta is not None:
                     if type(meta) is list:
-                        for entry in meta:
-                            self._process_var_delta(entry, delta)
+                        # a collapsed representative: its members'
+                        # (frame, slot) pairs
+                        for frame, slot in meta:
+                            self._process_var_delta(frame, slot, delta)
                     else:
-                        self._process_var_delta(meta, delta)
+                        self._process_var_delta(meta, node - meta.base,
+                                                delta)
         finally:
             self.iterations = iterations
             self.counters["facts_propagated"] += facts
@@ -835,7 +942,7 @@ class Solver:
         self._copy_edges_at_last_pass = self.counters["copy_edges"]
         self.counters["scc_passes"] += 1
         cycles, _ = condense_copy_graph(self._succs, self._uf,
-                                        tracer=self.tracer)
+                                        tracer=self.tracer, idle=self._idle)
         self._backoff(bool(cycles))
         if not cycles:
             return False
@@ -844,6 +951,15 @@ class Solver:
         # also refreshes the wave priorities.
         self.counters["scc_promotions"] += 1
         return True
+
+    def _idle(self, node: int) -> bool:
+        """Whether ``node`` holds no object and is not queued.  The
+        detection pass asks only about nodes without successors, so a
+        yes means a frame slot no statement has touched yet: it is left
+        unranked, keeping the fresh-node priority it would have had if
+        frames were not reserved whole (see ``condense_copy_graph``)."""
+        return (not self._pts[node] and not self._fifo_delta[node]
+                and node not in self._pending)
 
     def _collapse_cycles(self) -> None:
         """Run one cycle-elimination pass, traced as ``scc:collapse``
@@ -882,7 +998,8 @@ class Solver:
         uf = self._uf
         find = self._find
         cycles, order = condense_copy_graph(self._succs, uf,
-                                            tracer=self.tracer)
+                                            tracer=self.tracer,
+                                            idle=self._idle)
         topo = self._topo_order
         for node, position in order.items():
             topo[node] = position
@@ -891,7 +1008,6 @@ class Solver:
         pending = self._pending
         pts = self._pts
         succs = self._succs
-        edge_seen = self._edge_seen
         meta_by_node = self._meta_by_node
         for members in cycles:
             # Union first so `find` resolves intra-pass merges (of this
@@ -904,7 +1020,8 @@ class Solver:
         for members in cycles:
             root = find(members[0])
             merged = 0
-            metas: List[Tuple[Context, Method, str]] = []
+            # (frame, slot) of every member variable the statements read
+            metas: List[Tuple[_Frame, int]] = []
             merged_succs: List[Tuple[int, Optional[str]]] = []
             merged_seen: Set[Tuple[int, Optional[str]]] = set()
             for member in members:
@@ -919,7 +1036,7 @@ class Solver:
                     if type(meta) is list:
                         metas.extend(meta)
                     else:
-                        metas.append(meta)
+                        metas.append((meta, member - meta.base))
                 for target, filter_class in succs[member]:
                     resolved = find(target)
                     if resolved == root:
@@ -930,20 +1047,21 @@ class Solver:
                         merged_seen.add(edge)
                         merged_succs.append(edge)
                 pts[member] = 0
-                succs[member] = []
-                edge_seen[member] = set()
+                succs[member] = _NO_EDGES
                 meta_by_node[member] = None
-            succs[root] = merged_succs
-            edge_seen[root] = merged_seen
+            succs[root] = merged_succs or _NO_EDGES
             if metas:
-                meta_by_node[root] = metas if len(metas) > 1 else metas[0]
+                meta_by_node[root] = metas
             if merged:
                 pending[root] = merged
                 heappush(self._heap, (topo[root], root))
-        # Re-point surviving edges (and their dedup sets) of every live
-        # node at the new representatives, dropping duplicates — keeps
-        # later `_add_edge` dedup exact and pops from chasing stale ids.
+        # Re-point surviving edges of every live node at the new
+        # representatives, dropping duplicates, and rebuild the edge set
+        # from them — keeps later `_add_edge` dedup exact and pops from
+        # chasing stale ids.
         parent = uf.parent
+        edges = self._edges
+        edges.clear()
         for node in range(len(succs)):
             if parent[node] != node:
                 continue
@@ -951,7 +1069,6 @@ class Solver:
             if not out:
                 continue
             rewritten: List[Tuple[int, Optional[str]]] = []
-            seen: Set[Tuple[int, Optional[str]]] = set()
             changed = False
             for target, filter_class in out:
                 resolved = target if parent[target] == target else find(target)
@@ -961,15 +1078,14 @@ class Solver:
                     counters["scc_edges_dropped"] += 1
                     changed = True
                     continue
-                edge = (resolved, filter_class)
-                if edge in seen:
+                key = (node, resolved, filter_class)
+                if key in edges:
                     changed = True
                     continue
-                seen.add(edge)
-                rewritten.append(edge)
+                edges.add(key)
+                rewritten.append((resolved, filter_class))
             if changed:
-                succs[node] = rewritten
-                edge_seen[node] = seen
+                succs[node] = rewritten or _NO_EDGES
 
     def _record_perf(self) -> None:
         perf = self.perf
@@ -1010,44 +1126,76 @@ class Solver:
     # ------------------------------------------------------------------
     # Interning
     # ------------------------------------------------------------------
+    def _grow(self, count: int) -> None:
+        """Append ``count`` fresh nodes to every per-node list.
+
+        Until the next detection pass ranks them, new nodes pop *after*
+        everything already ordered (they are created by freshly
+        propagated facts, so they sit downstream of the known
+        topology), in push order."""
+        self._pts.extend(repeat(0, count))
+        self._succs.extend(repeat(_NO_EDGES, count))
+        self._meta_by_node.extend(repeat(None, count))
+        self._fifo_delta.extend(repeat(0, count))
+        self._topo_order.extend(repeat(_FRESH_NODE_ORDER, count))
+        self._uf.grow(len(self._pts))
+
     def _node(self, key: object) -> int:
+        """Intern a field or static-field node (``_grow`` by one, with
+        plain appends: this is the per-fact path)."""
         node = self._node_ids.get(key)
         if node is None:
             node = len(self._pts)
             self._node_ids[key] = node
             self._pts.append(0)
-            self._succs.append([])
-            self._edge_seen.append(set())
+            self._succs.append(_NO_EDGES)
             self._meta_by_node.append(None)
-            self._fifo_queued.append(None)
-            self._uf.add()
-            # Until the next detection pass ranks them, new nodes pop
-            # *after* everything already ordered (they are created by
-            # freshly propagated facts, so they sit downstream of the
-            # known topology); ties fall back to creation order.
+            self._fifo_delta.append(0)
             self._topo_order.append(_FRESH_NODE_ORDER)
+            self._uf.add()
         return node
 
-    def _var_node(self, ctx: Context, method: Method, var: str) -> int:
-        key = (0, ctx, id(method), var)
-        node = self._node_ids.get(key)
-        if node is None:
-            node = self._node(key)
-            meta = (ctx, method, var)
-            self._var_meta[node] = meta
-            self._meta_by_node[node] = meta
-        return node
+    def _frame(self, ctx: Context, method: Method) -> _Frame:
+        """The frame of ``method`` under ``ctx``, reserved on first use:
+        one contiguous block of node ids, a variable node per slot of
+        the method's layout plus its exceptional exit, which thrown
+        objects reach and which flows to callers' exceptional exits
+        along call edges (the flow-insensitive exceptional flow Doop
+        models).  Variable ``slot`` of the frame is node ``base +
+        slot``; slots the statements read point at the frame in
+        ``_meta_by_node``."""
+        mkey = id(method)
+        key = (ctx, mkey)
+        frame = self._frames.get(key)
+        if frame is not None:
+            return frame
+        layout = self._layouts.get(mkey)
+        if layout is None:
+            layout = self._layouts[mkey] = _FrameLayout(method)
+        base = len(self._pts)
+        frame = _Frame(ctx, method, layout, base)
+        self._frames[key] = frame
+        self._grow(layout.size)
+        meta_by_node = self._meta_by_node
+        for slot in layout.uses:
+            meta_by_node[base + slot] = frame
+        return frame
 
-    def _exception_node(self, ctx: Context, method: Method) -> int:
-        """The method's exceptional-exit variable: thrown objects land
-        here and propagate to callers' exception nodes along call edges
-        (the flow-insensitive exceptional flow Doop models)."""
-        key = (3, ctx, id(method))
-        node = self._node_ids.get(key)
-        if node is None:
-            node = self._node(key)
-            self._exc_meta[node] = (ctx, method)
-        return node
+    def variable_nodes(self) -> Iterator[Tuple[int, Context, Method, str]]:
+        """Yield ``(node, ctx, method, var)`` for every variable node,
+        frame by frame in reservation order.  Every variable of a
+        reached method has a node in each of its contexts, touched by a
+        statement or not (an untouched one points to nothing)."""
+        for frame in self._frames.values():
+            base, ctx, method = frame.base, frame.ctx, frame.method
+            for slot, name in enumerate(frame.layout.names):
+                yield base + slot, ctx, method, name
+
+    def exception_nodes(self) -> Iterator[Tuple[int, Context, Method]]:
+        """Yield ``(node, ctx, method)`` for the exceptional exit of
+        every frame, in reservation order."""
+        for frame in self._frames.values():
+            yield frame.base + frame.layout.exc, frame.ctx, frame.method
 
     def _field_node(self, obj: int, field: str) -> int:
         return self._node((1, obj, field))
@@ -1102,64 +1250,42 @@ class Solver:
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------
-    def _add_reachable(self, ctx: Context, method: Method) -> None:
-        mkey = id(method)
-        contexts = self._reachable.get(mkey)
-        if contexts is None:
-            contexts = set()
-            self._reachable[mkey] = contexts
-            self._method_info[mkey] = _MethodInfo(method)
-            self._method_by_id[mkey] = method
-            self._reachable_methods.add(method.qualified_name)
-        if ctx in contexts:
+    def _add_reachable(self, frame: _Frame) -> None:
+        """Process the statements of a newly reached frame (once)."""
+        if frame.reached:
             return
-        contexts.add(ctx)
-        info = self._method_info[mkey]
-        for stmt in info.allocs:
-            obj = self._object(stmt.site, stmt.class_name, ctx)
-            self._push(self._var_node(ctx, method, stmt.target), 1 << obj)
-        for stmt in info.copies:
-            self._add_edge(
-                self._var_node(ctx, method, stmt.source),
-                self._var_node(ctx, method, stmt.target),
-            )
-        for stmt in info.casts:
-            src = self._var_node(ctx, method, stmt.source)
-            self._add_edge(
-                src, self._var_node(ctx, method, stmt.target), stmt.class_name
-            )
-            self._cast_records.add((stmt.cast_site, stmt.class_name, src))
-        for stmt in info.static_loads:
-            self._add_edge(
-                self._static_field_node(stmt.class_name, stmt.field_name),
-                self._var_node(ctx, method, stmt.target),
-            )
-        for stmt in info.static_stores:
-            self._add_edge(
-                self._var_node(ctx, method, stmt.source),
-                self._static_field_node(stmt.class_name, stmt.field_name),
-            )
-        for stmt in info.throws:
-            self._add_edge(
-                self._var_node(ctx, method, stmt.source),
-                self._exception_node(ctx, method),
-            )
-        for stmt in info.catches:
-            self._add_edge(
-                self._exception_node(ctx, method),
-                self._var_node(ctx, method, stmt.target),
-                stmt.class_name,
-            )
-        for stmt in info.static_invokes:
-            self._process_static_invoke(ctx, method, stmt)
+        frame.reached = True
+        self._reachable_methods.add(frame.method.qualified_name)
+        ctx = frame.ctx
+        layout = frame.layout
+        base = frame.base
+        push = self._push
+        add_edge = self._add_edge
+        for slot, site, class_name in layout.allocs:
+            obj = self._object(site, class_name, ctx)
+            push(base + slot, 1 << obj)
+        for source, target in layout.copies:
+            add_edge(base + source, base + target)
+        for source, target, class_name, cast_site in layout.casts:
+            add_edge(base + source, base + target, class_name)
+            self._cast_records.add((cast_site, class_name, base + source))
+        for class_name, field, target in layout.static_loads:
+            add_edge(self._static_field_node(class_name, field), base + target)
+        for source, class_name, field in layout.static_stores:
+            add_edge(base + source, self._static_field_node(class_name, field))
+        exc = base + layout.exc
+        for source in layout.throws:
+            add_edge(base + source, exc)
+        for target, class_name in layout.catches:
+            add_edge(exc, base + target, class_name)
+        for call in layout.static_invokes:
+            self._process_static_invoke(frame, call)
         # Register reachable virtual call sites even before (or without)
         # any receiver object arriving — a site whose receiver set stays
         # empty is an *unresolved* dispatch, which the devirtualization
         # client reports separately from mono/poly.  This is the only
         # registration: dispatch only runs on sites of reached methods.
-        for invokes in info.invokes_by_base.values():
-            for stmt in invokes:
-                self._virtual_sites_seen.add(stmt.call_site)
+        self._virtual_sites_seen.update(layout.virtual_sites)
 
     # ------------------------------------------------------------------
     # Edges and statement processing
@@ -1180,16 +1306,20 @@ class Solver:
                 # whether filtered or not (``pts ⊇ filter(pts)``).
                 self.counters["scc_edges_dropped"] += 1
                 return
-        edge = (target, filter_class)
-        seen = self._edge_seen[source]
-        if edge in seen:
+        key = (source, target, filter_class)
+        edges = self._edges
+        if key in edges:
             return
-        seen.add(edge)
+        edges.add(key)
         if filter_class is None:
             self.counters["copy_edges"] += 1
         else:
             self.counters["filtered_edges"] += 1
-        self._succs[source].append(edge)
+        out = self._succs[source]
+        if out:
+            out.append((target, filter_class))
+        else:
+            self._succs[source] = [(target, filter_class)]
         existing = self._pts[source]
         if existing:
             if filter_class is not None:
@@ -1198,37 +1328,34 @@ class Solver:
                 # bit-vectors are immutable: push the set as-is
                 self._push(target, existing)
 
-    def _process_var_delta(self, meta: Tuple[Context, Method, str],
+    def _process_var_delta(self, frame: _Frame, slot: int,
                            delta: int) -> None:
-        ctx, method, var = meta
-        info = self._method_info[id(method)]
-        loads = info.loads_by_base.get(var)
-        stores = info.stores_by_base.get(var)
-        invokes = info.invokes_by_base.get(var)
-        if loads is None and stores is None and invokes is None:
-            return
+        """Run the loads, stores and virtual calls whose base is
+        variable ``slot`` of ``frame`` on the objects ``delta``."""
+        loads, stores, invokes = frame.layout.uses[slot]
         class_dispatch = self._class_dispatch
         if loads or stores or not class_dispatch:
             objs = bits_to_list(delta)
+        base = frame.base
         if loads:
-            for stmt in loads:
-                target = self._var_node(ctx, method, stmt.target)
+            for target, field in loads:
+                target += base
                 for obj in objs:
                     self.counters["load_edges"] += 1
-                    self._add_edge(self._field_node(obj, stmt.field_name), target)
+                    self._add_edge(self._field_node(obj, field), target)
         if stores:
-            for stmt in stores:
-                source = self._var_node(ctx, method, stmt.source)
+            for source, field in stores:
+                source += base
                 for obj in objs:
                     self.counters["store_edges"] += 1
-                    self._add_edge(source, self._field_node(obj, stmt.field_name))
+                    self._add_edge(source, self._field_node(obj, field))
         if not invokes:
             return
         dispatch = self._process_virtual_dispatch
         if not class_dispatch:
-            for stmt in invokes:
+            for call in invokes:
                 for obj in objs:
-                    dispatch(ctx, method, stmt, obj, 1 << obj)
+                    dispatch(frame, call, obj, 1 << obj)
             return
         # Class slices: the selector ignores the receiver, so every
         # object of one class reaches the same (callee, context).  Each
@@ -1237,51 +1364,57 @@ class Solver:
         # dispatch one by one.
         count = self._numbering.count
         own_end = self._numbering.own_end
-        for stmt in invokes:
+        for call in invokes:
             rest = delta
             while rest:
                 low = rest & -rest
                 obj = low.bit_length() - 1
                 if obj >= count:
                     for obj in bits_to_list(rest):
-                        dispatch(ctx, method, stmt, obj, 1 << obj)
+                        dispatch(frame, call, obj, 1 << obj)
                     break
                 block = rest & ((1 << own_end[obj]) - low)
                 rest ^= block
-                dispatch(ctx, method, stmt, obj, block)
+                dispatch(frame, call, obj, block)
 
-    def _process_virtual_dispatch(self, ctx: Context, caller: Method,
-                                  stmt: Invoke, obj: int, bits: int) -> None:
-        """Dispatch ``stmt`` on the receivers ``bits``: one object, or
-        under a receiver-free selector one class slice whose lowest
-        object is ``obj``.  Counted as one ``dispatch_attempts``."""
+    def _process_virtual_dispatch(self, frame: _Frame, call: _Call,
+                                  obj: int, bits: int) -> None:
+        """Dispatch the virtual ``call`` of ``frame`` on the receivers
+        ``bits``: one object, or under a receiver-free selector one class
+        slice whose lowest object is ``obj``.  Counted as one
+        ``dispatch_attempts``."""
         self.counters["dispatch_attempts"] += 1
+        stmt, target, args = call
         callee = self.program.dispatch(self._object_class[obj], stmt.method_name)
-        if callee is None or len(callee.params) != len(stmt.args):
+        if callee is None or len(callee.params) != len(args):
             return
         receiver = ReceiverInfo(
             obj, self._object_heap_ctx[obj], self._object_ctx_elem[obj]
         )
+        ctx = frame.ctx
         callee_ctx = self.selector.select_virtual(
             ctx, stmt.call_site, receiver, callee.qualified_name
         )
-        # `this` receives exactly the dispatching objects, unconditionally
-        # (cheap, dedups in propagate).
-        self._push(self._var_node(callee_ctx, callee, "this"), bits)
+        callee_frame = self._frame(callee_ctx, callee)
+        # `this` (slot 0 of an instance method's frame) receives exactly
+        # the dispatching objects, unconditionally (cheap, dedups in
+        # propagate).
+        self._push(callee_frame.base, bits)
         edge = (ctx, stmt.call_site, callee_ctx, callee.qualified_name)
         if edge in self._cg_edges_ctx:
             return
         self._cg_edges_ctx.add(edge)
         self._cg_edges_proj.add((stmt.call_site, callee.qualified_name))
-        self._add_reachable(callee_ctx, callee)
-        self._link_call(ctx, caller, stmt.target, stmt.args, callee_ctx, callee)
+        self._add_reachable(callee_frame)
+        self._link_call(frame, target, args, callee_frame)
 
-    def _process_static_invoke(self, ctx: Context, caller: Method,
-                               stmt: StaticInvoke) -> None:
+    def _process_static_invoke(self, frame: _Frame, call: _Call) -> None:
+        stmt, target, args = call
         self._static_sites_seen.add(stmt.call_site)
         callee = self.program.static_method(stmt.class_name, stmt.method_name)
-        if callee is None or len(callee.params) != len(stmt.args):
+        if callee is None or len(callee.params) != len(args):
             return
+        ctx = frame.ctx
         callee_ctx = self.selector.select_static(
             ctx, stmt.call_site, callee.qualified_name
         )
@@ -1290,29 +1423,28 @@ class Solver:
             return
         self._cg_edges_ctx.add(edge)
         self._cg_edges_proj.add((stmt.call_site, callee.qualified_name))
-        self._add_reachable(callee_ctx, callee)
-        self._link_call(ctx, caller, stmt.target, stmt.args, callee_ctx, callee)
+        callee_frame = self._frame(callee_ctx, callee)
+        self._add_reachable(callee_frame)
+        self._link_call(frame, target, args, callee_frame)
 
-    def _link_call(self, ctx: Context, caller: Method, target: Optional[str],
-                   args: Tuple[str, ...], callee_ctx: Context,
-                   callee: Method) -> None:
-        info = self._method_info.get(id(callee))
-        return_vars = info.return_vars if info else callee.return_var_names
-        for arg, param in zip(args, callee.params):
-            self._add_edge(
-                self._var_node(ctx, caller, arg),
-                self._var_node(callee_ctx, callee, param),
-            )
+    def _link_call(self, frame: _Frame, target: Optional[int],
+                   args: Tuple[int, ...], callee_frame: _Frame) -> None:
+        """Edges of one call-graph edge: arguments to parameters, the
+        callee's returns to the call's result slot ``target``, and the
+        callee's exceptional exit to the caller's."""
+        base = frame.base
+        callee_base = callee_frame.base
+        callee_layout = callee_frame.layout
+        add_edge = self._add_edge
+        for arg, param in zip(args, callee_layout.params):
+            add_edge(base + arg, callee_base + param)
         if target is not None:
-            target_node = self._var_node(ctx, caller, target)
-            for ret in return_vars:
-                self._add_edge(self._var_node(callee_ctx, callee, ret), target_node)
+            target_node = base + target
+            for ret in callee_layout.returns:
+                add_edge(callee_base + ret, target_node)
         # exceptional flow: whatever escapes the callee reaches the
         # caller's exceptional exit
-        self._add_edge(
-            self._exception_node(callee_ctx, callee),
-            self._exception_node(ctx, caller),
-        )
+        add_edge(callee_base + callee_layout.exc, base + frame.layout.exc)
 
 
 def solve(program: Program, selector: Optional[ContextSelector] = None,

@@ -131,10 +131,11 @@ def test_mixed_numbered_and_overflow_delta(scc):
     deltas = []
     process = solver._process_var_delta
 
-    def recording(meta, delta):
-        if meta[1].qualified_name == "Runner.run" and meta[2] == "p":
+    def recording(frame, slot, delta):
+        if frame.method.qualified_name == "Runner.run" \
+                and frame.layout.names[slot] == "p":
             deltas.append(delta)
-        process(meta, delta)
+        process(frame, slot, delta)
 
     solver._process_var_delta = recording
     result = solver.solve()

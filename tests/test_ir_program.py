@@ -121,10 +121,6 @@ class TestMethod:
         method = Method("A", "m", (), [Return("r")], is_static=True)
         assert "this" not in method.local_variables()
 
-    def test_return_var_names(self):
-        method = Method("A", "m", (), [Return("a"), Return("b")])
-        assert method.return_var_names == ("a", "b")
-
     def test_duplicate_method_rejected(self):
         b = ProgramBuilder()
         b.add_class("A")

@@ -47,9 +47,9 @@ def production_facts(result):
         return frozenset(token(o) for o in s.node_pts_ids(node))
 
     pts = {}
-    for node, (ctx, method, var) in s._var_meta.items():
+    for node, ctx, method, var in s.variable_nodes():
         pts[("var", ctx, method.qualified_name, var)] = objects(node)
-    for node, (ctx, method) in s._exc_meta.items():
+    for node, ctx, method in s.exception_nodes():
         pts[("exc", ctx, method.qualified_name)] = objects(node)
     for key, node in s._node_ids.items():
         if key[0] == 1:

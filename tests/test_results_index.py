@@ -2,9 +2,10 @@
 
 ``exception_points_to`` and ``var_points_to_ids`` read indexes built once
 per result.  They are checked here against a brute-force scan of the
-solver's meta tables that lives in this file, on hypothesis programs,
-the hand-written corpus and a generated program with exceptional flow,
-under ci, 2obj and 2type.  The condensation setting comes from
+solver's variable and exception node records (``Solver.variable_nodes``
+and ``Solver.exception_nodes``) that lives in this file, on hypothesis
+programs, the hand-written corpus and a generated program with
+exceptional flow, under ci, 2obj and 2type.  The condensation setting comes from
 ``REPRO_SCC`` (CI runs this file with it off), except for the forced
 collapse case, which needs it on.  A work-count test pins the exception
 client to one visit per exception node.
@@ -40,7 +41,7 @@ def exceptional_program():
 def scan_exceptions(result, qname, context=None):
     s = result._solver
     objs = set()
-    for node, (ctx, method) in s._exc_meta.items():
+    for node, ctx, method in s.exception_nodes():
         if method.qualified_name == qname and context in (None, ctx):
             objs.update(s.node_pts_ids(node))
     return objs
@@ -49,7 +50,7 @@ def scan_exceptions(result, qname, context=None):
 def scan_var(result, qname, var, context=None):
     s = result._solver
     objs = set()
-    for node, (ctx, method, name) in s._var_meta.items():
+    for node, ctx, method, name in s.variable_nodes():
         if (method.qualified_name, name) == (qname, var) \
                 and context in (None, ctx):
             objs.update(s.node_pts_ids(node))
@@ -59,7 +60,7 @@ def scan_var(result, qname, var, context=None):
 def assert_queries_match_scans(program, result):
     s = result._solver
     exc_contexts = {}
-    for ctx, method in s._exc_meta.values():
+    for _, ctx, method in s.exception_nodes():
         exc_contexts.setdefault(method.qualified_name, set()).add(ctx)
     per_method = {}
     for method in program.all_methods():
@@ -76,7 +77,7 @@ def assert_queries_match_scans(program, result):
     assert analyze_exceptions(result).per_method == per_method
 
     var_contexts = {}
-    for ctx, method, var in s._var_meta.values():
+    for _, ctx, method, var in s.variable_nodes():
         var_contexts.setdefault((method.qualified_name, var), set()).add(ctx)
     for (qname, var), contexts in var_contexts.items():
         assert result.var_points_to_ids(qname, var) \
@@ -125,38 +126,16 @@ class TestIndexedQueriesMatchScans:
         assert result.var_points_to_ids(entry, "no_such_var") == set()
 
 
-class CountingMeta(dict):
-    """A meta table that counts the entries read out of it."""
-
-    reads = 0
-
-    def _count(self, items):
-        for item in items:
-            self.reads += 1
-            yield item
-
-    def __iter__(self):
-        return self._count(super().__iter__())
-
-    def keys(self):
-        return self._count(super().keys())
-
-    def values(self):
-        return self._count(super().values())
-
-    def items(self):
-        return self._count(super().items())
-
-
 class TestWorkCount:
     def test_exception_client_visits_each_node_once(self):
         """A scan of every exception node per method (O(methods x
-        nodes)) reads the meta table far more than once per node."""
+        nodes)) reads the exception node records far more than once per
+        node."""
         program = exceptional_program()
         result = Solver(program, selector_for("2obj")).solve()
         solver = result._solver
         methods = [m.qualified_name for m in program.all_methods()]
-        exc_nodes = len(solver._exc_meta)
+        exc_nodes = sum(1 for _ in solver.exception_nodes())
         assert len(methods) > 10 and exc_nodes > len(methods)
         expected = {}
         for qname in methods:
@@ -165,7 +144,16 @@ class TestWorkCount:
                 expected[qname] = frozenset(map(result.object_class, objs))
         assert expected
 
-        solver._exc_meta = CountingMeta(solver._exc_meta)
+        record_reads = 0
+        exception_nodes = solver.exception_nodes
+
+        def counting_exception_nodes():
+            nonlocal record_reads
+            for record in exception_nodes():
+                record_reads += 1
+                yield record
+
+        solver.exception_nodes = counting_exception_nodes
         bit_reads = 0
         node_pts_bits = solver.node_pts_bits
 
@@ -177,7 +165,7 @@ class TestWorkCount:
         solver.node_pts_bits = counting_node_pts_bits
         assert analyze_exceptions(result).per_method == expected
         assert bit_reads <= exc_nodes
-        assert solver._exc_meta.reads <= exc_nodes
+        assert record_reads <= exc_nodes
 
     @pytest.mark.parametrize("threshold", [0, 1, 2, 8, 100])
     @pytest.mark.parametrize("source", ["hot_cold", "tiny"])

@@ -161,6 +161,16 @@ class TestCondenseCopyGraph:
         cycles, _ = condense_copy_graph(succs, IntDisjointSets(2))
         assert cycles == []
 
+    def test_idle_nodes_stay_unranked_unless_reached(self):
+        """An idle node without successors is no start: 3 is never
+        visited, while 2 is ranked because the edge 1 → 2 reaches it."""
+        succs = self._graph(4, [(0, 1), (1, 2)])
+        cycles, order = condense_copy_graph(
+            succs, IntDisjointSets(4), idle=lambda node: node >= 2)
+        assert cycles == []
+        assert sorted(order) == [0, 1, 2]
+        assert order[0] < order[1] < order[2]
+
     def test_deep_chain_no_recursion_limit(self):
         n = 5000  # far beyond the default Python recursion limit
         edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
@@ -245,6 +255,19 @@ class TestCollapse:
         assert off.counters["sccs_collapsed"] == 0
         assert off.counters["scc_passes"] == 0
 
+    def test_unranked_nodes_pop_in_push_order(self):
+        """Nodes no ranking pass has placed pop after every ranked one,
+        in push order.  With their ties broken by node id instead, the
+        condensed ci solve of this program popped 22,128 times against
+        the uncondensed solve's 12,574."""
+        program = load_profile("cycles", 4.0)
+        on = Solver(program, selector_for("ci"), scc=True)
+        on.solve()
+        off = Solver(program, selector_for("ci"), scc=False)
+        off.solve()
+        assert on.counters["sccs_collapsed"] > 0
+        assert on.iterations * 2 < off.iterations
+
     def test_member_accessors_resolve_to_representative(self, cycles_program):
         solver = Solver(cycles_program, scc=True)
         solver.solve()
@@ -257,7 +280,7 @@ class TestCollapse:
             assert solver.node_pts_ids(node) == solver.node_pts_ids(rep)
             assert solver.node_pts_count(node) == solver.node_pts_count(rep)
             # collapse cleared the member's own state
-            assert solver._succs[node] == []
+            assert len(solver._succs[node]) == 0
             assert solver._meta_by_node[node] is None
 
     def test_off_switch_never_unions(self, cycles_program):
