@@ -16,9 +16,9 @@ has no overloading, so a method is identified by its bare name).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.ir.statements import Invoke, New, Statement, StaticInvoke
+from repro.ir.statements import Invoke, New, Statement, StaticInvoke, Throw
 from repro.ir.types import ClassType, TypeHierarchy
 
 __all__ = ["FieldDecl", "Method", "ClassDecl", "Program", "MAIN_CLASS_NAME"]
@@ -46,7 +46,8 @@ class Method:
 
     ``params`` excludes the implicit receiver; instance methods always
     have the receiver variable ``this`` available.  ``qualified_name`` is
-    ``Class.method`` and globally unique (no overloading).
+    ``Class.method`` and globally unique (no overloading); it is built
+    once, here, because the solver reads it on every call edge.
     """
 
     __slots__ = (
@@ -55,6 +56,7 @@ class Method:
         "params",
         "statements",
         "is_static",
+        "qualified_name",
     )
 
     def __init__(
@@ -70,10 +72,7 @@ class Method:
         self.params = params
         self.statements = statements
         self.is_static = is_static
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.class_name}.{self.name}"
+        self.qualified_name = f"{class_name}.{name}"
 
     def __repr__(self) -> str:
         return f"Method({self.qualified_name})"
@@ -145,17 +144,23 @@ class Program:
         self._alloc_site_methods: Dict[int, Method] = {}
         self._call_sites: Dict[int, Statement] = {}
         self._dispatch_cache: Dict[Tuple[str, str], Optional[Method]] = {}
+        # Methods with a ``throw`` statement, and the memo of
+        # ``may_throw_methods`` (``None`` until first asked).
+        self._throwing: List[Method] = []
+        self._may_throw: Optional[FrozenSet[Method]] = None
         # The points-to solver's per-method slot tables
         # (``repro.pta.solver``), keyed by ``id(method)``: built when a
         # solve first reaches a method and shared by every later solve.
         self.frame_layouts: Dict[int, object] = {}
 
     def __getstate__(self) -> Dict[str, object]:
-        # Ship programs to worker processes without the dispatch memo
-        # and the slot tables: both are derived state, can be large
-        # after a solve, and each worker rebuilds the entries it needs.
+        # Ship programs to worker processes without the dispatch memo,
+        # the may-throw set and the slot tables: all are derived state,
+        # can be large after a solve, and each worker rebuilds the
+        # entries it needs.
         state = self.__dict__.copy()
         state["_dispatch_cache"] = {}
+        state["_may_throw"] = None
         state["frame_layouts"] = {}
         return state
 
@@ -178,7 +183,10 @@ class Program:
         self._alloc_sites.clear()
         self._alloc_site_methods.clear()
         self._call_sites.clear()
+        self._throwing = []
+        self._may_throw = None
         for method in self.all_methods():
+            throws = False
             for stmt in method.statements:
                 if isinstance(stmt, New):
                     if stmt.site in self._alloc_sites:
@@ -189,6 +197,10 @@ class Program:
                     if stmt.call_site in self._call_sites:
                         raise ValueError(f"duplicate call site id {stmt.call_site}")
                     self._call_sites[stmt.call_site] = stmt
+                elif isinstance(stmt, Throw):
+                    throws = True
+            if throws:
+                self._throwing.append(method)
 
     # ------------------------------------------------------------------
     # Queries
@@ -268,6 +280,49 @@ class Program:
         if method is not None and method.is_static:
             return method
         return None
+
+    def may_throw_methods(self) -> FrozenSet[Method]:
+        """Methods whose exceptional exit can ever hold an object.
+
+        The least fixpoint of "has a ``throw``, or calls a method that
+        may throw": a static call resolves through :meth:`static_method`
+        and a virtual call through every instance method of its name and
+        arity, a superset of what any points-to analysis dispatches to.
+        Computed once and memoized; a program without ``throw`` answers
+        from :meth:`finalize`'s walk alone.
+        """
+        if self._may_throw is not None:
+            return self._may_throw
+        may_throw = set(self._throwing)
+        if may_throw:
+            instance: Dict[Tuple[str, int], List[Method]] = {}
+            for decl in self.classes.values():
+                for method in decl.methods.values():
+                    if not method.is_static:
+                        instance.setdefault(
+                            (method.name, len(method.params)), []).append(method)
+            callers: Dict[Method, List[Method]] = {}
+            for method in self.all_methods():
+                for stmt in method.statements:
+                    if isinstance(stmt, Invoke):
+                        callees = instance.get(
+                            (stmt.method_name, len(stmt.args)), ())
+                    elif isinstance(stmt, StaticInvoke):
+                        callee = self.static_method(stmt.class_name,
+                                                    stmt.method_name)
+                        callees = () if callee is None else (callee,)
+                    else:
+                        continue
+                    for callee in callees:
+                        callers.setdefault(callee, []).append(method)
+            work = list(may_throw)
+            while work:
+                for caller in callers.get(work.pop(), ()):
+                    if caller not in may_throw:
+                        may_throw.add(caller)
+                        work.append(caller)
+        self._may_throw = frozenset(may_throw)
+        return self._may_throw
 
     # ------------------------------------------------------------------
     # Statistics (used by benches and EXPERIMENTS reporting)

@@ -52,8 +52,10 @@ class ReceiverInfo:
     Decouples selectors from the solver's interning tables: the solver
     builds one of these per dispatch attempt.  Under a selector that
     ignores the receiver (:func:`ignores_receiver`) an attempt covers
-    every receiver object of one class at once and ``obj_id`` is the
-    lowest of them; otherwise an attempt is one receiver object.
+    every receiver object of one class at once, and under a
+    type-sensitive one every receiver sharing a class, heap context and
+    context element; ``obj_id`` is then the lowest of them.  Otherwise
+    an attempt is one receiver object.
     """
 
     __slots__ = ("obj_id", "heap_context", "context_element")
@@ -246,6 +248,18 @@ def ignores_receiver(selector: ContextSelector) -> bool:
     if isinstance(selector, IntrospectiveSensitive):
         return ignores_receiver(selector.base)
     return isinstance(selector, (ContextInsensitive, CallSiteSensitive))
+
+
+def ignores_caller(selector: ContextSelector) -> bool:
+    """True when ``select_virtual`` never reads the caller's context or
+    the call site, so a callee's context is a function of the receiver's
+    class, heap context and context element plus the callee alone.  The
+    solver then resolves each (receiver key, method name, arity) once
+    per solve."""
+    if isinstance(selector, IntrospectiveSensitive):
+        return ignores_caller(selector.base)
+    return isinstance(selector, (ContextInsensitive, ObjectSensitive,
+                                 TypeSensitive))
 
 
 def selector_for(name: str) -> ContextSelector:

@@ -21,7 +21,7 @@ costs its matching nodes rather than a scan of the node table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.ir.program import Program
 from repro.pta.bitset import bits_to_list
@@ -68,9 +68,11 @@ class PointsToResult:
     def object_class(self, obj: int) -> str:
         return self._solver._object_class[obj]
 
-    def object_sites(self, obj: int) -> Set[int]:
-        """Concrete allocation sites abstracted by object ``obj``."""
-        return self._solver._object_alloc_sites[obj]
+    def object_sites(self, obj: int) -> AbstractSet[int]:
+        """Concrete allocation sites abstracted by object ``obj`` (empty
+        for a numbered slot whose allocation was never reached)."""
+        sites = self._solver._object_alloc_sites[obj]
+        return frozenset() if sites is None else sites
 
     def object_site_key(self, obj: int) -> object:
         return self._solver._object_site_key[obj]

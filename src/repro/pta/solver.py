@@ -86,11 +86,23 @@ Design:
   introspective over either), a virtual call site dispatches once per
   receiver *class*: each class's own numbered objects are one
   contiguous id block (``HierarchyNumbering.own_end``), so the delta
-  splits into class slices, each resolved, context-selected, pushed to
-  ``this`` and linked once.  Object- and type-sensitive selectors, and
-  overflow ids, dispatch once per receiver object.  Both paths pop the
-  same nodes and derive the same facts; ``dispatch_attempts`` counts
-  slices on the first and objects on the second.
+  splits into class slices, each pushed to ``this`` and linked once.
+  Object-sensitive selectors, and overflow ids, dispatch once per
+  receiver object; type-sensitive selectors once per group of
+  receivers sharing a receiver key (class, heap context, context
+  element).  When the callee context also ignores the caller
+  (:func:`~repro.pta.context.ignores_caller`: ci, k-obj, k-type and
+  introspective over any of them), the callee frame is memoized per
+  solve by (receiver key, method name, arity), so each key is resolved
+  and context-selected once however many sites and attempts reach it.
+  Every path pops the same nodes and derives the same facts;
+  ``dispatch_attempts`` counts slices, groups or objects.
+
+* **Exceptional flow where it can happen.**  Every frame has an
+  exceptional-exit slot, but call edges link the callee's exit to the
+  caller's, and ``catch`` reads a method's own exit, only for methods
+  in :meth:`~repro.ir.program.Program.may_throw_methods`; the other
+  exits can never hold an object.
 
 * **Reference oracle.**  ``tests/reference_solver.py`` re-derives the
   same facts by naive chaotic iteration, sharing no code with this
@@ -138,6 +150,7 @@ from repro.pta.context import (
     ContextSelector,
     EMPTY_CONTEXT,
     ReceiverInfo,
+    ignores_caller,
     ignores_receiver,
     wants_type_elements,
 )
@@ -196,6 +209,9 @@ class ObjectDescriptor:
         ctx = "" if not self.heap_context else f" @{self.heap_context}"
         return f"o{self.site_key}:{self.class_name}{ctx}"
 
+
+#: A callee-memo miss (``None`` in the memo is a cached failed dispatch).
+_UNRESOLVED = object()
 
 #: ``succs[node]`` of a node without outgoing edges: one shared empty
 #: tuple, replaced by a list on the node's first edge.
@@ -384,6 +400,14 @@ class Solver:
         self.perf = perf
         self._type_elements = wants_type_elements(self.selector)
         self._class_dispatch = ignores_receiver(self.selector)
+        # (receiver key, method name, arity) -> callee frame (None: the
+        # dispatch fails), when the callee context ignores the caller.
+        self._callee_memo: Optional[Dict[Tuple[object, str, int],
+                                         Optional[_Frame]]] = (
+            {} if ignores_caller(self.selector) else None)
+        # Only these methods' exceptional exits can ever hold an object:
+        # the others get no exceptional call edge and no catch edge.
+        self._may_throw = program.may_throw_methods()
         self._ci = isinstance(self.selector, ContextInsensitive)
         hierarchy = program.hierarchy
         self._hierarchy = hierarchy
@@ -399,7 +423,13 @@ class Solver:
         self._object_heap_ctx: List[Context] = []
         self._object_class: List[str] = []
         self._object_ctx_elem: List[object] = []
-        self._object_alloc_sites: List[Set[int]] = []  # provenance
+        # provenance: a set per materialized object, None for a slot
+        # never allocated
+        self._object_alloc_sites: List[Optional[Set[int]]] = []
+        # the key a dispatch memoizes on (``_receiver_key``), set when
+        # the object materializes
+        self._object_recv_key: List[object] = []
+        self._recv_key_ids: Dict[Tuple[str, Context, object], int] = {}
         # Materialized ids in intern order: reserved slots exist in the
         # parallel tables above before (or without) ever being
         # allocated, so "how many objects are there" is
@@ -428,7 +458,8 @@ class Solver:
             else:
                 elem = key
             self._object_ctx_elem.append(elem)
-            self._object_alloc_sites.append(set())
+        self._object_alloc_sites.extend(repeat(None, numbered.count))
+        self._object_recv_key.extend(repeat(None, numbered.count))
 
         # Cast-filter masks over object ids: O(1) range masks over the
         # numbered block with a watermark scatter for overflow ids.
@@ -1160,8 +1191,8 @@ class Solver:
         one contiguous block of node ids, a variable node per slot of
         the method's layout plus its exceptional exit, which thrown
         objects reach and which flows to callers' exceptional exits
-        along call edges (the flow-insensitive exceptional flow Doop
-        models).  Variable ``slot`` of the frame is node ``base +
+        along call edges when the method may throw (the
+        flow-insensitive exceptional flow Doop models).  Variable ``slot`` of the frame is node ``base +
         slot``; slots the statements read point at the frame in
         ``_meta_by_node``."""
         mkey = id(method)
@@ -1219,6 +1250,7 @@ class Solver:
                 # reserved at construction; materialize the slot.
                 obj = slot
                 self._object_ids[(key, hctx)] = obj
+                self._object_alloc_sites[obj] = set()
             else:
                 # Discovery-order path — also the overflow space above
                 # the numbered block (context-sensitive heap clones,
@@ -1243,9 +1275,26 @@ class Solver:
                     elem = key
                 self._object_ctx_elem.append(elem)
                 self._object_alloc_sites.append(set())
+                self._object_recv_key.append(None)
+            self._object_recv_key[obj] = self._receiver_key(obj)
             self._live_objects.append(obj)
         self._object_alloc_sites[obj].add(site)
         return obj
+
+    def _receiver_key(self, obj: int) -> object:
+        """What ``select_virtual`` and dispatch read of receiver ``obj``:
+        its class under a receiver-free selector, else its class, heap
+        context and context element, interned as one int."""
+        class_name = self._object_class[obj]
+        if self._class_dispatch:
+            return class_name
+        triple = (class_name, self._object_heap_ctx[obj],
+                  self._object_ctx_elem[obj])
+        ids = self._recv_key_ids
+        key = ids.get(triple)
+        if key is None:
+            key = ids[triple] = len(ids)
+        return key
 
     # ------------------------------------------------------------------
     # Reachability
@@ -1276,8 +1325,9 @@ class Solver:
         exc = base + layout.exc
         for source in layout.throws:
             add_edge(base + source, exc)
-        for target, class_name in layout.catches:
-            add_edge(exc, base + target, class_name)
+        if layout.catches and frame.method in self._may_throw:
+            for target, class_name in layout.catches:
+                add_edge(exc, base + target, class_name)
         for call in layout.static_invokes:
             self._process_static_invoke(frame, call)
         # Register reachable virtual call sites even before (or without)
@@ -1353,6 +1403,20 @@ class Solver:
             return
         dispatch = self._process_virtual_dispatch
         if not class_dispatch:
+            if self._type_elements:
+                # Receiver groups: objects sharing a receiver key reach
+                # the same (callee, context), so each group dispatches
+                # once, in the order of its lowest id.
+                recv_key = self._object_recv_key
+                groups: Dict[object, int] = {}
+                for obj in objs:
+                    key = recv_key[obj]
+                    groups[key] = groups.get(key, 0) | 1 << obj
+                for call in invokes:
+                    for bits in groups.values():
+                        dispatch(frame, call,
+                                 (bits & -bits).bit_length() - 1, bits)
+                return
             for call in invokes:
                 for obj in objs:
                     dispatch(frame, call, obj, 1 << obj)
@@ -1380,33 +1444,54 @@ class Solver:
     def _process_virtual_dispatch(self, frame: _Frame, call: _Call,
                                   obj: int, bits: int) -> None:
         """Dispatch the virtual ``call`` of ``frame`` on the receivers
-        ``bits``: one object, or under a receiver-free selector one class
-        slice whose lowest object is ``obj``.  Counted as one
-        ``dispatch_attempts``."""
+        ``bits``: one object, or a class slice (receiver-free selector)
+        or receiver group (type-sensitive selector) whose lowest object
+        is ``obj``.  Counted as one ``dispatch_attempts``.  When the
+        callee context ignores the caller, the callee frame comes from
+        the per-solve memo on ``obj``'s receiver key."""
         self.counters["dispatch_attempts"] += 1
         stmt, target, args = call
-        callee = self.program.dispatch(self._object_class[obj], stmt.method_name)
-        if callee is None or len(callee.params) != len(args):
-            return
-        receiver = ReceiverInfo(
-            obj, self._object_heap_ctx[obj], self._object_ctx_elem[obj]
-        )
         ctx = frame.ctx
-        callee_ctx = self.selector.select_virtual(
-            ctx, stmt.call_site, receiver, callee.qualified_name
-        )
-        callee_frame = self._frame(callee_ctx, callee)
+        memo = self._callee_memo
+        if memo is None:
+            callee_frame = self._resolve_virtual(ctx, stmt, len(args), obj)
+        else:
+            key = (self._object_recv_key[obj], stmt.method_name, len(args))
+            callee_frame = memo.get(key, _UNRESOLVED)
+            if callee_frame is _UNRESOLVED:
+                callee_frame = memo[key] = self._resolve_virtual(
+                    ctx, stmt, len(args), obj)
+        if callee_frame is None:
+            return
         # `this` (slot 0 of an instance method's frame) receives exactly
         # the dispatching objects, unconditionally (cheap, dedups in
         # propagate).
         self._push(callee_frame.base, bits)
-        edge = (ctx, stmt.call_site, callee_ctx, callee.qualified_name)
+        callee = callee_frame.method.qualified_name
+        edge = (ctx, stmt.call_site, callee_frame.ctx, callee)
         if edge in self._cg_edges_ctx:
             return
         self._cg_edges_ctx.add(edge)
-        self._cg_edges_proj.add((stmt.call_site, callee.qualified_name))
+        self._cg_edges_proj.add((stmt.call_site, callee))
         self._add_reachable(callee_frame)
         self._link_call(frame, target, args, callee_frame)
+
+    def _resolve_virtual(self, ctx: Context, stmt, arity: int,
+                         obj: int) -> Optional[_Frame]:
+        """The callee frame of virtual call ``stmt`` in context ``ctx``
+        on receiver ``obj`` (None when dispatch finds no method of that
+        name and ``arity``), reserved on first use."""
+        callee = self.program.dispatch(self._object_class[obj],
+                                       stmt.method_name)
+        if callee is None or len(callee.params) != arity:
+            return None
+        receiver = ReceiverInfo(
+            obj, self._object_heap_ctx[obj], self._object_ctx_elem[obj]
+        )
+        callee_ctx = self.selector.select_virtual(
+            ctx, stmt.call_site, receiver, callee.qualified_name
+        )
+        return self._frame(callee_ctx, callee)
 
     def _process_static_invoke(self, frame: _Frame, call: _Call) -> None:
         stmt, target, args = call
@@ -1430,8 +1515,8 @@ class Solver:
     def _link_call(self, frame: _Frame, target: Optional[int],
                    args: Tuple[int, ...], callee_frame: _Frame) -> None:
         """Edges of one call-graph edge: arguments to parameters, the
-        callee's returns to the call's result slot ``target``, and the
-        callee's exceptional exit to the caller's."""
+        callee's returns to the call's result slot ``target``, and, when
+        the callee may throw, its exceptional exit to the caller's."""
         base = frame.base
         callee_base = callee_frame.base
         callee_layout = callee_frame.layout
@@ -1443,8 +1528,10 @@ class Solver:
             for ret in callee_layout.returns:
                 add_edge(callee_base + ret, target_node)
         # exceptional flow: whatever escapes the callee reaches the
-        # caller's exceptional exit
-        add_edge(callee_base + callee_layout.exc, base + frame.layout.exc)
+        # caller's exceptional exit (an exit no object can reach gets no
+        # edge)
+        if callee_frame.method in self._may_throw:
+            add_edge(callee_base + callee_layout.exc, base + frame.layout.exc)
 
 
 def solve(program: Program, selector: Optional[ContextSelector] = None,

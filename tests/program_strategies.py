@@ -6,9 +6,10 @@ exists, every used variable was defined (points-to-wise a variable may
 still be empty, which the solver must tolerate).
 
 The generated shape: a small class pool with one level of inheritance,
-a shared ``f`` field, one virtual method per class, a couple of static
-helpers, and a straight-line ``main`` mixing allocations, copies,
-loads, stores, casts, and calls.
+a shared ``f`` field, one virtual method per class, a static helper,
+and a straight-line ``main`` mixing allocations, copies, loads, stores,
+casts, and calls.  The virtual methods and the helper may each throw
+their parameter and catch (and return) one class's exceptions.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ def ir_programs(draw) -> Program:
         name = f"S{i}"
         builder.add_class(name, parent)
         class_names.append(name)
+    def exceptional(mb: MethodBuilder, owner: str, thrown: str) -> None:
+        """Optionally throw ``thrown`` and/or catch (and return) one
+        class's objects from the method's exceptional exit."""
+        if draw(st.booleans(), label=f"{owner}_throws"):
+            mb.throw(thrown)
+        if draw(st.booleans(), label=f"{owner}_catches"):
+            cls = draw(st.sampled_from(class_names), label=f"{owner}_catch")
+            mb.ret(mb.catch(cls))
+
     # one virtual method per class: returns either `this` or its field
     for name in class_names:
         returns_field = draw(st.booleans(), label=f"{name}_returns_field")
@@ -47,10 +57,12 @@ def ir_programs(draw) -> Program:
                 mb.ret(value)
             else:
                 mb.ret("this")
+            exceptional(mb, name, "p")
     # one static helper: identity
     builder.add_class("Util")
     with builder.method("Util", "id", params=("x",), static=True) as mb:
         mb.ret("x")
+        exceptional(mb, "Util", "x")
 
     with builder.main() as mb:
         defined: List[str] = []

@@ -6,18 +6,22 @@ Compared: per-variable, field, static-field and exception points-to
 sets (objects as ``(site_key, heap_context)``, variables per context),
 reachable (context, method) pairs, context-sensitive and projected call
 edges, reachable call sites, cast records and may-fail cast sites.
-Inputs are hypothesis-generated programs, the paper's examples and the
-hand-written corpus under ci/2cs/2obj/2type with the alloc-site, T- and
-M- heaps; both solver loops run (``scc`` on and off).
+Inputs are hypothesis-generated programs (throwing and catching in
+virtual and static callees), the paper's examples, a generated program
+with exception sites and the hand-written corpus under ci/2cs/2obj/2type
+with the alloc-site, T- and M- heaps, and introspective over 2obj and
+2type; both solver loops run (``scc`` on and off).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import run_analysis
+from repro.analysis import run_analysis, run_introspective
 from repro.analysis.governor import ResourceGovernor
 from repro.clients import check_casts
 from repro.frontend import parse_program
@@ -149,13 +153,15 @@ def programs(figure1_program):
         "figure7": parse_program(paper.TestFigure7AndExample32.SOURCE),
         "copy_cycle": parse_program(COPY_CYCLE_SOURCE),
         "tiny": generate(TINY),
+        "tiny_exceptions": generate(replace(TINY, exception_sites=6)),
     }
     for name in corpus_names():
         named[name] = corpus_program(name)
     return named
 
 
-PROGRAM_NAMES = ["figure1", "figure7", "copy_cycle", "tiny", *corpus_names()]
+PROGRAM_NAMES = ["figure1", "figure7", "copy_cycle", "tiny",
+                 "tiny_exceptions", *corpus_names()]
 
 
 class TestExamplesAndCorpus:
@@ -168,6 +174,18 @@ class TestExamplesAndCorpus:
         program = programs[name]
         run = run_analysis(program, heap + config, scc=scc)
         assert_run_matches_reference(program, run)
+
+    @pytest.mark.parametrize("base", ["2obj", "2type"])
+    @pytest.mark.parametrize("name", PROGRAM_NAMES)
+    def test_introspective_matches_reference(self, programs, name, base):
+        """Introspective over an object- or type-sensitive base resolves
+        callees through the per-solve memo with refined and unrefined
+        callees mixed (threshold 1 refines only methods with at most one
+        receiver in the pre-analysis)."""
+        program = programs[name]
+        run = run_introspective(program, base, threshold=1)
+        assert_matches_reference(program, run.result,
+                                 selector=run.result._solver.selector)
 
     @pytest.mark.parametrize("config", ["ci", "2obj"])
     def test_cycles_with_forced_collapse(self, config):

@@ -26,6 +26,7 @@ import pytest
 
 from repro.incr import perturb_method, pick_editable_method
 from repro.pta.context import selector_for
+from repro.pta.results import PointsToResult
 from repro.pta.solver import _NO_EDGES, Solver
 from repro.serve.protocol import result_digest
 from repro.workloads import generate, load_profile
@@ -69,6 +70,22 @@ def test_retained_objects_per_node(warm):
     assert nodes > 500, name
     assert retained <= MAX_TRACKED_PER_NODE * nodes, (
         name, retained, nodes, round(retained / nodes, 2))
+
+
+def test_one_provenance_set_per_materialized_object(warm):
+    """Reserved numbered slots get their allocation-site set only when
+    their allocation is reached; a slot never reached has none, and
+    ``object_sites`` reads it as empty."""
+    name, solver, _ = warm
+    live = set(solver._object_ids.values())
+    sites = solver._object_alloc_sites
+    assert {obj for obj, held in enumerate(sites) if held is not None} \
+        == live, name
+    assert all(sites[obj] for obj in live), name
+    result = PointsToResult(solver)
+    for obj in range(solver._numbering.count):
+        if obj not in live:
+            assert result.object_sites(obj) == frozenset(), (name, obj)
 
 
 def test_edge_set_matches_successor_lists(warm):
