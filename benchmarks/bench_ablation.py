@@ -2,8 +2,8 @@
 
 Groups compare, on one FPG:
 
-* ``ablation-pairing`` — representatives strategy vs literal all-pairs
-  Algorithm 1 (same quotient, fewer equivalence tests);
+* ``ablation-pairing`` — the representatives loop vs canonical-form
+  hashing (same quotient);
 * ``ablation-sharing`` — shared automata vs explicit per-pair NFA/DFA
   construction (the Section 5 optimization);
 * ``ablation-disjoint-sets`` — union-by-rank + path compression vs the
@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.ablation import merge_without_sharing
 from repro.core.disjoint_sets import DisjointSets, NaiveDisjointSets
-from repro.core.merging import MergeOptions, merge_type_consistent_objects
+from repro.core.merging import merge_type_consistent_objects
 
 from benchmarks.conftest import pre_for
 
@@ -26,16 +26,7 @@ PROFILE = "luindex"
 def test_pairing_representatives(benchmark):
     pre = pre_for(PROFILE)
     benchmark.group = "ablation-pairing"
-    result = benchmark(lambda: merge_type_consistent_objects(
-        pre.fpg, MergeOptions(strategy="representatives")))
-    assert result.classes
-
-
-def test_pairing_all_pairs(benchmark):
-    pre = pre_for(PROFILE)
-    benchmark.group = "ablation-pairing"
-    result = benchmark(lambda: merge_type_consistent_objects(
-        pre.fpg, MergeOptions(strategy="all_pairs")))
+    result = benchmark(lambda: merge_type_consistent_objects(pre.fpg))
     assert result.classes
 
 

@@ -323,14 +323,13 @@ def classify_failure(exc: BaseException) -> FailureInfo:
                        error_type=type(exc).__name__, detail=str(exc))
 
 
-def _pre_cache_component(merge_options, scc) -> str:
+def _pre_cache_component(merge_options) -> str:
     """Cache-key component for the pre-analysis artifacts: every
     *explicit* argument that can change them, with ``None`` options
     normalised to the defaults.  (Env-knob defaults are folded in
     separately via :func:`repro.envknobs.env_knobs`.)"""
     opts = merge_options if merge_options is not None else MergeOptions()
-    return (f"scc={scc}|strategy={opts.strategy}"
-            f"|policy={opts.representative_policy}")
+    return f"policy={opts.representative_policy}"
 
 
 def run_pre_analysis(
@@ -339,14 +338,11 @@ def run_pre_analysis(
     timeout_seconds: Optional[float] = None,
     perf: Optional[PerfRecorder] = None,
     governor=None,
-    scc: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
     artifact_cache=None,
 ) -> PreAnalysisArtifacts:
     """Phases 1–3: ci points-to analysis, FPG construction, MAHJONG.
 
-    ``scc`` switches the pre-analysis solve's constraint-graph
-    condensation (``None`` = resolve through ``$REPRO_SCC``/default);
     ``perf`` optionally collects
     counters/timers across all three phases; ``governor`` budgets each
     phase (``pre``/``fpg``/``merge``); ``tracer`` wraps each phase in a
@@ -364,7 +360,7 @@ def run_pre_analysis(
     fpg_key = merge_key = None
     cache_hits: List[str] = []
     if artifact_cache is not None:
-        component = _pre_cache_component(merge_options, scc)
+        component = _pre_cache_component(merge_options)
         fpg_key = artifact_cache.key_for("fpg", program, component)
         merge_key = artifact_cache.key_for("merge", program, component)
         fpg_artifact = artifact_cache.load("fpg", fpg_key)
@@ -384,7 +380,7 @@ def run_pre_analysis(
                                     AllocationSiteAbstraction(),
                                     timeout_seconds=timeout_seconds,
                                     perf=perf, governor=governor,
-                                    phase_label="pre", scc=scc,
+                                    phase_label="pre",
                                     tracer=tracer).solve()
     t1 = time.monotonic()
     if fpg is None:
@@ -467,24 +463,20 @@ def next_rung(config_name: str, failed_phase: Optional[str]) -> Optional[str]:
     Main-phase exhaustion keeps the heap abstraction and coarsens the
     context sensitivity; pre-analysis exhaustion (``pre``/``fpg``/
     ``merge`` — the MAHJONG machinery itself was the problem) falls back
-    to the allocation-site heap at the same sensitivity.  An ``@scc``/
-    ``@noscc`` suffix is carried through unchanged.
+    to the allocation-site heap at the same sensitivity.
     """
     config = parse_config(config_name)
-    suffix = ""
-    if config.scc is not None:
-        suffix = "@scc" if config.scc else "@noscc"
     if failed_phase in PRE_PHASES and config.heap == "mahjong":
-        return config.sensitivity + suffix
+        return config.sensitivity
     sensitivity = coarser_sensitivity(config.sensitivity)
     if sensitivity is None:
         return None
     if sensitivity == "ci":
         # the pre-analysis already *is* an allocation-site ci solve, so
         # the bottom rung never needs a heap prefix
-        return "ci" + suffix
+        return "ci"
     prefix = {"mahjong": "M-", "alloc-type": "T-", "alloc-site": ""}[config.heap]
-    return prefix + sensitivity + suffix
+    return prefix + sensitivity
 
 
 def degradation_chain(config_name: str) -> List[str]:
@@ -520,14 +512,13 @@ def _solve_main(
     timeout_seconds: Optional[float],
     perf: Optional[PerfRecorder],
     governor,
-    scc: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
 ) -> AnalysisRun:
     """Phase 4 for one configuration; raises on exhaustion."""
     selector = selector_for(config.sensitivity)
     solver = Solver(program, selector, heap_model,
                     timeout_seconds=timeout_seconds, perf=perf,
-                    governor=governor, phase_label="main", scc=scc,
+                    governor=governor, phase_label="main",
                     tracer=tracer)
     start = time.monotonic()
     with _maybe_span(tracer, "phase:main"):
@@ -556,7 +547,6 @@ def run_analysis(
     perf: Optional[PerfRecorder] = None,
     governor=None,
     degrade: Union[None, bool, str, Sequence[str]] = None,
-    scc: Optional[bool] = None,
     tracer: Optional[obs.Tracer] = None,
     artifact_cache=None,
 ) -> AnalysisRun:
@@ -575,9 +565,6 @@ def run_analysis(
     a sequence (or comma-separated string) of configuration names is
     tried in the given order.  A rescued run keeps ``timed_out=False``
     and records ``degraded_from`` plus per-attempt provenance.
-    ``scc`` overrides the ``@scc``/``@noscc`` suffix for both the
-    pre-analysis and main solves (``None`` → suffix → ``$REPRO_SCC`` →
-    on).
 
     ``tracer`` (``None`` = the process-wide one from
     :func:`repro.obs.current_tracer`, if installed) records the run as
@@ -615,7 +602,6 @@ def run_analysis(
             ))
         while True:
             config = parse_config(current)
-            use_scc = scc if scc is not None else config.scc
             attempt_perf = PerfRecorder() if perf is not None else None
             begin_attempt = getattr(governor, "begin_attempt", None)
             if begin_attempt is not None:
@@ -633,7 +619,7 @@ def run_analysis(
                             program, merge_options,
                             timeout_seconds=timeout_seconds,
                             perf=attempt_perf, governor=governor,
-                            scc=use_scc, tracer=tracer,
+                            tracer=tracer,
                             artifact_cache=artifact_cache,
                         )
                     heap_model: HeapModel = shared_pre.abstraction
@@ -643,7 +629,7 @@ def run_analysis(
                     heap_model = AllocationSiteAbstraction()
                 run = _solve_main(program, config, heap_model,
                                   timeout_seconds, attempt_perf, governor,
-                                  scc=use_scc, tracer=tracer)
+                                  tracer=tracer)
             except (ResourceExhausted, FPGIntegrityError) as exc:
                 seconds = time.monotonic() - start
                 phase = getattr(exc, "phase", None) or "main"

@@ -6,7 +6,7 @@ import sys
 from typing import Callable, Dict, List
 
 from repro.bench import (ablation, batch, compare, fig8, fig9, incr,
-                         motivating, parallel, prestats, report, scc, serve,
+                         motivating, parallel, prestats, report, serve,
                          table1, table2)
 
 _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
@@ -18,7 +18,6 @@ _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "prestats": prestats.main,
     "ablation": ablation.main,
     "compare": compare.main,
-    "scc": scc.main,
     "incr": incr.main,
     "batch": batch.main,
     "parallel": parallel.main,

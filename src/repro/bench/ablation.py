@@ -2,9 +2,8 @@
 
 Four ablations, all on the merging engine:
 
-1. **pairing strategy** — the literal all-pairs loop of Algorithm 1 vs
-   the transitivity-exploiting representatives strategy (identical
-   quotient, fewer equivalence tests);
+1. **merge engine** — the representatives loop over shared automata
+   against canonical-form hashing (identical quotient);
 2. **shared automata** — the Section 5 shared-DFA optimization vs
    rebuilding explicit per-object NFAs/DFAs for every pair;
 3. **disjoint-set heuristics** — union-by-rank + path compression vs
@@ -79,17 +78,13 @@ def run_ablation(profile: str = "checkstyle", scale: float = 1.0) -> AblationRes
     fpg = under.pre.fpg
     result = AblationResult()
 
-    # 1–2: pairing strategy and automata sharing (plus the alternative
-    # canonical-form grouping engine)
+    # 1–2: automata sharing, and the alternative canonical-form
+    # grouping engine
     from repro.core.minimization import merge_by_canonical_forms
 
     for label, runner in (
         ("representatives+shared",
-         lambda: merge_type_consistent_objects(
-             fpg, MergeOptions(strategy="representatives"))),
-        ("all-pairs+shared",
-         lambda: merge_type_consistent_objects(
-             fpg, MergeOptions(strategy="all_pairs"))),
+         lambda: merge_type_consistent_objects(fpg)),
         ("representatives+explicit", lambda: merge_without_sharing(fpg)),
         ("canonical-form-hashing",
          lambda: merge_by_canonical_forms(fpg)),

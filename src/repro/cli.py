@@ -97,7 +97,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         sinks.append(obs.JsonlSink(args.trace_out))
     if sinks:
         tracer = obs.Tracer(sinks=tuple(sinks))
-    scc = None if args.scc is None else (args.scc == "on")
     artifact_cache = None
     if args.cache_dir:
         from repro.incr import ArtifactCache
@@ -111,7 +110,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with plan_scope:
             run = run_analysis(program, args.analysis,
                                timeout_seconds=args.budget,
-                               governor=governor, degrade=degrade, scc=scc,
+                               governor=governor, degrade=degrade,
                                tracer=tracer,
                                artifact_cache=artifact_cache)
     except Exception as exc:  # noqa: BLE001 - classified, not a traceback
@@ -319,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="deterministic fault-injection spec "
                               "(see repro.faults)")
     analyze.add_argument("--faults-seed", type=int, default=0)
-    analyze.add_argument("--scc", choices=("on", "off"), default=None,
-                         help="constraint-graph condensation (default: "
-                              "@scc/@noscc suffix, then $REPRO_SCC, then on)")
     analyze.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="on-disk artifact cache for pre-analysis/FPG/"
                               "merge reuse across invocations")

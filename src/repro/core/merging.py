@@ -11,15 +11,12 @@ Given the field points-to graph of a pre-analysis,
 3. returns the quotient ``H/≡`` as a :class:`MergeResult`, from which the
    merged object map (MOM) of Definition 2.2 is produced.
 
-Two pairing strategies are provided:
-
-* ``"representatives"`` (default) — compare each object only against the
-  representative of each existing class of its type.  Because ``≡`` is
-  an equivalence relation (transitive), this yields exactly the same
-  quotient as the all-pairs loop while doing O(n · #classes) instead of
-  O(n²) equivalence tests.
-* ``"all_pairs"`` — the literal Algorithm 1 double loop, kept as a
-  correctness oracle and ablation baseline.
+Each object is compared only against the representative of each
+existing class of its type.  Because ``≡`` is an equivalence relation
+(transitive), this yields exactly the quotient of Algorithm 1's literal
+all-pairs loop while doing O(n · #classes) instead of O(n²) equivalence
+tests.  The literal loop is kept in ``tests/merge_oracle.py`` as the
+oracle that checks this.
 
 The paper checks the per-type partitions, its synchronization-free
 parallel unit, on 8 threads (Section 5).  Here they run serially: on
@@ -45,16 +42,12 @@ __all__ = ["MergeResult", "merge_type_consistent_objects", "MergeOptions"]
 class MergeOptions:
     """Knobs for the merging engine (all paper-default when omitted)."""
 
-    #: "representatives" (transitivity-exploiting) or "all_pairs" (literal).
-    strategy: str = "representatives"
     #: representative choice per class: "min_site" or "max_site" (both
     #: deterministic) — Example 3.2 shows the choice can change M-ktype
     #: precision, so it is exposed for the ablation bench.
     representative_policy: str = "min_site"
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("representatives", "all_pairs"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.representative_policy not in ("min_site", "max_site"):
             raise ValueError(
                 f"unknown representative policy {self.representative_policy!r}"
@@ -143,7 +136,7 @@ def merge_type_consistent_objects(
     equivalence_tests = singletype_failures = 0
     sets: DisjointSets = DisjointSets(fpg.objects())
     for objs in partitions:
-        pairs, tests, failures = _merge_partition(objs, automata, opts)
+        pairs, tests, failures = _merge_partition(objs, automata)
         for a, b in pairs:
             sets.union(a, b)
         equivalence_tests += tests
@@ -164,7 +157,6 @@ def merge_type_consistent_objects(
 def _merge_partition(
     objs: Sequence[int],
     automata: SharedAutomata,
-    opts: MergeOptions,
 ) -> Tuple[List[Tuple[int, int]], int, int]:
     """Find the merges within one same-type partition.
 
@@ -172,53 +164,22 @@ def _merge_partition(
     """
     equivalence_tests = 0
     singletype_failures = 0
-    pairs: List[Tuple[int, int]]
-    singletype_ok: Dict[int, bool] = {}
-
-    def passes_singletype(obj: int) -> bool:
-        ok = singletype_ok.get(obj)
-        if ok is None:
-            ok = automata.singletype(obj)
-            singletype_ok[obj] = ok
-        return ok
-
-    if opts.strategy == "representatives":
-        pairs = []
-        representatives: List[int] = []
-        for obj in objs:
-            if not passes_singletype(obj):
-                singletype_failures += 1
-                continue
-            root = automata.dfa_root(obj)
-            merged = False
-            for representative in representatives:
-                equivalence_tests += 1
-                if shared_equivalent(automata.dfa_root(representative), root):
-                    pairs.append((representative, obj))
-                    merged = True
-                    break
-            if not merged:
-                representatives.append(obj)
-    else:  # all_pairs — literal Algorithm 1 (with a local union-find so
-        # already-merged pairs are skipped, as W.FIND does in the paper)
-        pairs = []
-        local: DisjointSets = DisjointSets(objs)
-        for i, oi in enumerate(objs):
-            for oj in objs[i + 1:]:
-                if local.connected(oi, oj):
-                    continue
-                if not passes_singletype(oi):
-                    singletype_failures += 1
-                    break
-                if not passes_singletype(oj):
-                    singletype_failures += 1
-                    continue
-                equivalence_tests += 1
-                if shared_equivalent(
-                    automata.dfa_root(oi), automata.dfa_root(oj)
-                ):
-                    local.union(oi, oj)
-                    pairs.append((oi, oj))
+    pairs: List[Tuple[int, int]] = []
+    representatives: List[int] = []
+    for obj in objs:
+        if not automata.singletype(obj):
+            singletype_failures += 1
+            continue
+        root = automata.dfa_root(obj)
+        merged = False
+        for representative in representatives:
+            equivalence_tests += 1
+            if shared_equivalent(automata.dfa_root(representative), root):
+                pairs.append((representative, obj))
+                merged = True
+                break
+        if not merged:
+            representatives.append(obj)
     return pairs, equivalence_tests, singletype_failures
 
 

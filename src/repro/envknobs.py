@@ -24,13 +24,12 @@ __all__ = ["ENV_KNOBS", "env_knobs"]
 ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_FAULTS",
     "REPRO_FAULTS_SEED",
-    "REPRO_SCC",
 )
 
 
 def env_knobs() -> str:
     """Canonical string of every result-affecting env knob's current
-    value, e.g. ``"REPRO_FAULTS=|...|REPRO_SCC=off"``.
+    value, e.g. ``"REPRO_FAULTS=|REPRO_FAULTS_SEED=7"``.
 
     Unset and empty both render as ``""`` — the knobs themselves treat
     an empty value as unset, so the key must too.

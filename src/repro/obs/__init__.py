@@ -18,7 +18,7 @@ Span vocabulary used across the pipeline:
 ``attempt``         one degradation-ladder rung (attrs: config, index,
                     outcome, cause, phase)
 ``phase:pre`` etc.  the four pipeline phases (pre/fpg/merge/main)
-``solve``           one solver fixpoint (attrs: phase, scc)
+``solve``           one solver fixpoint (attrs: phase)
 ``stride``          one solver check-stride window (attrs: iterations,
                     worklist, facts — contiguous under ``solve``)
 ``scc:collapse``    one online cycle-elimination pass

@@ -42,7 +42,6 @@ class PointsToResult:
         self.program: Program = solver.program
         self.selector_name: str = solver.selector.name
         self.heap_model_name: str = solver.heap_model.name
-        self.scc: bool = solver.use_scc
         self.solve_seconds: float = solver.solve_seconds
         self.iterations: int = solver.iterations
         # Query indexes, each built in one pass over the solver's
@@ -236,7 +235,6 @@ class PointsToResult:
         return {
             "selector": self.selector_name,
             "heap_model": self.heap_model_name,
-            "scc": self.scc,
             "solve_seconds": round(self.solve_seconds, 4),
             "iterations": self.iterations,
             "abstract_objects": self.object_count,

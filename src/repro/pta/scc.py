@@ -9,12 +9,11 @@ constraint, so the sets subsume each other transitively).  Collapsing a
 cycle's members into one representative node therefore loses nothing
 and replaces O(k) unions per incoming delta with one.
 
-This module owns the two generic pieces the solver composes:
+Condensation is always on.  This module owns the two generic pieces
+the solver composes:
 
-* the **off-switch registry** (``REPRO_SCC`` environment variable /
-  ``@scc``/``@noscc`` configuration suffix), so the uncondensed path
-  stays selectable for the ``bench scc`` ablation and permanently
-  tested;
+* :class:`AdaptiveGate` — the per-stride-window statistics that defer
+  a detection pass while fresh-node creation dominates;
 * :func:`condense_copy_graph` — an **iterative Tarjan** pass over the
   copy-edge subgraph of the live representatives.  It returns both the
   multi-member components (the cycles to collapse) and a topological
@@ -32,7 +31,6 @@ trivially-satisfied ``pts(x) ⊇ filter_T(pts(x))`` and is dropped).
 
 from __future__ import annotations
 
-import os
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -40,69 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle through repro.core
     from repro.core.disjoint_sets import IntDisjointSets
 
 __all__ = [
-    "SCC_ENV_VAR",
-    "SCC_ON",
-    "SCC_OFF",
-    "default_scc",
-    "set_default_scc",
-    "resolve_scc",
     "condense_copy_graph",
     "AdaptiveGate",
     "DOMINANCE_FACTOR",
 ]
-
-#: Environment override consulted by :func:`resolve_scc` — lets CI run
-#: the whole suite uncondensed without touching call sites.
-SCC_ENV_VAR = "REPRO_SCC"
-
-SCC_ON = "on"
-SCC_OFF = "off"
-
-#: Accepted spellings for each switch position.
-_TRUTHY = frozenset({SCC_ON, "1", "true", "yes", "scc"})
-_FALSY = frozenset({SCC_OFF, "0", "false", "no", "noscc"})
-
-_default_scc = True
-
-
-def default_scc() -> bool:
-    """The process-wide default for constraint-graph condensation."""
-    return _default_scc
-
-
-def set_default_scc(enabled: bool) -> bool:
-    """Set the process-wide default; returns the previous value."""
-    global _default_scc
-    previous = _default_scc
-    _default_scc = bool(enabled)
-    return previous
-
-
-def resolve_scc(value: Optional[object] = None) -> bool:
-    """Resolve an optional on/off request to a concrete bool.
-
-    Resolution order: explicit ``value`` (bool or ``"on"``/``"off"``
-    style string) → ``$REPRO_SCC`` → the process default (on).  Unknown
-    strings raise eagerly so a configuration typo fails before a long
-    solve.
-    """
-    if value is None:
-        env = os.environ.get(SCC_ENV_VAR)
-        if env is None or not env.strip():
-            return _default_scc
-        value = env
-    if isinstance(value, bool):
-        return value
-    name = str(value).strip().lower()
-    if name in _TRUTHY:
-        return True
-    if name in _FALSY:
-        return False
-    raise ValueError(
-        f"unknown SCC setting {value!r}; known: "
-        f"{SCC_ON}/{SCC_OFF} (or 1/0, true/false, scc/noscc)"
-    )
-
 
 #: A stride window is *creation-dominated* when it interned at least
 #: ``window_pops / DOMINANCE_FACTOR`` fresh nodes: the constraint graph

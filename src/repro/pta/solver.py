@@ -56,8 +56,7 @@ Design:
   share one stride gate (wall-clock deadline, governor, fault plan,
   trace windows) that runs every 1024 pops.
 
-* **Constraint-graph condensation** (on by default; ``REPRO_SCC=off``
-  or the ``@noscc`` config suffix turns it off): a union-find over
+* **Constraint-graph condensation** (always on): a union-find over
   pointer nodes collapses strongly connected components of unfiltered
   copy edges into single representatives (:mod:`repro.pta.scc`),
   detection piggybacking on the stride gate.  Scheduling is
@@ -68,11 +67,9 @@ Design:
   topological order) and only *probes* for cycles at stride gates
   whose window was not dominated by fresh-node creation
   (:class:`repro.pta.scc.AdaptiveGate`); a probe that finds cycles
-  promotes the solve to wave mode.  With condensation off the solve
-  runs the same FIFO loop with the ranking pass and the probe turned
-  off.  Node-id-facing accessors resolve through ``find()``, so
-  results, clients, and the MAHJONG automata stages see unchanged
-  semantics.
+  promotes the solve to wave mode.  Node-id-facing accessors resolve
+  through ``find()``, so results, clients, and the MAHJONG automata
+  stages see unchanged semantics.
 
 * **Hierarchy-ordered object numbering**: object ids are pre-assigned
   by DFS pre-order over the type hierarchy (:mod:`repro.pta.numbering`),
@@ -127,7 +124,7 @@ from repro import faults as _faults
 from repro.ir.program import Method, Program
 from repro.obs.metrics import PerfRecorder
 from repro.pta.numbering import HierarchyNumbering
-from repro.pta.scc import AdaptiveGate, condense_copy_graph, resolve_scc
+from repro.pta.scc import AdaptiveGate, condense_copy_graph
 from repro.resources import TimeBudgetExceeded
 from repro.ir.statements import (
     Cast,
@@ -363,10 +360,6 @@ class Solver:
     (``"main"`` or ``"pre"``) for budget attribution and for filtering
     ``solve-iteration`` fault injection (:mod:`repro.faults`).
 
-    ``scc`` switches constraint-graph condensation and wave scheduling
-    (``None`` resolves through :func:`repro.pta.scc.resolve_scc`:
-    explicit value → ``$REPRO_SCC`` → on).
-
     ``tracer`` optionally records the solve as spans
     (:class:`repro.obs.Tracer`): one ``solve`` span for the fixpoint,
     a contiguous chain of ``stride`` window spans rotated at the check
@@ -385,7 +378,6 @@ class Solver:
         perf: Optional[PerfRecorder] = None,
         governor=None,
         phase_label: str = "main",
-        scc: Optional[object] = None,
         tracer=None,
     ) -> None:
         if program.entry is None:
@@ -396,7 +388,6 @@ class Solver:
         self.timeout_seconds = timeout_seconds
         self.governor = governor
         self.phase_label = phase_label
-        self.use_scc = resolve_scc(scc)
         self.perf = perf
         self._type_elements = wants_type_elements(self.selector)
         self._class_dispatch = ignores_receiver(self.selector)
@@ -511,16 +502,16 @@ class Solver:
 
         # --- constraint-graph condensation state -----------------------
         # Union-find over node ids: find(node) is the live representative
-        # every accessor and edge operation resolves through.  With SCC
-        # off no union ever happens, so find is the identity.  (Imported
-        # here, not at module level: repro.core's package __init__ pulls
+        # every accessor and edge operation resolves through; until the
+        # first collapse it is the identity.  (Imported here, not at
+        # module level: repro.core's package __init__ pulls
         # the automata stack, which imports repro.pta.results → this
         # module — a cycle at import time but not at construction time.)
         from repro.core.disjoint_sets import IntDisjointSets
 
         self._uf = IntDisjointSets()
         self._find = self._uf.find
-        # Wave scheduling (SCC mode): per-representative merged pending
+        # Wave scheduling: per-representative merged pending
         # deltas plus a heap of (topo order, node) pop priorities.
         self._topo_order: List[int] = []
         self._pending: Dict[int, int] = {}
@@ -538,7 +529,7 @@ class Solver:
         # Adaptive mode selection: every solve starts on the FIFO push;
         # the up-front ranking pass (or a later FIFO-mode probe that
         # finds cycles) switches to wave scheduling via
-        # ``_enter_wave_mode``.  With SCC off neither ever happens.
+        # ``_enter_wave_mode``.
         # The FIFO worklist is a deque of node ids; a queued node's
         # delta waits in ``_fifo_delta`` (a flat list over node ids,
         # grown in lockstep with ``_pts``, 0 when the node is not
@@ -546,7 +537,7 @@ class Solver:
         # same merging the wave pending dict performs, kept in FIFO
         # order.
         self._wave = False
-        self._adaptive = AdaptiveGate() if self.use_scc else None
+        self._adaptive = AdaptiveGate()
         self._fifo_delta: List[int] = []
         self._push = self._push_fifo_coalesce
 
@@ -593,8 +584,7 @@ class Solver:
         tracer = self.tracer
         solve_span = None
         if tracer is not None:
-            solve_span = tracer.begin("solve", phase=self.phase_label,
-                                      scc=self.use_scc)
+            solve_span = tracer.begin("solve", phase=self.phase_label)
         scope = (self.governor.ensure_phase(self.phase_label)
                  if self.governor is not None else nullcontext())
         self._add_reachable(self._frame(EMPTY_CONTEXT, self.program.entry))
@@ -602,19 +592,18 @@ class Solver:
             with scope:
                 if tracer is not None:
                     self._begin_window()
-                if self.use_scc:
-                    # Rank the statically-known topology (and collapse
-                    # any cycles already present) before the first pop;
-                    # the pass doubles as the mode decision.  Cycles →
-                    # wave scheduling pays for itself.  Acyclic → stay
-                    # on the FIFO loop (drained in the ranking's
-                    # topological order) and probe at stride gates.
-                    self._collapse_cycles()
-                    self._adaptive.reset_baseline(len(self._pts))
-                    if self.counters["sccs_collapsed"]:
-                        self._enter_wave_mode()
-                    else:
-                        self._sort_worklist_topologically()
+                # Rank the statically-known topology (and collapse any
+                # cycles already present) before the first pop; the pass
+                # doubles as the mode decision.  Cycles → wave
+                # scheduling pays for itself.  Acyclic → stay on the
+                # FIFO loop (drained in the ranking's topological order)
+                # and probe at stride gates.
+                self._collapse_cycles()
+                self._adaptive.reset_baseline(len(self._pts))
+                if self.counters["sccs_collapsed"]:
+                    self._enter_wave_mode()
+                else:
+                    self._sort_worklist_topologically()
                 if not self._wave:
                     self._run_fifo(deadline)
                     if self._worklist:
@@ -738,7 +727,7 @@ class Solver:
         merge into it (counted as ``propagations_saved``), so the node
         is popped once with the union instead of once per push — the
         merging the wave loop's pending dict performs, without the
-        heap.  With SCC on, the stride gate also probes for cycles
+        heap.  The stride gate also probes for cycles
         (:meth:`_fifo_probe`) and breaks out so :meth:`solve` can
         promote to the wave loop.
         """
@@ -752,7 +741,7 @@ class Solver:
         mask_for = self._filter_masks.mask_for
         gate = self._stride_gate
         stride_mask = self._stride_mask
-        probe = self._fifo_probe if self.use_scc else None
+        probe = self._fifo_probe
         iterations = self.iterations
         facts = 0
         saved = 0
@@ -762,7 +751,7 @@ class Solver:
                 iterations += 1
                 if not iterations & stride_mask:
                     gate(deadline, iterations, len(worklist), facts)
-                    if probe is not None and probe():
+                    if probe():
                         break
                 node = pop()
                 delta = queued[node]
@@ -818,7 +807,7 @@ class Solver:
         self._worklist.append(node)
 
     # ------------------------------------------------------------------
-    # Wave-scheduled fixpoint loop (SCC mode)
+    # Wave-scheduled fixpoint loop
     # ------------------------------------------------------------------
     def _push_wave(self, node: int, delta: int) -> None:
         """Merge ``delta`` into the node's pending wave.
@@ -958,7 +947,7 @@ class Solver:
         self._backoff(self.counters["sccs_collapsed"] > collapsed_before)
 
     def _fifo_probe(self) -> bool:
-        """Stride-gate hook of the FIFO (acyclic) SCC mode: a read-only
+        """Stride-gate hook of the FIFO (acyclic) mode: a read-only
         detection probe when a pass is due (:meth:`_pass_due`).
 
         Returns True exactly when cycles were found — the FIFO loop
@@ -1343,9 +1332,8 @@ class Solver:
     def _add_edge(self, source: int, target: int,
                   filter_class: Optional[str] = None) -> None:
         if self._wave:
-            # Unions only ever happen in wave mode; FIFO-mode SCC (the
-            # adaptive acyclic path) skips the resolution entirely so
-            # its edge path is byte-for-byte the scc=off one.
+            # Unions only ever happen in wave mode; the FIFO mode (the
+            # adaptive acyclic path) skips the resolution entirely.
             parent = self._uf.parent
             if parent[source] != source:
                 source = self._find(source)
@@ -1538,9 +1526,8 @@ def solve(program: Program, selector: Optional[ContextSelector] = None,
           heap_model: Optional[HeapModel] = None,
           timeout_seconds: Optional[float] = None,
           perf: Optional[PerfRecorder] = None,
-          governor=None, phase_label: str = "main",
-          scc: Optional[object] = None, tracer=None):
+          governor=None, phase_label: str = "main", tracer=None):
     """Convenience wrapper: build a :class:`Solver` and run it."""
     return Solver(program, selector, heap_model, timeout_seconds,
                   perf=perf, governor=governor, phase_label=phase_label,
-                  scc=scc, tracer=tracer).solve()
+                  tracer=tracer).solve()

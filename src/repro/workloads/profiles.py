@@ -45,7 +45,7 @@ TINY = _spec(
 #: Copy-cycle-heavy stressor (not one of the paper's 12): deep copy
 #: chains closed into cycles through shared static hubs, the shape the
 #: solver's constraint-graph condensation targets.  Used by the
-#: ``repro bench scc`` A/B harness and the SCC regression tests.
+#: benchmark's ``deep_context`` workload and the SCC regression tests.
 CYCLES = _spec(
     "cycles", seed=61,
     element_classes=6, box_groups=2, box_sites_per_group=3, mixed_boxes=2,

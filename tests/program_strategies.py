@@ -10,6 +10,15 @@ a shared ``f`` field, one virtual method per class, a static helper,
 and a straight-line ``main`` mixing allocations, copies, loads, stores,
 casts, and calls.  The virtual methods and the helper may each throw
 their parameter and catch (and return) one class's exceptions.
+
+Objects also get heap contexts: each base class has a factory ``make``
+that allocates, may keep the new object in ``this.f`` and fill its
+field, and returns it, and a ``fill`` that allocates into its
+argument's field (a container filled in the callee, which ``main``
+then reads).  Subclasses inherit both, so one allocation site is
+reached through receivers of several classes and sites, and under
+object- and type-sensitive selectors its objects differ by heap
+context.
 """
 
 from __future__ import annotations
@@ -58,6 +67,21 @@ def ir_programs(draw) -> Program:
             else:
                 mb.ret("this")
             exceptional(mb, name, "p")
+    # factories and container fillers on the base classes: allocations
+    # inside callees, under the callee's context
+    for name in class_names[:n_classes]:
+        made = draw(st.sampled_from(class_names), label=f"{name}_makes")
+        with builder.method(name, "make", params=("p",)) as mb:
+            mb.new(made, target="r")
+            if draw(st.booleans(), label=f"{name}_keeps"):
+                mb.store("this", "f", "r")
+            if draw(st.booleans(), label=f"{name}_fills"):
+                mb.store("r", "f", "p")
+            mb.ret("r")
+        filled = draw(st.sampled_from(class_names), label=f"{name}_puts")
+        with builder.method(name, "fill", params=("c",)) as mb:
+            mb.new(filled, target="e")
+            mb.store("c", "f", "e")
     # one static helper: identity
     builder.add_class("Util")
     with builder.method("Util", "id", params=("x",), static=True) as mb:
@@ -69,7 +93,7 @@ def ir_programs(draw) -> Program:
         statements = draw(st.integers(3, 14))
         for index in range(statements):
             choice = draw(
-                st.integers(0, 5 if defined else 0), label=f"stmt_{index}"
+                st.integers(0, 7 if defined else 0), label=f"stmt_{index}"
             )
             if choice == 0 or not defined:
                 cls = draw(st.sampled_from(class_names), label=f"new_{index}")
@@ -90,6 +114,16 @@ def ir_programs(draw) -> Program:
                 arg = draw(st.sampled_from(defined), label=f"iva_{index}")
                 mb.invoke(base, "m", arg, target=f"v{index}")
                 defined.append(f"v{index}")
+            elif choice == 6:
+                base = draw(st.sampled_from(defined), label=f"mkb_{index}")
+                arg = draw(st.sampled_from(defined), label=f"mka_{index}")
+                mb.invoke(base, "make", arg, target=f"v{index}")
+                defined.append(f"v{index}")
+            elif choice == 7:
+                base = draw(st.sampled_from(defined), label=f"flb_{index}")
+                box = draw(st.sampled_from(defined), label=f"flc_{index}")
+                mb.invoke(base, "fill", box)
+                defined.append(mb.load(box, "f", target=f"v{index}"))
             else:
                 cls = draw(st.sampled_from(class_names), label=f"cst_{index}")
                 source = draw(st.sampled_from(defined), label=f"css_{index}")

@@ -32,11 +32,13 @@ class TestConfigParsing:
             parse_config(bad)
 
     @pytest.mark.parametrize("retired", ["2obj@set", "2obj@bitset",
-                                         "2obj@nonum"])
+                                         "2obj@nonum", "2obj@scc",
+                                         "M-2obj@noscc"])
     def test_retired_suffixes_are_unknown_tokens(self, retired):
-        """Only ``@scc``/``@noscc`` remain; the retired backend and
-        numbering suffixes raise like any other unknown token."""
-        with pytest.raises(ValueError, match="unknown @-token"):
+        """A name has no ``@`` suffixes any more: the retired backend,
+        numbering and condensation suffixes read as part of an unknown
+        sensitivity."""
+        with pytest.raises(ValueError, match="unknown context sensitivity"):
             parse_config(retired)
 
     def test_needs_pre_analysis_only_for_mahjong(self):

@@ -123,10 +123,9 @@ main {
 """
 
 
-@pytest.mark.parametrize("scc", [True, False], ids=["scc", "noscc"])
-def test_mixed_numbered_and_overflow_delta(scc):
+def test_mixed_numbered_and_overflow_delta():
     program = parse_program(MIXED_DELTA_SOURCE)
-    solver = Solver(program, selector_for("2cs"), scc=scc)
+    solver = Solver(program, selector_for("2cs"))
     count = solver._numbering.count
     deltas = []
     process = solver._process_var_delta

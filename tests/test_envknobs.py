@@ -17,6 +17,10 @@ SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 _KNOB_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
+#: a registered knob and a value of it, for the rendering tests
+SAMPLE_KNOB = "REPRO_FAULTS"
+SAMPLE_VALUE = "main-boundary:times=1"
+
 
 def _knobs_read_in_source():
     found = set()
@@ -36,7 +40,7 @@ class TestRegistryCoverage:
         be registered as result-affecting — otherwise cache keys
         silently collide across its settings."""
         read = _knobs_read_in_source()
-        assert "REPRO_SCC" in read  # the scan sees the tree
+        assert "REPRO_FAULTS" in read  # the scan sees the tree
         unclassified = read - set(ENV_KNOBS)
         assert not unclassified, (
             f"unregistered REPRO_* knobs {sorted(unclassified)}; add them "
@@ -51,7 +55,7 @@ class TestRegistryCoverage:
         """Switches whose code was deleted must leave the registry (and
         so every cache key) with it."""
         retired = {"REPRO_INCR", "REPRO_JOBS", "REPRO_NUMBERING",
-                   "REPRO_PTS_BACKEND"}
+                   "REPRO_PTS_BACKEND", "REPRO_SCC"}
         assert not retired & set(ENV_KNOBS)
         assert not retired & _knobs_read_in_source()
 
@@ -63,15 +67,15 @@ class TestEnvKnobsString:
             assert f"{name}=" in rendered
 
     def test_unset_and_empty_render_identically(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCC", raising=False)
+        monkeypatch.delenv(SAMPLE_KNOB, raising=False)
         unset = env_knobs()
-        monkeypatch.setenv("REPRO_SCC", "")
+        monkeypatch.setenv(SAMPLE_KNOB, "")
         assert env_knobs() == unset
 
     def test_set_knob_changes_rendering(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCC", raising=False)
+        monkeypatch.delenv(SAMPLE_KNOB, raising=False)
         before = env_knobs()
-        monkeypatch.setenv("REPRO_SCC", "off")
+        monkeypatch.setenv(SAMPLE_KNOB, SAMPLE_VALUE)
         assert env_knobs() != before
 
 
@@ -89,12 +93,12 @@ class TestCacheKeyFoldsKnobs:
 
     def test_explicit_environment_overrides_the_default(self, monkeypatch):
         key = protocol.cache_key("source", "M-2obj", environment="pinned")
-        monkeypatch.setenv("REPRO_SCC", "off")
+        monkeypatch.setenv(SAMPLE_KNOB, SAMPLE_VALUE)
         assert protocol.cache_key("source", "M-2obj",
                                   environment="pinned") == key
 
     def test_artifact_key_folds_knobs_too(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCC", raising=False)
+        monkeypatch.delenv(SAMPLE_KNOB, raising=False)
         before = artifact_key("fpg", "fingerprint", "component")
-        monkeypatch.setenv("REPRO_SCC", "off")
+        monkeypatch.setenv(SAMPLE_KNOB, SAMPLE_VALUE)
         assert artifact_key("fpg", "fingerprint", "component") != before

@@ -197,15 +197,13 @@ class TestDegradationPaths:
     rescued result stays sound."""
 
     def test_main_boundary_steps_down_ladder(self, tiny_program):
-        # the ladder carries the config's @-suffix down every rung
         plan = FaultPlan([FaultSpec(point="main-boundary", times=1)])
         with faults.active(plan):
-            run = run_analysis(tiny_program, "M-2obj@noscc", degrade=True)
+            run = run_analysis(tiny_program, "M-2obj", degrade=True)
         assert run.degraded
-        assert run.degraded_from == "M-2obj@noscc"
-        assert run.config.name == "M-2type@noscc"
-        assert [a.config for a in run.attempts] == [
-            "M-2obj@noscc", "M-2type@noscc"]
+        assert run.degraded_from == "M-2obj"
+        assert run.config.name == "M-2type"
+        assert [a.config for a in run.attempts] == ["M-2obj", "M-2type"]
         assert run.attempts[0].cause == "time"
         assert not run.attempts[1].cause
 

@@ -198,16 +198,16 @@ class TestContentAddressing:
 
     def test_key_varies_with_component_and_kind(self, cache):
         program = corpus_program("cache")
-        assert (cache.key_for("fpg", program, "scc=on")
-                != cache.key_for("fpg", program, "scc=off"))
+        assert (cache.key_for("fpg", program, "policy=min_site")
+                != cache.key_for("fpg", program, "policy=max_site"))
         assert (cache.key_for("fpg", program, "c")
                 != cache.key_for("merge", program, "c"))
 
     def test_key_varies_with_env_knobs(self, cache, monkeypatch):
         program = corpus_program("cache")
-        monkeypatch.delenv("REPRO_SCC", raising=False)
+        monkeypatch.delenv("REPRO_FAULTS_SEED", raising=False)
         before = cache.key_for("fpg", program, "c")
-        monkeypatch.setenv("REPRO_SCC", "off")
+        monkeypatch.setenv("REPRO_FAULTS_SEED", "7")
         assert cache.key_for("fpg", program, "c") != before
 
     def test_default_merge_options_share_one_key(self, cache):

@@ -31,23 +31,25 @@ class TestSolverCounters:
     def test_counters_present_and_consistent(self, tiny_program):
         from repro.pta import solve
 
-        # pinned to the uncondensed solver: under SCC condensation a
+        # facts-propagated ≥ pts-facts is a FIFO-loop invariant (a
         # collapse pass reseeds whole merged points-to sets through the
-        # worklist, so facts-propagated ≥ pts-facts is only a FIFO-loop
-        # invariant
-        result = solve(tiny_program, scc=False)
+        # wave loop); the tiny program is acyclic, so it stays in FIFO
+        result = solve(tiny_program)
         stats = result.stats()
+        assert stats["count_sccs_collapsed"] == 0
         assert stats["count_facts_propagated"] >= stats["pts_facts"]
         assert stats["count_copy_edges"] > 0
         assert stats["count_dispatch_attempts"] > 0
 
     def test_condensed_solve_same_facts(self, tiny_program):
+        from repro.analysis.governor import ResourceGovernor
         from repro.pta import solve
 
-        condensed = solve(tiny_program, scc=True).stats()
-        plain = solve(tiny_program, scc=False).stats()
-        assert condensed["pts_facts"] == plain["pts_facts"]
-        assert condensed["scc"] is True and plain["scc"] is False
+        condensed = solve(tiny_program).stats()
+        forced = solve(tiny_program,
+                       governor=ResourceGovernor(check_stride=1)).stats()
+        assert condensed["pts_facts"] == forced["pts_facts"]
+        assert forced["count_scc_passes_deferred"] > 0  # gate ran per pop
 
     def test_merged_heap_does_less_work(self, tiny_program):
         from repro.analysis import run_analysis, run_pre_analysis

@@ -257,7 +257,7 @@ class TestSummary:
 
     def test_summarize_trace_payload_accepts_chrome_form(self):
         tracer, sink = _traced()
-        with tracer.span("solve", scc=False):
+        with tracer.span("solve", phase="main"):
             pass
         text = obs.summarize_trace_payload(obs.to_chrome_trace(sink.events))
         assert "solve" in text

@@ -167,9 +167,9 @@ class TestPickleRoundTrips:
     def test_analysis_config_round_trip(self):
         from repro.analysis.config import parse_config
 
-        config = parse_config("M-2obj@scc")
+        config = parse_config("M-2obj")
         assert pickle.loads(pickle.dumps(config)) == config
-        config = parse_config("2obj@noscc")
+        config = parse_config("T-2type")
         assert pickle.loads(pickle.dumps(config)) == config
 
     def test_filter_masks_round_trip_rebuild(self):

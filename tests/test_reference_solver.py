@@ -7,10 +7,11 @@ sets (objects as ``(site_key, heap_context)``, variables per context),
 reachable (context, method) pairs, context-sensitive and projected call
 edges, reachable call sites, cast records and may-fail cast sites.
 Inputs are hypothesis-generated programs (throwing and catching in
-virtual and static callees), the paper's examples, a generated program
-with exception sites and the hand-written corpus under ci/2cs/2obj/2type
-with the alloc-site, T- and M- heaps, and introspective over 2obj and
-2type; both solver loops run (``scc`` on and off).
+virtual and static callees; factories, ``this``-field stores and
+containers filled in callees, so objects of one site differ by heap
+context), the paper's examples, a generated program with exception
+sites and the hand-written corpus under ci/2cs/2obj/2type with the
+alloc-site, T- and M- heaps, and introspective over 2obj and 2type.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from tests.reference_solver import reference_solve
 
 CONFIGS = ["ci", "2cs", "2obj", "2type"]
 HEAPS = ["", "T-", "M-"]
+#: the configurations the generated heap-context patterns are run under
+HEAP_CONTEXT_CONFIGS = ["2obj", "2type", "M-2obj", "M-2type", "I-2obj",
+                        "I-2type"]
 
 
 def production_facts(result):
@@ -165,14 +169,16 @@ PROGRAM_NAMES = ["figure1", "figure7", "copy_cycle", "tiny",
 
 
 class TestExamplesAndCorpus:
-    @pytest.mark.parametrize("scc", [True, False], ids=["scc", "noscc"])
-    @pytest.mark.parametrize("heap", HEAPS, ids=["alloc", "T", "M"])
+    # The ``-scc`` id suffix names the solver's one schedule (condensation
+    # on); it is kept so the ids match those of the runs from before the
+    # off-switch was deleted.
+    @pytest.mark.parametrize("heap", HEAPS,
+                             ids=["alloc-scc", "T-scc", "M-scc"])
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("name", PROGRAM_NAMES)
-    def test_pipeline_matches_reference(self, programs, name, config, heap,
-                                        scc):
+    def test_pipeline_matches_reference(self, programs, name, config, heap):
         program = programs[name]
-        run = run_analysis(program, heap + config, scc=scc)
+        run = run_analysis(program, heap + config)
         assert_run_matches_reference(program, run)
 
     @pytest.mark.parametrize("base", ["2obj", "2type"])
@@ -193,18 +199,17 @@ class TestExamplesAndCorpus:
         up-front ranking, mid-solve probes, promotion to the wave loop
         and repeated collapses all happen on a small program."""
         program = load_profile("cycles", 0.3)
-        result = Solver(program, selector_for(config), scc=True,
+        result = Solver(program, selector_for(config),
                         governor=ResourceGovernor(check_stride=1)).solve()
         assert result.stats()["count_scc_nodes_merged"] > 0
         assert_matches_reference(program, result)
 
 
 class TestGeneratedPrograms:
-    @given(program=ir_programs(), config=st.sampled_from(CONFIGS),
-           scc=st.booleans())
+    @given(program=ir_programs(), config=st.sampled_from(CONFIGS))
     @settings(max_examples=60, deadline=None)
-    def test_solver_matches_reference(self, program, config, scc):
-        result = Solver(program, selector_for(config), scc=scc).solve()
+    def test_solver_matches_reference(self, program, config):
+        result = Solver(program, selector_for(config)).solve()
         assert_matches_reference(program, result)
 
     @given(program=ir_programs(), config=st.sampled_from(CONFIGS),
@@ -213,3 +218,19 @@ class TestGeneratedPrograms:
     def test_merged_heaps_match_reference(self, program, config, heap):
         run = run_analysis(program, heap + config)
         assert_run_matches_reference(program, run)
+
+    @given(program=ir_programs(), config=st.sampled_from(HEAP_CONTEXT_CONFIGS))
+    @settings(max_examples=60, deadline=None)
+    def test_heap_contexts_match_reference(self, program, config):
+        """The configurations whose heap contexts (and receiver keys)
+        tell objects of one allocation site apart: factory, ``this``
+        field and container objects allocated in callees reach virtual
+        call sites under several heap contexts.  ``I-`` runs
+        introspective over the base with threshold 1."""
+        if config.startswith("I-"):
+            run = run_introspective(program, config[2:], threshold=1)
+            assert_matches_reference(program, run.result,
+                                     selector=run.result._solver.selector)
+        else:
+            assert_run_matches_reference(program,
+                                         run_analysis(program, config))

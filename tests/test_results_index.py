@@ -5,10 +5,9 @@ per result.  They are checked here against a brute-force scan of the
 solver's variable and exception node records (``Solver.variable_nodes``
 and ``Solver.exception_nodes``) that lives in this file, on hypothesis
 programs, the hand-written corpus and a generated program with
-exceptional flow, under ci, 2obj and 2type.  The condensation setting comes from
-``REPRO_SCC`` (CI runs this file with it off), except for the forced
-collapse case, which needs it on.  A work-count test pins the exception
-client to one visit per exception node.
+exceptional flow, under ci, 2obj and 2type, and on a forced-collapse
+case whose variable nodes are merged cycle members.  A work-count test
+pins the exception client to one visit per exception node.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ class TestIndexedQueriesMatchScans:
         """Stride 1 collapses cycles mid-solve, so indexed variable
         nodes are cycle members that read through ``find()``."""
         program = load_profile("cycles", 0.3)
-        result = Solver(program, selector_for("ci"), scc=True,
+        result = Solver(program, selector_for("ci"),
                         governor=ResourceGovernor(check_stride=1)).solve()
         assert result.stats()["count_scc_nodes_merged"] > 0
         assert_queries_match_scans(program, result)

@@ -2,33 +2,35 @@
 
 Covers the dense union-find (:class:`repro.core.disjoint_sets.
 IntDisjointSets`), the Tarjan condensation pass
-(:func:`repro.pta.scc.condense_copy_graph`), the on/off registry
-(``REPRO_SCC`` / ``@scc``/``@noscc`` suffixes), collapse behavior inside
-the solver, and the satellite regression: governor work-guard and
-fault-injection stride accounting must stay exact after node merges.
+(:func:`repro.pta.scc.condense_copy_graph`), collapse behavior inside
+the solver, the schedule each benchmark-shaped program takes (wave loop
+on cycles, FIFO loop otherwise), and the satellite regression: governor
+work-guard and fault-injection stride accounting must stay exact after
+node merges.  Condensation is always on; where a test once compared
+against the uncondensed solve, it now checks the reference solver or the
+pop count that solve took.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import dataclasses
+import random
+
 from repro import faults
 from repro.analysis import run_analysis
-from repro.analysis.config import parse_config
 from repro.analysis.governor import ResourceGovernor
-from repro.analysis.pipeline import next_rung
 from repro.core.disjoint_sets import IntDisjointSets
 from repro.frontend import parse_program
 from repro.pta.context import selector_for
-from repro.pta.scc import (
-    AdaptiveGate,
-    condense_copy_graph,
-    resolve_scc,
-    set_default_scc,
-)
+from repro.pta.scc import AdaptiveGate, condense_copy_graph
 from repro.pta.solver import Solver
 from repro.resources import ResourceExhausted, WorkBudgetExceeded
 from repro.workloads import CYCLES, WorkloadSpec, generate, load_profile
+from repro.workloads.profiles import profile_spec
+
+from tests.test_reference_solver import assert_matches_reference
 
 
 @pytest.fixture(scope="module")
@@ -183,93 +185,32 @@ class TestCondenseCopyGraph:
 # ----------------------------------------------------------------------
 # The on/off registry
 # ----------------------------------------------------------------------
-class TestResolveScc:
-    def test_explicit_values(self):
-        assert resolve_scc(True) is True
-        assert resolve_scc(False) is False
-        assert resolve_scc("on") is True
-        assert resolve_scc("off") is False
-        assert resolve_scc("noscc") is False
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCC", "off")
-        assert resolve_scc() is False
-        monkeypatch.setenv("REPRO_SCC", "on")
-        assert resolve_scc() is True
-        monkeypatch.delenv("REPRO_SCC")
-        assert resolve_scc() is True  # process default
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCC", "off")
-        assert resolve_scc(True) is True
-
-    def test_unknown_value_raises(self):
-        with pytest.raises(ValueError):
-            resolve_scc("sometimes")
-
-    def test_set_default(self):
-        previous = set_default_scc(False)
-        try:
-            assert resolve_scc() is False
-        finally:
-            set_default_scc(previous)
-
-    def test_config_suffix_parsing(self):
-        assert parse_config("2obj").scc is None
-        assert parse_config("2obj@scc").scc is True
-        assert parse_config("M-2obj@noscc").scc is False
-        with pytest.raises(ValueError):
-            parse_config("2obj@scc@noscc")
-        with pytest.raises(ValueError):
-            parse_config("2obj@maybe")
-
-    def test_next_rung_carries_scc_suffix(self):
-        assert next_rung("M-3obj@noscc", "main") == "M-2obj@noscc"
-        assert next_rung("M-2obj@noscc", "pre") == "2obj@noscc"
-
-    def test_suffix_reaches_solver(self, figure1_program, monkeypatch):
-        monkeypatch.delenv("REPRO_SCC", raising=False)
-        assert run_analysis(figure1_program, "2obj@noscc").result.stats()[
-            "scc"] is False
-        assert run_analysis(figure1_program, "2obj").result.stats()[
-            "scc"] is True
-
-    def test_env_reaches_solver(self, figure1_program, monkeypatch):
-        monkeypatch.setenv("REPRO_SCC", "off")
-        assert Solver(figure1_program).solve().stats()["scc"] is False
-
-
 # ----------------------------------------------------------------------
 # Collapse behavior inside the solver
 # ----------------------------------------------------------------------
 class TestCollapse:
     def test_cycles_collapse_and_save_work(self, cycles_program):
-        on = Solver(cycles_program, scc=True)
-        on.solve()
-        off = Solver(cycles_program, scc=False)
-        off.solve()
-        assert on.counters["sccs_collapsed"] > 0
-        assert on.counters["scc_nodes_merged"] > 0
-        assert on.counters["scc_edges_dropped"] > 0
-        assert on.iterations < off.iterations
-        assert off.counters["sccs_collapsed"] == 0
-        assert off.counters["scc_passes"] == 0
+        solver = Solver(cycles_program)
+        result = solver.solve()
+        assert solver.counters["sccs_collapsed"] > 0
+        assert solver.counters["scc_nodes_merged"] > 0
+        assert solver.counters["scc_edges_dropped"] > 0
+        assert solver.counters["propagations_saved"] > 0
+        assert_matches_reference(cycles_program, result)
 
     def test_unranked_nodes_pop_in_push_order(self):
         """Nodes no ranking pass has placed pop after every ranked one,
         in push order.  With their ties broken by node id instead, the
         condensed ci solve of this program popped 22,128 times against
-        the uncondensed solve's 12,574."""
+        the (since deleted) uncondensed solve's 12,574."""
         program = load_profile("cycles", 4.0)
-        on = Solver(program, selector_for("ci"), scc=True)
-        on.solve()
-        off = Solver(program, selector_for("ci"), scc=False)
-        off.solve()
-        assert on.counters["sccs_collapsed"] > 0
-        assert on.iterations * 2 < off.iterations
+        solver = Solver(program, selector_for("ci"))
+        solver.solve()
+        assert solver.counters["sccs_collapsed"] > 0
+        assert solver.iterations * 2 < 12_574
 
     def test_member_accessors_resolve_to_representative(self, cycles_program):
-        solver = Solver(cycles_program, scc=True)
+        solver = Solver(cycles_program)
         solver.solve()
         uf = solver._uf
         merged = [i for i in range(len(uf)) if uf.parent[i] != i]
@@ -283,11 +224,6 @@ class TestCollapse:
             assert len(solver._succs[node]) == 0
             assert solver._meta_by_node[node] is None
 
-    def test_off_switch_never_unions(self, cycles_program):
-        solver = Solver(cycles_program, scc=False)
-        solver.solve()
-        assert solver._uf.merges == 0
-
 
 # ----------------------------------------------------------------------
 # Satellite regression: stride accounting under merges
@@ -300,14 +236,14 @@ class TestStrideAccountingAfterMerges:
     def test_work_guard_trips_exactly(self, cycles_program):
         # learn the full iteration count under the same stride, then
         # budget half of it
-        baseline = Solver(cycles_program, scc=True,
+        baseline = Solver(cycles_program,
                           governor=ResourceGovernor(check_stride=1))
         baseline.solve()
         assert baseline.iterations > 4
         limit = baseline.iterations // 2
         governor = ResourceGovernor.from_limits(max_iterations=limit,
                                                 check_stride=1)
-        solver = Solver(cycles_program, scc=True, governor=governor)
+        solver = Solver(cycles_program, governor=governor)
         with pytest.raises(WorkBudgetExceeded):
             solver.solve()
         # stride 1 ⇒ the guard saw every single iteration; merges must
@@ -317,13 +253,13 @@ class TestStrideAccountingAfterMerges:
     def test_fault_stride_callback_not_skipped(self, cycles_program):
         """A ``solve-iteration`` fault armed at iteration N must fire at
         exactly N even while collapse passes rewrite the graph."""
-        baseline = Solver(cycles_program, scc=True,
+        baseline = Solver(cycles_program,
                           governor=ResourceGovernor(check_stride=1))
         baseline.solve()
         at = baseline.iterations // 2
         assert at > 1
         plan = faults.FaultPlan.parse(f"solve-iteration:at={at}", stride=1)
-        solver = Solver(cycles_program, scc=True)
+        solver = Solver(cycles_program)
         with faults.active(plan):
             with pytest.raises(ResourceExhausted):
                 solver.solve()
@@ -336,18 +272,17 @@ class TestStrideAccountingAfterMerges:
     def test_interrupted_then_fresh_solve_agrees(self, cycles_program):
         """A solve interrupted mid-collapse leaves no corrupted shared
         state behind (everything is per-Solver): a fresh solve still
-        reproduces the uncondensed result."""
-        baseline = Solver(cycles_program, scc=True,
+        reproduces the reference solver's facts."""
+        baseline = Solver(cycles_program,
                           governor=ResourceGovernor(check_stride=1))
         baseline.solve()
         governor = ResourceGovernor.from_limits(
             max_iterations=baseline.iterations // 2, check_stride=1)
-        interrupted = Solver(cycles_program, scc=True, governor=governor)
+        interrupted = Solver(cycles_program, governor=governor)
         with pytest.raises(ResourceExhausted):
             interrupted.solve()
-        on = Solver(cycles_program, scc=True).solve()
-        off = Solver(cycles_program, scc=False).solve()
-        assert on.stats()["pts_facts"] == off.stats()["pts_facts"]
+        assert_matches_reference(cycles_program,
+                                 Solver(cycles_program).solve())
 
     def test_governor_sees_pending_as_worklist(self, cycles_program):
         """The wave loop reports its pending map as the worklist depth."""
@@ -359,7 +294,7 @@ class TestStrideAccountingAfterMerges:
                 return super().check(iterations=iterations, objects=objects,
                                      worklist=worklist)
 
-        solver = Solver(cycles_program, scc=True,
+        solver = Solver(cycles_program,
                         governor=Probe(check_stride=1))
         solver.solve()
         assert observed and max(observed) > 0
@@ -411,26 +346,22 @@ class TestAdaptiveGate:
 
 
 class TestAdaptiveFifoRegression:
-    """The PR 3 regression, pinned: on a luindex-shaped acyclic
-    deep-context workload, ``scc=on`` must do **no more** pops than
-    ``scc=off`` — the adaptive gate keeps mid-solve Tarjan passes off
-    the hot path entirely (the up-front pass is the only one), and the
-    ranking pass's topological seed order is all that differs from the
-    ``scc=off`` run of the same FIFO loop."""
+    """The regression of the first condensation change, pinned: on a
+    luindex-shaped acyclic deep-context workload, the condensing solver
+    must do **no more** pops than the uncondensed FIFO loop did before
+    it was deleted (3,877) — the adaptive gate keeps mid-solve Tarjan
+    passes off the hot path entirely (the up-front pass is the only
+    one), and the ranking pass's topological seed order was all that
+    differed from that loop."""
 
     @pytest.fixture(scope="class")
     def luindex(self):
         return load_profile("luindex", 0.25)
 
     def test_scc_on_does_not_exceed_off(self, luindex):
-        on = Solver(luindex, selector_for("2obj"), scc=True)
-        on_result = on.solve()
-        off = Solver(luindex, selector_for("2obj"), scc=False)
-        off_result = off.solve()
-        assert on.iterations <= off.iterations
-        assert on_result.stats()["pts_facts"] == off_result.stats()["pts_facts"]
-        assert (on_result.call_graph_edges()
-                == off_result.call_graph_edges())
+        on = Solver(luindex, selector_for("2obj"))
+        on.solve()
+        assert on.iterations <= 3_877
         # coalescing is where the win comes from on an acyclic graph
         assert on.counters["propagations_saved"] > 0
         # detection ran exactly once (up-front, doubling as the mode
@@ -459,19 +390,15 @@ class TestFifoPromotion:
         """With the dominance damper disabled (factor 0: a probe at
         every gate), a cycle formed mid-solve must promote the FIFO
         loop to wave scheduling and collapse — and the result must
-        match the uncondensed solve."""
+        match the reference solver."""
         program = parse_program(MIDSOLVE_CYCLE_SOURCE)
-        solver = Solver(program, scc=True,
-                        governor=ResourceGovernor(check_stride=1))
+        solver = Solver(program, governor=ResourceGovernor(check_stride=1))
         solver._adaptive = AdaptiveGate(dominance_factor=0)
         result = solver.solve()
         assert solver.counters["scc_promotions"] == 1
         assert solver.counters["sccs_collapsed"] >= 1
         assert solver.counters["scc_nodes_merged"] >= 2
-        off = Solver(program, scc=False).solve()
-        assert result.stats()["pts_facts"] == off.stats()["pts_facts"]
-        assert sorted(result.call_graph_edges()) == sorted(
-            off.call_graph_edges())
+        assert_matches_reference(program, result)
 
     def test_default_gate_defers_on_tiny_fixture(self):
         """Under the production dominance factor the same fixture stays
@@ -479,14 +406,41 @@ class TestFifoPromotion:
         dispatch nodes), so no probe ever runs: deferral is observable
         and correctness unaffected."""
         program = parse_program(MIDSOLVE_CYCLE_SOURCE)
-        solver = Solver(program, scc=True,
-                        governor=ResourceGovernor(check_stride=1))
+        solver = Solver(program, governor=ResourceGovernor(check_stride=1))
         result = solver.solve()
         assert solver.counters["scc_passes"] == 1  # up-front only
         assert solver.counters["scc_passes_deferred"] > 0
         assert solver.counters["scc_promotions"] == 0
-        off = Solver(program, scc=False).solve()
-        assert result.stats()["pts_facts"] == off.stats()["pts_facts"]
+        assert_matches_reference(program, result)
+
+
+def plan_program(profile, scale, seed=1):
+    """A benchmark plan cell's program: the profile at ``scale`` with
+    its generator seed drawn from the run seed, as ``perfbench/cells.py``
+    (``seeded_program``) draws it."""
+    spec = profile_spec(profile, scale)
+    draw = random.Random(f"{seed}:{profile}").randrange(1, 2 ** 31)
+    return generate(dataclasses.replace(spec, seed=draw))
+
+
+class TestScheduleOnPlanCells:
+    """Both loops stay on the default path: the copy-cycle cells of
+    the benchmark's ``deep_context`` plan run in the wave loop, and an
+    acyclic cell finishes in the FIFO loop it started in."""
+
+    @pytest.mark.parametrize("scale, config", [(6.0, "ci"), (7.0, "2obj")])
+    def test_cycles_cells_enter_wave_mode(self, scale, config):
+        run = run_analysis(plan_program("cycles", scale), config)
+        solver = run.result._solver
+        assert solver._wave
+        assert solver.counters["sccs_collapsed"] > 0
+
+    def test_acyclic_cell_stays_fifo(self):
+        run = run_analysis(plan_program("antlr", 1.0), "M-2obj")
+        for solver in (run.pre.result._solver, run.result._solver):
+            assert not solver._wave
+            assert solver.counters["sccs_collapsed"] == 0
+            assert solver.counters["scc_promotions"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +462,9 @@ class TestCyclesWorkload:
 
         sparse = generate(replace(CYCLES.scaled(0.5), name="sparse",
                                   cycle_chains=2, cycle_chain_length=4))
-        dense_solver = Solver(cycles_program, scc=True)
+        dense_solver = Solver(cycles_program)
         dense_solver.solve()
-        sparse_solver = Solver(sparse, scc=True)
+        sparse_solver = Solver(sparse)
         sparse_solver.solve()
         assert (dense_solver.counters["scc_nodes_merged"]
                 > sparse_solver.counters["scc_nodes_merged"])

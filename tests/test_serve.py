@@ -75,14 +75,14 @@ class TestProtocol:
             protocol.load_program(spec)
 
     def test_cache_key_varies_by_each_component(self):
-        base = protocol.cache_key("source:x", "M-2obj", "scc=on")
+        base = protocol.cache_key("source:x", "M-2obj", "faults=")
         assert protocol.cache_key("source:y", "M-2obj",
-                                  "scc=on") != base
-        assert protocol.cache_key("source:x", "ci", "scc=on") != base
+                                  "faults=") != base
+        assert protocol.cache_key("source:x", "ci", "faults=") != base
         assert protocol.cache_key("source:x", "M-2obj",
-                                  "scc=off") != base
+                                  "faults=main-boundary") != base
         assert protocol.cache_key("source:x", "M-2obj",
-                                  "scc=on") == base
+                                  "faults=") == base
 
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": [2, 3]}) == \
@@ -90,16 +90,14 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# The byte-identity contract, under both solver loops
+# The byte-identity contract
 # ----------------------------------------------------------------------
 class TestDifferential:
-    @pytest.mark.parametrize("config", ["M-2obj", "M-2obj@noscc",
-                                        "ci", "2obj@noscc"])
+    @pytest.mark.parametrize("config", ["M-2obj", "ci"])
     def test_served_equals_direct(self, config):
         """A served analysis returns byte-identical deterministic
         payloads to a direct ``run_analysis`` — the service's
-        correctness contract, pinned for both solver loops via the
-        ``@noscc`` suffix."""
+        correctness contract."""
         direct = run_analysis(parse_program(WORKLOAD), config)
         direct_bytes = canonical_json(deterministic_result(direct))
 

@@ -9,11 +9,10 @@ collections of the whole heap later in a run.
 
 Each program is solved once first, so its slot tables
 (``Program.frame_layouts``) and dispatch memo are warm, and only the
-second result's objects are counted.  The condensation setting comes
-from ``REPRO_SCC`` (CI runs this file with it off), except for the
-``cycles`` case, which needs collapse on.  The same cases check that
-nodes without edges share the empty-successor sentinel and that the
-solver-wide edge set equals the successor lists, collapse or not.
+second result's objects are counted.  Only the ``cycles`` case
+collapses anything.  The same cases check that nodes without edges
+share the empty-successor sentinel and that the solver-wide edge set
+equals the successor lists, collapse or not.
 """
 
 from __future__ import annotations
@@ -35,24 +34,24 @@ from repro.workloads.profiles import profile_spec
 #: tracked objects a retained result may hold per node
 MAX_TRACKED_PER_NODE = 1.5
 
-#: name -> (program factory, config, scc)
+#: name -> (program factory, config)
 CASES = {
     "pmd-2obj": (lambda: generate(replace(profile_spec("pmd", 0.3), seed=7)),
-                 "2obj", None),
-    "antlr-ci": (lambda: load_profile("antlr", 0.5), "ci", None),
-    "cycles-ci-scc": (lambda: load_profile("cycles", 2.0), "ci", True),
+                 "2obj"),
+    "antlr-ci": (lambda: load_profile("antlr", 0.5), "ci"),
+    "cycles-ci-scc": (lambda: load_profile("cycles", 2.0), "ci"),
 }
 
 
 def solve_warm(name):
     """Solve the case's program twice; return the second solver and the
     number of tracked objects its result retains."""
-    factory, config, scc = CASES[name]
+    factory, config = CASES[name]
     program = factory()
-    Solver(program, selector_for(config), scc=scc).solve()
+    Solver(program, selector_for(config)).solve()
     gc.collect()
     before = len(gc.get_objects())
-    result = Solver(program, selector_for(config), scc=scc).solve()
+    result = Solver(program, selector_for(config)).solve()
     gc.collect()
     retained = len(gc.get_objects()) - before
     return result._solver, retained
@@ -106,7 +105,7 @@ def test_edge_set_matches_successor_lists(warm):
 
 
 def test_slot_tables_are_shared_and_not_pickled():
-    factory, config, _ = CASES["antlr-ci"]
+    factory, config = CASES["antlr-ci"]
     program = factory()
     Solver(program, selector_for(config)).solve()
     layouts = dict(program.frame_layouts)
