@@ -2,8 +2,7 @@
 
 Groups compare, on one FPG:
 
-* ``ablation-pairing`` — the representatives loop vs canonical-form
-  hashing (same quotient);
+* ``ablation-pairing`` — the representatives loop (Algorithm 1);
 * ``ablation-sharing`` — shared automata vs explicit per-pair NFA/DFA
   construction (the Section 5 optimization);
 * ``ablation-disjoint-sets`` — union-by-rank + path compression vs the
@@ -28,18 +27,6 @@ def test_pairing_representatives(benchmark):
     benchmark.group = "ablation-pairing"
     result = benchmark(lambda: merge_type_consistent_objects(pre.fpg))
     assert result.classes
-
-
-def test_pairing_canonical_forms(benchmark):
-    from repro.core.minimization import merge_by_canonical_forms
-
-    pre = pre_for(PROFILE)
-    benchmark.group = "ablation-pairing"
-    result = benchmark(lambda: merge_by_canonical_forms(pre.fpg))
-    # identical quotient to the pairwise engine
-    pairwise = merge_type_consistent_objects(pre.fpg)
-    classes_of = lambda r: sorted(tuple(sorted(c)) for c in r.classes)
-    assert classes_of(result) == classes_of(pairwise)
 
 
 def test_sharing_enabled(benchmark):

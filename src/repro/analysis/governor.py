@@ -88,7 +88,7 @@ class GovernorConcurrencyError(RuntimeError):
     (:meth:`~ResourceGovernor.phase`, :meth:`~ResourceGovernor.check`,
     :meth:`~ResourceGovernor.begin_attempt`) and raises this on any
     later call from a different thread — concurrent users (the analysis
-    service, sharded batch workers) must build one governor per request
+    service, batch workers) must build one governor per request
     from a :class:`GovernorSpec` instead of sharing one.
     """
 
@@ -118,7 +118,7 @@ class GovernorSpec:
     """A picklable recipe for building a :class:`ResourceGovernor`.
 
     Governors are stateful and single-run, so they cannot cross a
-    process boundary; a spec can.  The sharded batch runner
+    process boundary; a spec can.  The batch runner
     (:mod:`repro.bench.batch` with ``--jobs``) ships one spec per
     worker and builds a fresh governor per attempt inside the worker.
 

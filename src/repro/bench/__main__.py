@@ -6,8 +6,8 @@ import sys
 from typing import Callable, Dict, List
 
 from repro.bench import (ablation, batch, compare, fig8, fig9, incr,
-                         motivating, parallel, prestats, report, serve,
-                         table1, table2)
+                         motivating, prestats, report, serve, table1,
+                         table2)
 
 _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "motivating": motivating.main,
@@ -20,7 +20,6 @@ _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "compare": compare.main,
     "incr": incr.main,
     "batch": batch.main,
-    "parallel": parallel.main,
     "serve": serve.main,
     "report": report.main,
 }

@@ -1,14 +1,12 @@
 """Ablation harness for the design choices DESIGN.md calls out.
 
-Four ablations, all on the merging engine:
+Three ablations, all on the merging engine:
 
-1. **merge engine** — the representatives loop over shared automata
-   against canonical-form hashing (identical quotient);
-2. **shared automata** — the Section 5 shared-DFA optimization vs
+1. **shared automata** — the Section 5 shared-DFA optimization vs
    rebuilding explicit per-object NFAs/DFAs for every pair;
-3. **disjoint-set heuristics** — union-by-rank + path compression vs
+2. **disjoint-set heuristics** — union-by-rank + path compression vs
    the naive forest, on the merge workload;
-4. **representative policy** — min-site vs max-site representatives and
+3. **representative policy** — min-site vs max-site representatives and
    their effect on M-ktype precision (Example 3.2).
 
 Run with ``python -m repro.bench ablation``.
@@ -78,16 +76,11 @@ def run_ablation(profile: str = "checkstyle", scale: float = 1.0) -> AblationRes
     fpg = under.pre.fpg
     result = AblationResult()
 
-    # 1–2: automata sharing, and the alternative canonical-form
-    # grouping engine
-    from repro.core.minimization import merge_by_canonical_forms
-
+    # 1: automata sharing
     for label, runner in (
         ("representatives+shared",
          lambda: merge_type_consistent_objects(fpg)),
         ("representatives+explicit", lambda: merge_without_sharing(fpg)),
-        ("canonical-form-hashing",
-         lambda: merge_by_canonical_forms(fpg)),
     ):
         start = time.monotonic()
         outcome = runner()
@@ -97,7 +90,7 @@ def run_ablation(profile: str = "checkstyle", scale: float = 1.0) -> AblationRes
             notes = f"{outcome.equivalence_tests} equivalence tests"
         result.rows.append(("merging", label, format_seconds(seconds), notes))
 
-    # 3: disjoint sets on the merge's union workload
+    # 2: disjoint sets on the merge's union workload
     base = merge_type_consistent_objects(fpg)
     union_pairs = [
         (min(cls), obj)
@@ -120,7 +113,7 @@ def run_ablation(profile: str = "checkstyle", scale: float = 1.0) -> AblationRes
             f"{len(union_pairs)} unions x50",
         ))
 
-    # 4: representative policy effect on M-ktype (Example 3.2)
+    # 3: representative policy effect on M-ktype (Example 3.2)
     for policy in ("min_site", "max_site"):
         merge = merge_type_consistent_objects(
             fpg, MergeOptions(representative_policy=policy)

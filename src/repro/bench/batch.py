@@ -27,32 +27,27 @@ Programs come from the synthetic profiles (``--profiles``), the
 hand-written corpus (``--corpus``), and/or mini-Java files
 (``--files``).  Per-phase budgets come from ``--budget`` (wall-clock
 per solve) plus the governor knobs (``--max-iterations``,
-``--memory-mb``); fault injection from ``--faults``/``--faults-seed``;
-``--trace-dir`` writes one Chrome trace (:mod:`repro.obs`) per program.
+``--memory-mb``); fault injection from ``--faults``/``--faults-seed``
+or ``$REPRO_FAULTS``/``$REPRO_FAULTS_SEED``; ``--trace-dir`` writes one
+Chrome trace (:mod:`repro.obs`) per program.
 
-**Sharded execution.**  With ``--jobs N`` (``0`` = one worker per core)
-the batch fans programs out over a thread or process pool.
-Sharded mode trades the legacy serial path's *shared* state for
-*derived* per-program state so the two modes agree wherever they can
-and the sharded mode is identical at any worker count:
+**Per-program state.**  Nothing is shared between programs, so the
+records are identical at any worker count (``--jobs N``, default 1 =
+inline, ``0`` = one worker per core, more than 1 = a process pool):
 
 * each program's backoff jitter comes from its own
-  ``Random(derive_seed(seed, name))`` stream instead of one RNG
-  consumed in arrival order;
+  ``Random(derive_seed(seed, name))`` stream;
 * the fault spec is re-seeded per program
-  (:meth:`repro.faults.FaultPlan.derive`) and installed inside the
-  worker process, so firings depend only on ``(spec, seed, name)`` —
-  never on scheduling;
+  (:meth:`repro.faults.FaultPlan.derive`) and installed where the
+  program runs, so firings depend only on ``(spec, seed, name)`` —
+  never on scheduling.  A plan a caller installed with
+  :func:`repro.faults.active` would be one plan shared by every
+  program, so :func:`run_batch` rejects it;
 * machine-shared governor budgets (memory) are divided across workers
   via :meth:`repro.analysis.governor.GovernorSpec.slice`;
-* worker traces come back as event payloads (:mod:`repro.obs.events`)
-  and the parent writes the per-program Chrome traces;
-* records land in **input order** whatever the completion order, so
-  serial and parallel reports render identically.
-
-A ``--jobs 1`` run uses the same derived per-program state executed
-inline, which is why it matches ``--jobs 4`` exactly; only omitting
-``jobs`` altogether selects the legacy shared-state semantics.
+* each program's trace comes back as event payloads
+  (:mod:`repro.obs.events`) and the parent writes the Chrome trace;
+* records land in **input order** whatever the completion order.
 """
 
 from __future__ import annotations
@@ -61,13 +56,14 @@ import os
 import pickle
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faults as faults_mod
 from repro import obs
-from repro.analysis.governor import GovernorSpec, ResourceGovernor
+from repro.analysis.governor import GovernorSpec
 from repro.analysis.pipeline import run_analysis
 from repro.bench.reporting import format_seconds, render_table
 from repro.faults import TransientFault, derive_seed
@@ -123,8 +119,7 @@ class BatchRecord:
 
 @dataclass
 class BatchResult:
-    """All records of one batch run, always in program **input order**
-    (the sharded runner re-sorts completions by submission index)."""
+    """All records of one batch run, always in program **input order**."""
 
     config: str
     records: List[BatchRecord] = field(default_factory=list)
@@ -210,90 +205,17 @@ def _trace_slugs(names: Sequence[str]) -> List[str]:
     return slugs
 
 
-def _run_program(
-    name: str,
-    source: ProgramSource,
-    *,
-    config: str,
-    budget: Optional[float],
-    degrade: Union[bool, str, Sequence[str]],
-    max_retries: int,
-    backoff_seconds: float,
-    rng: random.Random,
-    governor_factory: Optional[Callable[[], Optional[ResourceGovernor]]],
-    sleeper: Callable[[float], None],
-    tracer: Optional[obs.Tracer],
-) -> BatchRecord:
-    """One program through the isolation boundary; the unit both the
-    legacy serial loop and the sharded workers execute."""
-    span = None
-    if tracer is not None:
-        span = tracer.begin("batch:program", program=name, config=config)
-    start = time.monotonic()
-
-    def attempt():
-        program = source() if callable(source) else source
-        governor = governor_factory() if governor_factory else None
-        return run_analysis(program, config, timeout_seconds=budget,
-                            governor=governor, degrade=degrade,
-                            tracer=tracer)
-
-    def on_backoff(retry: int, delay: float) -> None:
-        if tracer is not None:
-            tracer.instant("batch.backoff", program=name,
-                           retry=retry, delay=round(delay, 6))
-
-    state = RetryState()
-    try:
-        run = call_with_retry(
-            attempt,
-            policy=RetryPolicy(max_retries=max_retries,
-                               backoff_seconds=backoff_seconds),
-            rng=rng, retryable=TransientFault, sleeper=sleeper,
-            on_backoff=on_backoff, state=state,
-        )
-    except RetriesExhausted as exc:
-        record = BatchRecord(
-            program=name, config=config, status="failed",
-            seconds=time.monotonic() - start, retries=exc.retries,
-            error=str(exc),
-            backoff_delays=exc.delays,
-        )
-    except Exception as exc:  # noqa: BLE001 - isolation is the point
-        record = BatchRecord(
-            program=name, config=config, status="failed",
-            seconds=time.monotonic() - start, retries=state.retries,
-            error=f"{type(exc).__name__}: {exc}",
-            backoff_delays=state.delays,
-        )
-    else:
-        status, degraded_from, failed_phase, cause = _classify(run)
-        record = BatchRecord(
-            program=name, config=config, status=status,
-            seconds=time.monotonic() - start, retries=state.retries,
-            metrics=dict(run.metrics()),
-            degraded_from=degraded_from,
-            failed_phase=failed_phase,
-            exhaustion_cause=cause,
-            backoff_delays=state.delays,
-        )
-    if tracer is not None:
-        tracer.end(span, status=record.status, retries=record.retries)
-    return record
-
-
 @dataclass(frozen=True)
 class ShardTask:
-    """One program's worth of sharded-batch work, picklable end to end.
+    """One program's worth of batch work, picklable end to end.
 
     Everything a worker needs is derived, not shared: the backoff RNG
     and the fault plan both come from ``derive_seed(seed, name)`` /
     ``FaultPlan.derive``, and the governor recipe is sliced by
     ``workers`` before building, so the task's behavior is a pure
-    function of its fields — independent of which pool runs it.
+    function of its fields — independent of where it runs.
     """
 
-    index: int
     name: str
     source: ProgramSource
     config: str
@@ -309,42 +231,76 @@ class ShardTask:
     collect_trace: bool = False
 
 
-def _run_shard_task(
+def _run_task(
     task: ShardTask,
     sleeper: Callable[[float], None] = time.sleep,
-) -> Tuple[int, BatchRecord, Optional[List[Dict[str, object]]]]:
-    """Execute one :class:`ShardTask`; the process-pool entry point.
+) -> Tuple[BatchRecord, Optional[List[Dict[str, object]]]]:
+    """One program through the isolation boundary; the process-pool
+    entry point.
 
-    Returns ``(submission index, record, trace events or None)`` — the
-    index lets the parent restore input order, and the events (plain
-    dicts, :func:`repro.obs.events_to_dicts`) survive the pickle trip
-    home where a live tracer would not.
+    Returns the record and, with ``collect_trace``, the program's trace
+    events as plain dicts (:func:`repro.obs.events_to_dicts`), which
+    survive the pickle trip home where a live tracer would not.
     """
-    from contextlib import nullcontext
-
-    rng = random.Random(derive_seed(task.seed, task.name))
     mem_sink = obs.InMemorySink() if task.collect_trace else None
     tracer = obs.Tracer(sinks=(mem_sink,)) if mem_sink is not None else None
-    governor_factory = None
-    if task.governor is not None and task.governor.bounded:
-        governor_factory = task.governor.slice(task.workers).build
+    governor = task.governor.slice(task.workers) if task.governor else None
+    span = None
+    if tracer is not None:
+        span = tracer.begin("batch:program", program=task.name,
+                            config=task.config)
+    start = time.monotonic()
+
+    def attempt():
+        source = task.source
+        program = source() if callable(source) else source
+        return run_analysis(program, task.config,
+                            timeout_seconds=task.budget,
+                            governor=governor.build() if governor else None,
+                            degrade=task.degrade, tracer=tracer)
+
+    def on_backoff(retry: int, delay: float) -> None:
+        if tracer is not None:
+            tracer.instant("batch.backoff", program=task.name,
+                           retry=retry, delay=round(delay, 6))
+
     plan_scope = (
         faults_mod.active(faults_mod.FaultPlan.derive(
             task.fault_spec, task.fault_seed, task.name, stride=1))
         if task.fault_spec else nullcontext()
     )
-    with plan_scope:
-        record = _run_program(
-            task.name, task.source,
-            config=task.config, budget=task.budget, degrade=task.degrade,
-            max_retries=task.max_retries,
-            backoff_seconds=task.backoff_seconds,
-            rng=rng, governor_factory=governor_factory,
-            sleeper=sleeper, tracer=tracer,
-        )
+    state = RetryState()
+    record = BatchRecord(program=task.name, config=task.config,
+                         status="failed", seconds=0.0)
+    try:
+        with plan_scope:
+            run = call_with_retry(
+                attempt,
+                policy=RetryPolicy(max_retries=task.max_retries,
+                                   backoff_seconds=task.backoff_seconds),
+                rng=random.Random(derive_seed(task.seed, task.name)),
+                retryable=TransientFault, sleeper=sleeper,
+                on_backoff=on_backoff, state=state,
+            )
+    except RetriesExhausted as exc:
+        record.retries, record.error = exc.retries, str(exc)
+        record.backoff_delays = exc.delays
+    except Exception as exc:  # noqa: BLE001 - isolation is the point
+        record.retries = state.retries
+        record.error = f"{type(exc).__name__}: {exc}"
+        record.backoff_delays = state.delays
+    else:
+        (record.status, record.degraded_from, record.failed_phase,
+         record.exhaustion_cause) = _classify(run)
+        record.retries = state.retries
+        record.metrics = dict(run.metrics())
+        record.backoff_delays = state.delays
+    record.seconds = time.monotonic() - start
+    if tracer is not None:
+        tracer.end(span, status=record.status, retries=record.retries)
     events = (obs.events_to_dicts(mem_sink.events)
               if mem_sink is not None else None)
-    return task.index, record, events
+    return record, events
 
 
 def run_batch(
@@ -355,13 +311,10 @@ def run_batch(
     max_retries: int = 2,
     backoff_seconds: float = 0.05,
     seed: int = 0,
-    governor_factory: Optional[Callable[[], ResourceGovernor]] = None,
     verbose: bool = False,
     sleeper: Callable[[float], None] = time.sleep,
-    tracer: Optional[obs.Tracer] = None,
     trace_dir: Optional[str] = None,
-    jobs: Optional[int] = None,
-    pool: str = "process",
+    jobs: int = 1,
     governor_spec: Optional[GovernorSpec] = None,
     fault_spec: Optional[str] = None,
     fault_seed: int = 0,
@@ -371,86 +324,88 @@ def run_batch(
     ``programs`` yields ``(name, program_or_thunk)`` pairs; thunks are
     evaluated inside the isolation boundary so even a program that
     fails to *load* (parse error, generator bug) becomes a ``failed``
-    record instead of killing the batch.  ``governor_factory`` builds a
+    record instead of killing the batch.  ``governor_spec`` builds a
     fresh :class:`~repro.analysis.governor.ResourceGovernor` per attempt
-    (governors are stateful); ``governor_spec`` is the picklable
-    equivalent and the only form sharded mode accepts.  Transient
-    faults are retried up to ``max_retries`` times with jittered
-    exponential backoff seeded by ``seed`` — deterministic, like
-    everything else in the fault path.
+    (governors are stateful).  Transient faults are retried up to
+    ``max_retries`` times with jittered exponential backoff seeded by
+    ``seed`` and the program name — deterministic, like everything else
+    in the fault path.  ``fault_spec``/``fault_seed`` arm one derived
+    plan per program; without them ``$REPRO_FAULTS``/
+    ``$REPRO_FAULTS_SEED`` are lifted into the same derived form.  A
+    plan installed with :func:`repro.faults.active` raises
+    :class:`ValueError`.
 
     ``sleeper`` performs the backoff waits (injectable so tests never
     sleep real wall-clock); every *planned* delay is recorded on the
     record's ``backoff_delays``, but the one planned when the final
-    retry is abandoned is never slept.  ``tracer`` wraps each program
-    in a ``batch:program`` span and each slept backoff in a
-    ``batch.backoff`` instant; ``trace_dir`` instead gives every
-    program its own tracer and writes one Chrome trace file per
-    program into the directory (collision-free names even when
-    distinct program names slug identically).
+    retry is abandoned is never slept.  ``trace_dir`` gives every
+    program its own tracer (a ``batch:program`` span, a
+    ``batch.backoff`` instant per slept backoff) and writes one Chrome
+    trace file per program into the directory (collision-free names
+    even when distinct program names slug identically).
 
-    ``jobs=None`` (the default) is the legacy serial path: one shared
-    backoff RNG consumed in arrival order, any ambient fault plan
-    shared across the whole batch.  Any integer ``jobs`` — including 1
-    — selects **sharded** semantics instead (see the module docstring):
-    per-program derived RNGs and fault plans (``fault_spec``/
-    ``fault_seed``), ``governor_spec`` sliced across workers, records
-    restored to input order.  ``pool`` picks ``"process"`` (default;
-    unpicklable sources transparently fall back to the parent) or
-    ``"thread"``; per-program fault plans install process-globally, so
-    ``fault_spec`` with a thread pool and ``jobs > 1`` is rejected
-    rather than racy.  Worker processes sleep their backoffs with
-    ``time.sleep``; a custom ``sleeper`` is honored wherever the task
-    runs in-parent (``jobs=1``, thread pool, or pickle fallback).
+    ``jobs`` is the worker count (``0`` = one per core).  Above 1 the
+    programs run on a process pool; unpicklable sources run in the
+    parent after the pool drains.  Worker processes sleep their
+    backoffs with ``time.sleep``; a custom ``sleeper`` is honored
+    wherever a program runs in the parent.
     """
+    if faults_mod.installed_plan() is not None:
+        raise ValueError(
+            "run_batch derives one fault plan per program: pass "
+            "fault_spec=/fault_seed= instead of installing a plan with "
+            "repro.faults.active()")
+    if fault_spec is None:
+        # $REPRO_FAULTS would otherwise reach every program through the
+        # injection points' env fallback as one *shared* plan whose
+        # firings depend on worker count; lift it into the per-program
+        # derived form instead
+        text = os.environ.get(faults_mod.FAULTS_ENV_VAR, "").strip()
+        if text:
+            fault_spec = text
+            fault_seed = int(
+                os.environ.get(faults_mod.FAULTS_SEED_ENV_VAR, "0"))
+    programs = list(programs)
+    workers = _resolve_jobs(jobs)
+    tasks = [
+        ShardTask(
+            name=name, source=source, config=config, budget=budget,
+            degrade=(tuple(degrade) if isinstance(degrade, (list, tuple))
+                     else degrade),
+            max_retries=max_retries, backoff_seconds=backoff_seconds,
+            seed=seed, workers=workers, governor=governor_spec,
+            fault_spec=fault_spec, fault_seed=fault_seed,
+            collect_trace=trace_dir is not None,
+        )
+        for name, source in programs
+    ]
+    outputs: List[Optional[Tuple[BatchRecord, Optional[list]]]] = \
+        [None] * len(tasks)
+    remote = ([i for i, task in enumerate(tasks) if _picklable(task)]
+              if workers > 1 else [])
+    if len(remote) > 1:
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(remote))) as executor:
+            done = executor.map(_run_task, [tasks[i] for i in remote])
+            for i, output in zip(remote, done):
+                outputs[i] = output
+    # inline runs, and unpicklable sources (closures over live objects)
+    # after the pool is drained
+    for i, task in enumerate(tasks):
+        if outputs[i] is None:
+            outputs[i] = _run_task(task, sleeper=sleeper)
+
+    result = BatchResult(config=config,
+                         records=[record for record, _ in outputs])
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-    if jobs is not None:
-        return _run_batch_sharded(
-            list(programs), config=config, budget=budget, degrade=degrade,
-            max_retries=max_retries, backoff_seconds=backoff_seconds,
-            seed=seed, governor_factory=governor_factory,
-            governor_spec=governor_spec, verbose=verbose, sleeper=sleeper,
-            tracer=tracer, trace_dir=trace_dir, jobs=jobs, pool=pool,
-            fault_spec=fault_spec, fault_seed=fault_seed,
-        )
-    if fault_spec is not None:
-        raise ValueError(
-            "fault_spec requires sharded mode (pass jobs=1 for serial "
-            "sharded semantics); the legacy path takes an ambient plan "
-            "via repro.faults.active()")
-    if governor_factory is None and governor_spec is not None \
-            and governor_spec.bounded:
-        governor_factory = governor_spec.build
-    rng = random.Random(seed)
-    result = BatchResult(config=config)
-    used_slugs: set = set()
-    for name, source in programs:
-        mem_sink: Optional[obs.InMemorySink] = None
-        if trace_dir is not None:
-            mem_sink = obs.InMemorySink()
-            program_tracer: Optional[obs.Tracer] = obs.Tracer(sinks=(mem_sink,))
-        else:
-            program_tracer = tracer
-        record = _run_program(
-            name, source,
-            config=config, budget=budget, degrade=degrade,
-            max_retries=max_retries, backoff_seconds=backoff_seconds,
-            rng=rng, governor_factory=governor_factory,
-            sleeper=sleeper, tracer=program_tracer,
-        )
-        if mem_sink is not None:
-            base = _trace_slug(name)
-            slug, n = base, 1
-            while slug in used_slugs:
-                n += 1
-                slug = f"{base}-{n}"
-            used_slugs.add(slug)
+        slugs = _trace_slugs([name for name, _ in programs])
+        for slug, (_, events) in zip(slugs, outputs):
             path = os.path.join(trace_dir, f"{slug}.trace.json")
-            obs.write_chrome_trace(mem_sink.events, path)
-        result.records.append(record)
-        if verbose:
-            print(f"  {name:<16} {record.status:<10} "
+            obs.write_chrome_trace(obs.events_from_dicts(events), path)
+    if verbose:
+        for record in result.records:
+            print(f"  {record.program:<16} {record.status:<10} "
                   f"{format_seconds(record.seconds)}")
     return result
 
@@ -463,26 +418,6 @@ def _resolve_jobs(jobs: int) -> int:
     return max(1, jobs)
 
 
-def _parallel_map(fn: Callable, items: Iterable, jobs: int = 1,
-                  pool: str = "thread") -> list:
-    """Map ``fn`` over ``items`` on a ``"thread"`` or ``"process"`` pool,
-    returning results in input order.
-
-    A process pool needs a module-level ``fn`` and picklable items.
-    With ``jobs <= 1`` or fewer than two items the map runs inline.  A
-    worker exception propagates to the caller.
-    """
-    if pool not in ("thread", "process"):
-        raise ValueError(f"unknown pool {pool!r}; known: thread, process")
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    executor_cls = (ThreadPoolExecutor if pool == "thread"
-                    else ProcessPoolExecutor)
-    with executor_cls(max_workers=min(jobs, len(items))) as executor:
-        return list(executor.map(fn, items))
-
-
 def _picklable(value: object) -> bool:
     """Whether ``value`` survives pickling, i.e. whether a task may go
     to the process pool (an unpicklable one runs in the parent)."""
@@ -491,95 +426,6 @@ def _picklable(value: object) -> bool:
     except Exception:  # noqa: BLE001 - any pickling failure means "no"
         return False
     return True
-
-
-def _run_batch_sharded(
-    programs: List[Tuple[str, ProgramSource]],
-    *,
-    config: str,
-    budget: Optional[float],
-    degrade: Union[bool, str, Sequence[str]],
-    max_retries: int,
-    backoff_seconds: float,
-    seed: int,
-    governor_factory: Optional[Callable[[], ResourceGovernor]],
-    governor_spec: Optional[GovernorSpec],
-    verbose: bool,
-    sleeper: Callable[[float], None],
-    tracer: Optional[obs.Tracer],
-    trace_dir: Optional[str],
-    jobs: int,
-    pool: str,
-    fault_spec: Optional[str],
-    fault_seed: int,
-) -> BatchResult:
-    """The sharded half of :func:`run_batch` (``jobs`` given)."""
-    if governor_factory is not None:
-        raise ValueError(
-            "sharded mode needs a picklable governor recipe: pass "
-            "governor_spec=GovernorSpec(...) instead of governor_factory")
-    if tracer is not None:
-        raise ValueError(
-            "sharded mode cannot share one live tracer across workers: "
-            "pass trace_dir to collect per-program traces instead")
-    workers = _resolve_jobs(jobs)
-    if fault_spec is None:
-        # $REPRO_FAULTS would otherwise reach the workers through the
-        # injection points' env fallback as one *shared* plan whose
-        # firings depend on worker count; lift it into the per-program
-        # derived form instead
-        text = os.environ.get(faults_mod.FAULTS_ENV_VAR, "").strip()
-        if text:
-            fault_spec = text
-            fault_seed = int(
-                os.environ.get(faults_mod.FAULTS_SEED_ENV_VAR, "0"))
-    if fault_spec is not None and pool == "thread" and workers > 1:
-        raise ValueError(
-            "fault plans install process-globally; a thread pool with "
-            "jobs > 1 would race per-program plans — use pool='process'")
-    tasks = [
-        ShardTask(
-            index=i, name=name, source=source, config=config, budget=budget,
-            degrade=(tuple(degrade) if isinstance(degrade, (list, tuple))
-                     else degrade),
-            max_retries=max_retries, backoff_seconds=backoff_seconds,
-            seed=seed, workers=workers, governor=governor_spec,
-            fault_spec=fault_spec, fault_seed=fault_seed,
-            collect_trace=trace_dir is not None,
-        )
-        for i, (name, source) in enumerate(programs)
-    ]
-    outputs: List[Tuple[int, BatchRecord, Optional[List[Dict[str, object]]]]]
-    if workers > 1 and pool == "process" and len(tasks) > 1:
-        remote = [t for t in tasks if _picklable(t)]
-        local = [t for t in tasks if not _picklable(t)]
-        outputs = _parallel_map(_run_shard_task, remote,
-                                jobs=workers, pool="process")
-        # unpicklable sources (closures over live objects) still run —
-        # just in the parent, after the pool is drained
-        outputs += [_run_shard_task(t, sleeper=sleeper) for t in local]
-    else:  # thread pool or inline; _parallel_map rejects an unknown pool
-        outputs = _parallel_map(lambda t: _run_shard_task(t, sleeper=sleeper),
-                                tasks, jobs=workers, pool=pool)
-
-    records: List[Optional[BatchRecord]] = [None] * len(tasks)
-    events_by_index: Dict[int, List[Dict[str, object]]] = {}
-    for index, record, events in outputs:
-        records[index] = record
-        if events is not None:
-            events_by_index[index] = events
-    result = BatchResult(config=config,
-                         records=[r for r in records if r is not None])
-    if trace_dir is not None:
-        slugs = _trace_slugs([name for name, _ in programs])
-        for index, events in sorted(events_by_index.items()):
-            path = os.path.join(trace_dir, f"{slugs[index]}.trace.json")
-            obs.write_chrome_trace(obs.events_from_dicts(events), path)
-    if verbose:
-        for record in result.records:
-            print(f"  {record.program:<16} {record.status:<10} "
-                  f"{format_seconds(record.seconds)}")
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -646,7 +492,6 @@ def _collect_programs(args) -> List[Tuple[str, ProgramSource]]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
-    from contextlib import nullcontext
 
     from repro.export import dump_json
 
@@ -678,12 +523,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--faults", default=None,
                         help="fault-injection spec (see repro.faults)")
     parser.add_argument("--faults-seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="shard the batch over N workers (0 = one per "
-                             "core; default serial)")
-    parser.add_argument("--pool", choices=("process", "thread"),
-                        default="process",
-                        help="worker pool kind for --jobs (default process)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="run the batch on N worker processes (0 = one "
+                             "per core; default 1, inline)")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero unless every record is usable")
     parser.add_argument("-o", "--output", default=None,
@@ -707,30 +549,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             check_stride=args.check_stride,
         )
 
-    if args.jobs is not None:
-        # sharded: per-program derived fault plans travel with the tasks
-        result = run_batch(
-            _collect_programs(args),
-            config=args.config, budget=args.budget, degrade=degrade,
-            max_retries=args.max_retries, backoff_seconds=args.backoff,
-            seed=args.seed, governor_spec=governor_spec, verbose=True,
-            trace_dir=args.trace_dir, jobs=args.jobs, pool=args.pool,
-            fault_spec=args.faults, fault_seed=args.faults_seed,
-        )
-    else:
-        plan_scope = (
-            faults_mod.active(faults_mod.FaultPlan.parse(
-                args.faults, seed=args.faults_seed, stride=1))
-            if args.faults else nullcontext()
-        )
-        with plan_scope:
-            result = run_batch(
-                _collect_programs(args),
-                config=args.config, budget=args.budget, degrade=degrade,
-                max_retries=args.max_retries, backoff_seconds=args.backoff,
-                seed=args.seed, governor_spec=governor_spec, verbose=True,
-                trace_dir=args.trace_dir,
-            )
+    result = run_batch(
+        _collect_programs(args),
+        config=args.config, budget=args.budget, degrade=degrade,
+        max_retries=args.max_retries, backoff_seconds=args.backoff,
+        seed=args.seed, governor_spec=governor_spec, verbose=True,
+        trace_dir=args.trace_dir, jobs=args.jobs,
+        fault_spec=args.faults, fault_seed=args.faults_seed,
+    )
     print()
     print(result.render())
     if args.output:

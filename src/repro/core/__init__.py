@@ -42,12 +42,6 @@ from repro.core.merging import (
     MergeResult,
     merge_type_consistent_objects,
 )
-from repro.core.minimization import (
-    MinimalDFA,
-    canonical_form,
-    merge_by_canonical_forms,
-    minimize,
-)
 from repro.core.pathcheck import reached_types, type_consistent_by_paths
 
 __all__ = [
@@ -76,8 +70,4 @@ __all__ = [
     "EquivalenceClassReport",
     "reached_types",
     "type_consistent_by_paths",
-    "minimize",
-    "MinimalDFA",
-    "canonical_form",
-    "merge_by_canonical_forms",
 ]

@@ -81,6 +81,7 @@ __all__ = [
     "uninstall",
     "active",
     "thread_active",
+    "installed_plan",
     "current_plan",
     "fire",
     "corrupt_fpg",
@@ -109,7 +110,7 @@ def derive_seed(seed: int, name: str) -> int:
 
     CRC32-based like the per-point RNGs, so it is stable across
     processes and independent of how shards are ordered or interleaved
-    — the property the sharded batch runner needs for ``--jobs 1`` and
+    — the property the batch runner needs for ``--jobs 1`` and
     ``--jobs N`` to observe identical fault firings and backoff jitter
     per program.
     """
@@ -430,6 +431,15 @@ def thread_active(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
         stack.pop()
 
 
+def installed_plan() -> Optional[FaultPlan]:
+    """The thread-scoped plan, else the installed plan; unlike
+    :func:`current_plan`, never one parsed from the environment."""
+    stack = getattr(_thread_plans, "stack", None)
+    if stack:
+        return stack[-1]
+    return _installed
+
+
 def current_plan() -> Optional[FaultPlan]:
     """The thread-scoped plan, else the installed plan, else one parsed
     from the environment.
@@ -438,11 +448,9 @@ def current_plan() -> Optional[FaultPlan]:
     activated via ``REPRO_FAULTS`` keeps its firing state across calls
     (a ``times=1`` fault fires once per process, not once per query).
     """
-    stack = getattr(_thread_plans, "stack", None)
-    if stack:
-        return stack[-1]
-    if _installed is not None:
-        return _installed
+    plan = installed_plan()
+    if plan is not None:
+        return plan
     global _env_cache
     key = (os.environ.get(FAULTS_ENV_VAR, ""),
            os.environ.get(FAULTS_SEED_ENV_VAR, ""))

@@ -7,7 +7,7 @@ corpus runner (:mod:`repro.bench.batch`) and the analysis service
 * exponential backoff with multiplicative jitter —
   ``backoff_seconds * 2**retries * (0.5 + rng.random())`` — drawn from a
   caller-owned :class:`random.Random` so delays are a pure function of
-  the seed (the sharded batch runner derives one per program, the
+  the seed (the batch runner derives one per program, the
   service one per request);
 * an injectable ``sleeper`` so tests never wait real wall-clock;
 * every *planned* delay recorded, including the one planned when the

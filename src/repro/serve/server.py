@@ -104,7 +104,7 @@ class ServiceConfig:
     def tenant_spec(self) -> GovernorSpec:
         """The per-tenant budget: machine-shared axes (memory) divided
         across the configured tenants, per-request axes unchanged —
-        the same fair-share carve the sharded batch runner applies per
+        the same fair-share carve the batch runner applies per
         worker."""
         return self.governor.slice(max(1, len(self.tenants)))
 

@@ -4,10 +4,10 @@ retry, and structured failure records."""
 import pytest
 
 from repro import faults
-from repro.analysis.governor import PhaseBudget, ResourceGovernor
-from repro.bench.batch import BatchRecord, run_batch
+from repro.analysis.governor import GovernorSpec
+from repro.bench.batch import BatchRecord, main, run_batch
 from repro.faults import FaultPlan, FaultSpec
-from repro.workloads import corpus_names, corpus_program
+from repro.workloads import corpus_names, corpus_program, load_profile
 
 
 @pytest.fixture(autouse=True)
@@ -58,18 +58,18 @@ class TestIsolation:
         assert not result.all_usable
 
     def test_injected_crash_is_isolated(self):
-        plan = FaultPlan([FaultSpec(point="main-boundary", kind="crash")])
-        with faults.active(plan):
-            result = run_batch(_corpus("cache", "iterator"))
-        # the crash burns its one activation on the first program; the
-        # second completes
+        # each program flips its own seeded coin; under fault seed 4 the
+        # first program crashes and the second completes
+        result = run_batch(
+            _corpus("cache", "iterator"),
+            fault_spec="main-boundary:kind=crash:probability=0.5",
+            fault_seed=4)
         assert [r.status for r in result.records] == ["failed", "ok"]
         assert "InjectedCrash" in result.records[0].error
 
     def test_exhaustion_degrades_instead_of_failing(self):
-        plan = FaultPlan([FaultSpec(point="main-boundary", times=1)])
-        with faults.active(plan):
-            result = run_batch(_corpus("cache"), config="M-2obj")
+        result = run_batch(_corpus("cache"), config="M-2obj",
+                           fault_spec="main-boundary:times=1")
         record = result.records[0]
         assert record.status == "degraded"
         assert record.usable
@@ -77,56 +77,56 @@ class TestIsolation:
         assert record.metrics["analysis"] == "M-2type"
 
     def test_exhausted_when_ladder_disabled(self):
-        governor_factory = lambda: ResourceGovernor(  # noqa: E731
-            budgets={"main": PhaseBudget(max_iterations=1)}, check_stride=1)
-        result = run_batch(_corpus("cache"), config="2obj", degrade=False,
-                           governor_factory=governor_factory)
+        # 2obj has no pre-analysis, so the work budget binds in main
+        result = run_batch(
+            _corpus("cache"), config="2obj", degrade=False,
+            governor_spec=GovernorSpec(max_iterations=1, check_stride=1))
         record = result.records[0]
         assert record.status == "exhausted"
         assert not record.usable
         assert record.exhaustion_cause == "work"
         assert record.failed_phase == "main"
 
-    def test_fresh_governor_per_program(self):
+    def test_fresh_governor_per_program(self, monkeypatch):
         governors = []
+        build = GovernorSpec.build
 
-        def factory():
-            governor = ResourceGovernor(check_stride=1)
+        def recording_build(spec):
+            governor = build(spec)
             governors.append(governor)
             return governor
 
-        run_batch(_corpus("cache", "iterator"), governor_factory=factory)
+        monkeypatch.setattr(GovernorSpec, "build", recording_build)
+        run_batch(_corpus("cache", "iterator"),
+                  governor_spec=GovernorSpec(max_iterations=10 ** 9))
         assert len(governors) == 2
         assert governors[0] is not governors[1]
 
 
 class TestTransientRetry:
     def test_transient_fault_retried_once(self):
-        plan = FaultPlan([FaultSpec(point="main-boundary",
-                                    kind="transient", times=1)])
-        with faults.active(plan):
-            result = run_batch(_corpus("cache"), backoff_seconds=0.001)
+        result = run_batch(_corpus("cache"), backoff_seconds=0.001,
+                           fault_spec="main-boundary:kind=transient")
         record = result.records[0]
         assert record.status == "ok"
         assert record.retries == 1
 
     def test_persistent_transient_becomes_failure(self):
-        plan = FaultPlan([FaultSpec(point="main-boundary",
-                                    kind="transient", times=-1)])
-        with faults.active(plan):
-            result = run_batch(_corpus("cache"), max_retries=2,
-                               backoff_seconds=0.001)
+        result = run_batch(_corpus("cache"), max_retries=2,
+                           backoff_seconds=0.001,
+                           fault_spec="main-boundary:kind=transient:times=-1")
         record = result.records[0]
         assert record.status == "failed"
         assert record.retries == 2
         assert "transient fault persisted" in record.error
 
     def test_batch_continues_after_retry_exhaustion(self):
-        plan = FaultPlan([FaultSpec(point="main-boundary",
-                                    kind="transient", times=3)])
-        with faults.active(plan):
-            result = run_batch(_corpus("cache", "iterator"), max_retries=2,
-                               backoff_seconds=0.001)
+        # under fault seed 2 all three attempts of the first program hit
+        # a transient; the second program gets through on a retry
+        result = run_batch(
+            _corpus("cache", "iterator"), max_retries=2,
+            backoff_seconds=0.001, fault_seed=2,
+            fault_spec="main-boundary:kind=transient:probability=0.7:times=3")
         assert [r.status for r in result.records] == ["failed", "ok"]
 
 
@@ -136,12 +136,10 @@ class TestBackoffSleeper:
 
     def test_injected_sleeper_replaces_real_sleep(self):
         slept = []
-        plan = FaultPlan([FaultSpec(point="main-boundary",
-                                    kind="transient", times=2)])
-        with faults.active(plan):
-            result = run_batch(_corpus("cache"), max_retries=2,
-                               backoff_seconds=0.5, seed=3,
-                               sleeper=slept.append)
+        result = run_batch(_corpus("cache"), max_retries=2,
+                           backoff_seconds=0.5, seed=3,
+                           sleeper=slept.append,
+                           fault_spec="main-boundary:kind=transient:times=2")
         record = result.records[0]
         assert record.status == "ok"
         assert record.retries == 2
@@ -152,13 +150,10 @@ class TestBackoffSleeper:
 
     def test_no_sleep_after_final_failure(self):
         slept = []
-        plan = FaultPlan([FaultSpec(point="main-boundary",
-                                    kind="transient", times=-1)])
-        with faults.active(plan):
-            # a real post-failure sleep at this base would stall the test
-            result = run_batch(_corpus("cache"), max_retries=2,
-                               backoff_seconds=10.0,
-                               sleeper=slept.append)
+        # a real post-failure sleep at this base would stall the test
+        result = run_batch(_corpus("cache"), max_retries=2,
+                           backoff_seconds=10.0, sleeper=slept.append,
+                           fault_spec="main-boundary:kind=transient:times=-1")
         record = result.records[0]
         assert record.status == "failed"
         assert record.retries == 2
@@ -169,12 +164,10 @@ class TestBackoffSleeper:
 
     def test_backoff_delays_deterministic_under_seed(self):
         def delays():
-            plan = FaultPlan([FaultSpec(point="main-boundary",
-                                        kind="transient", times=2)])
-            with faults.active(plan):
-                result = run_batch(_corpus("cache"), seed=11,
-                                   backoff_seconds=0.01,
-                                   sleeper=lambda _delay: None)
+            result = run_batch(
+                _corpus("cache"), seed=11, backoff_seconds=0.01,
+                sleeper=lambda _delay: None,
+                fault_spec="main-boundary:kind=transient:times=2")
             return result.records[0].backoff_delays
 
         assert delays() == delays()
@@ -198,20 +191,20 @@ class TestBatchTracing:
         assert "batch:program" in names
         assert "phase:main" in names
 
-    def test_shared_tracer_sees_batch_spans_and_backoff(self):
+    def test_trace_records_batch_span_and_backoff(self, tmp_path):
         from repro import obs
 
-        sink = obs.InMemorySink()
-        tracer = obs.Tracer(sinks=(sink,))
-        plan = FaultPlan([FaultSpec(point="main-boundary",
-                                    kind="transient", times=1)])
-        with faults.active(plan):
-            run_batch(_corpus("cache"), tracer=tracer,
-                      backoff_seconds=0.001, sleeper=lambda _delay: None)
-        spans = sink.find("batch:program")
+        run_batch(_corpus("cache"), trace_dir=str(tmp_path),
+                  backoff_seconds=0.001, sleeper=lambda _delay: None,
+                  fault_spec="main-boundary:kind=transient")
+        payload = obs.load_trace_file(str(tmp_path / "cache.trace.json"))
+        assert obs.validate_chrome_trace(payload) == []
+        spans = [e for e in payload["traceEvents"]
+                 if e.get("name") == "batch:program"]
         assert len(spans) == 1
-        assert spans[0].attrs["program"] == "cache"
-        assert "batch.backoff" in sink.instant_names()
+        assert spans[0]["args"]["program"] == "cache"
+        assert "batch.backoff" in {e.get("name")
+                                   for e in payload["traceEvents"]}
 
 
 class TestTraceSlugCollisions:
@@ -246,8 +239,8 @@ class TestTraceSlugCollisions:
 
 
 class TestShardedBatch:
-    """``jobs=N`` fans the batch over a worker pool with derived
-    per-program state; results are indistinguishable from serial."""
+    """``jobs=N`` fans the batch over a process pool; every program's
+    state is derived from its name, so records match ``jobs=1``."""
 
     def test_records_in_input_order(self):
         names = list(corpus_names())
@@ -262,7 +255,7 @@ class TestShardedBatch:
                 record.seconds = 0.0  # the only wall-clock field
             return result.render()
 
-        assert rendered(None) == rendered(2)
+        assert rendered(1) == rendered(2)
 
     def test_jobs_one_matches_jobs_four(self):
         def outcome(jobs):
@@ -271,16 +264,22 @@ class TestShardedBatch:
 
         assert outcome(1) == outcome(4)
 
-    def test_thread_pool_works(self):
-        result = run_batch(_corpus("cache", "iterator"), jobs=2,
-                           pool="thread")
-        assert [r.status for r in result.records] == ["ok", "ok"]
+    def test_pool_keyword_rejected(self):
+        """There is one pool kind (processes); ``pool=`` is gone."""
+        with pytest.raises(TypeError, match="pool"):
+            run_batch(_corpus("cache"), jobs=2, pool="thread")
+
+    def test_pool_option_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--corpus", "cache", "--pool", "thread"])
+        assert exc.value.code == 2
+        assert "--pool" in capsys.readouterr().err
 
     def test_unpicklable_source_falls_back_to_parent(self):
         result = run_batch(
             [("lam", lambda: corpus_program("cache")),
              *_corpus("iterator")],
-            jobs=2, pool="process")
+            jobs=2)
         assert [r.program for r in result.records] == ["lam", "iterator"]
         assert result.all_usable
 
@@ -305,8 +304,6 @@ class TestShardedBatch:
         assert "phase:main" in names
 
     def test_governor_spec_enforced_in_workers(self):
-        from repro.analysis.governor import GovernorSpec
-
         result = run_batch(
             _corpus("cache"), config="2obj", degrade=False, jobs=2,
             governor_spec=GovernorSpec(max_iterations=1, check_stride=1))
@@ -315,32 +312,43 @@ class TestShardedBatch:
         assert record.exhaustion_cause == "work"
 
     def test_governor_factory_rejected(self):
-        with pytest.raises(ValueError, match="governor_spec"):
-            run_batch(_corpus("cache"), jobs=2,
-                      governor_factory=lambda: ResourceGovernor())
+        """Governors are built from the picklable ``governor_spec``."""
+        with pytest.raises(TypeError, match="governor_factory"):
+            run_batch(_corpus("cache"), governor_factory=lambda: None)
 
     def test_live_tracer_rejected(self):
+        """Traces are collected per program with ``trace_dir``."""
         from repro import obs
 
-        with pytest.raises(ValueError, match="trace_dir"):
-            run_batch(_corpus("cache"), jobs=2,
-                      tracer=obs.Tracer(sinks=()))
+        with pytest.raises(TypeError, match="tracer"):
+            run_batch(_corpus("cache"), tracer=obs.Tracer(sinks=()))
 
-    def test_fault_spec_with_thread_pool_rejected(self):
-        with pytest.raises(ValueError, match="process-globally"):
-            run_batch(_corpus("cache"), jobs=2, pool="thread",
-                      fault_spec="main-boundary:kind=transient")
+    @pytest.mark.parametrize("scope", ["active", "thread_active"])
+    def test_ambient_plan_rejected(self, scope):
+        """One installed plan would be shared by every program (and
+        copied into every worker), so the records would depend on the
+        worker count."""
+        plan = FaultPlan([FaultSpec(point="merge-boundary", times=1)])
+        with getattr(faults, scope)(plan):
+            with pytest.raises(ValueError, match="fault_spec"):
+                run_batch(_corpus("cache"))
 
-    def test_fault_spec_requires_sharded_mode(self):
-        with pytest.raises(ValueError, match="sharded"):
-            run_batch(_corpus("cache"),
-                      fault_spec="main-boundary:kind=transient")
+
+def _normalized(payload):
+    """A batch report without its wall-clock fields (every key ending
+    in ``seconds``, at any depth)."""
+    if isinstance(payload, dict):
+        return {key: _normalized(value) for key, value in payload.items()
+                if not key.endswith("seconds")}
+    if isinstance(payload, list):
+        return [_normalized(value) for value in payload]
+    return payload
 
 
 class TestShardedFaultDeterminism:
-    """ISSUE satellite: a fault spec's firings are a pure function of
-    (spec, seed, program name) — the same programs fault identically at
-    any worker count."""
+    """A fault spec's firings are a pure function of (spec, seed,
+    program name) — the same programs fault identically at any worker
+    count."""
 
     SPEC = ("main-boundary:kind=transient:probability=0.5:times=2,"
             "merge-boundary:probability=0.3:times=1")
@@ -363,9 +371,23 @@ class TestShardedFaultDeterminism:
     def test_repeatable_at_fixed_worker_count(self):
         assert self._outcome(2) == self._outcome(2)
 
+    def test_times_one_identical_at_one_and_two_jobs(self):
+        """A once-only fault fires once *per program*: with one shared
+        plan it fired once per worker process instead."""
+        def records(jobs):
+            programs = [*_corpus(*corpus_names()),
+                        ("luindex", load_profile("luindex", 0.4))]
+            return _normalized(run_batch(
+                programs, config="M-2obj", jobs=jobs,
+                fault_spec="merge-boundary:times=1").to_dict())
+
+        first = records(1)
+        assert first == records(2)
+        assert first["counts"] == {"degraded": len(corpus_names()) + 1}
+
     def test_env_faults_lifted_to_derived_plans(self, monkeypatch):
-        """$REPRO_FAULTS in sharded mode becomes per-program derived
-        plans — same firings at any worker count."""
+        """$REPRO_FAULTS becomes per-program derived plans — same
+        firings at any worker count."""
         monkeypatch.setenv("REPRO_FAULTS", self.SPEC)
         monkeypatch.setenv("REPRO_FAULTS_SEED", "7")
 
@@ -393,20 +415,16 @@ class TestShardedFaultDeterminism:
 
 
 class TestAcceptance:
-    """ISSUE acceptance: fault injection triggers every degradation path
+    """Fault injection triggers every degradation path
     deterministically under a fixed seed while the batch completes."""
 
     def test_full_corpus_with_faults_completes(self):
         def outcome():
-            plan = FaultPlan(
-                [FaultSpec(point="merge-boundary", times=1),
-                 FaultSpec(point="main-boundary", times=1),
-                 FaultSpec(point="pre-boundary", kind="transient", times=1)],
-                seed=7)
-            with faults.active(plan):
-                result = run_batch(
-                    _corpus(*corpus_names()), config="M-2obj",
-                    backoff_seconds=0.001, seed=7)
+            result = run_batch(
+                _corpus(*corpus_names()), config="M-2obj",
+                backoff_seconds=0.001, seed=7, fault_seed=7,
+                fault_spec="merge-boundary:times=1,main-boundary:times=1,"
+                           "pre-boundary:kind=transient:times=1")
             return [(r.program, r.status, r.retries, r.degraded_from)
                     for r in result.records]
 

@@ -1,6 +1,6 @@
-"""The sharded batch runner's pool helpers, the deterministic seed
-derivation its shards use, and the pickling hygiene of every payload
-that crosses its process pool."""
+"""The batch runner's worker-count and pickling helpers, the
+deterministic seed derivation its programs use, and the pickling
+hygiene of every payload that crosses its process pool."""
 
 import os
 import pickle
@@ -8,11 +8,12 @@ import pickle
 import pytest
 
 from repro.analysis.governor import GovernorSpec
-from repro.bench.batch import _parallel_map as parallel_map
+from repro.bench.batch import _CorpusSource, run_batch
 from repro.bench.batch import _picklable as picklable
 from repro.bench.batch import _resolve_jobs as resolve_jobs
 from repro.core.merging import merge_type_consistent_objects
 from repro.faults import derive_seed
+from repro.workloads.corpus import corpus_names, corpus_program
 
 
 class TestResolveJobs:
@@ -26,32 +27,22 @@ class TestResolveJobs:
         assert resolve_jobs(-4) == 1
 
 
-def _double(x):
-    return 2 * x
-
-
 class TestParallelMap:
-    def test_serial_inline(self):
-        assert parallel_map(_double, [1, 2, 3], jobs=1) == [2, 4, 6]
-
-    def test_thread_pool_preserves_order(self):
-        assert parallel_map(_double, list(range(20)), jobs=4) \
-            == [2 * i for i in range(20)]
-
     def test_process_pool_preserves_order(self):
-        assert parallel_map(_double, list(range(6)), jobs=2,
-                            pool="process") == [0, 2, 4, 6, 8, 10]
-
-    def test_unknown_pool_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool"):
-            parallel_map(_double, [1], jobs=2, pool="fiber")
-
-    def test_worker_exception_propagates(self):
-        def boom(x):
-            raise RuntimeError(f"item {x}")
-
-        with pytest.raises(RuntimeError, match="item"):
-            parallel_map(boom, [1, 2], jobs=2)
+        """Picklable sources go to the process pool and unpicklable
+        ones run in the parent afterwards; interleaving the two kinds
+        still gives the records back in input order."""
+        names = list(corpus_names())[:4]
+        sources = [
+            (name, _CorpusSource(name) if i % 2 == 0
+             else (lambda name=name: corpus_program(name)))
+            for i, name in enumerate(names)
+        ]
+        assert [picklable(source) for _, source in sources] \
+            == [True, False, True, False]
+        result = run_batch(sources, jobs=2)
+        assert [r.program for r in result.records] == names
+        assert result.all_usable
 
 
 class TestDeriveSeed:

@@ -10,8 +10,14 @@ Inputs are hypothesis-generated programs (throwing and catching in
 virtual and static callees; factories, ``this``-field stores and
 containers filled in callees, so objects of one site differ by heap
 context), the paper's examples, a generated program with exception
-sites and the hand-written corpus under ci/2cs/2obj/2type with the
-alloc-site, T- and M- heaps, and introspective over 2obj and 2type.
+sites, a cycle-heavy profile and the hand-written corpus under
+ci/2cs/2obj/2type with the alloc-site, T- and M- heaps, and
+introspective over 2obj and 2type.  Constraint-graph condensation must
+be invisible here: the cycle-heavy profile collapses cycles on every
+configuration, and a solve of it runs a collapse pass at every pop
+(check stride 1).  ``tests/test_scc_differential.py`` runs the same
+comparison with a collapse pass at every pop on Figure 1, TINY and
+generated programs.
 """
 
 from __future__ import annotations
@@ -158,6 +164,7 @@ def programs(figure1_program):
         "copy_cycle": parse_program(COPY_CYCLE_SOURCE),
         "tiny": generate(TINY),
         "tiny_exceptions": generate(replace(TINY, exception_sites=6)),
+        "cycles": load_profile("cycles", 0.5),
     }
     for name in corpus_names():
         named[name] = corpus_program(name)
@@ -165,7 +172,7 @@ def programs(figure1_program):
 
 
 PROGRAM_NAMES = ["figure1", "figure7", "copy_cycle", "tiny",
-                 "tiny_exceptions", *corpus_names()]
+                 "tiny_exceptions", "cycles", *corpus_names()]
 
 
 class TestExamplesAndCorpus:
@@ -180,6 +187,9 @@ class TestExamplesAndCorpus:
         program = programs[name]
         run = run_analysis(program, heap + config)
         assert_run_matches_reference(program, run)
+        if name == "cycles":
+            # the solve really did condense something
+            assert run.result.stats()["count_sccs_collapsed"] > 0
 
     @pytest.mark.parametrize("base", ["2obj", "2type"])
     @pytest.mark.parametrize("name", PROGRAM_NAMES)

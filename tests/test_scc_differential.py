@@ -7,6 +7,10 @@ shares no code with the production solver) derives, on the default
 schedule (the up-front ranking pass, then the FIFO or wave loop) and
 with a collapse pass due at every pop (check stride 1).
 
+The cycle-heavy profile on the default schedule, its M-2obj pipeline
+against the merged abstraction and the check that its solves really
+collapse cycles are inputs of :mod:`tests.test_reference_solver`.
+
 The test names keep their "four-way" wording from when the uncondensed
 solver was compared too; that solver is deleted, so each test now
 compares the production solver against the reference alone.
@@ -17,7 +21,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis import run_analysis
 from repro.analysis.governor import ResourceGovernor
 from repro.pta.context import selector_for
 from repro.pta.solver import Solver
@@ -26,8 +29,6 @@ from repro.workloads import TINY, generate, load_profile
 from tests.program_strategies import ir_programs
 from tests.test_reference_solver import assert_matches_reference
 
-#: Raw-solver context selectors (pipeline configs like ``M-2obj`` go
-#: through :func:`run_analysis` in the pipeline test below).
 CONFIGS = ["ci", "2cs", "2obj", "2type"]
 
 
@@ -45,14 +46,10 @@ class TestSolverFourWay:
         }
 
     @pytest.mark.parametrize("config", CONFIGS)
-    @pytest.mark.parametrize("name", ["figure1", "tiny", "cycles"])
+    @pytest.mark.parametrize("name", ["figure1", "tiny"])
     def test_four_way_matches(self, programs, name, config):
         program = programs[name]
-        result = solve(program, config)
-        assert_matches_reference(program, result)
-        if name == "cycles":
-            # sanity: the solve really did condense something
-            assert result.stats()["count_sccs_collapsed"] > 0
+        assert_matches_reference(program, solve(program, config))
 
     def test_four_way_with_forced_collapse(self, programs):
         """check_stride=1 makes the collapse pass run at every pop, so
@@ -62,14 +59,6 @@ class TestSolverFourWay:
             result = solve(program, "ci",
                            governor=ResourceGovernor(check_stride=1))
             assert_matches_reference(program, result)
-
-    def test_pipeline_four_way_cycles(self, programs):
-        """Full pipeline (pre-analysis + merge + main) on the
-        cycle-heavy program."""
-        program = programs["cycles"]
-        run = run_analysis(program, "M-2obj")
-        assert_matches_reference(program, run.pre.result)
-        assert_matches_reference(program, run.result, run.pre.abstraction)
 
 
 class TestHypothesisFourWay:
