@@ -2,7 +2,6 @@
 
 Groups compare, on one FPG:
 
-* ``ablation-pairing`` — the representatives loop (Algorithm 1);
 * ``ablation-sharing`` — shared automata vs explicit per-pair NFA/DFA
   construction (the Section 5 optimization);
 * ``ablation-disjoint-sets`` — union-by-rank + path compression vs the
@@ -20,13 +19,6 @@ from repro.core.merging import merge_type_consistent_objects
 from benchmarks.conftest import pre_for
 
 PROFILE = "luindex"
-
-
-def test_pairing_representatives(benchmark):
-    pre = pre_for(PROFILE)
-    benchmark.group = "ablation-pairing"
-    result = benchmark(lambda: merge_type_consistent_objects(pre.fpg))
-    assert result.classes
 
 
 def test_sharing_enabled(benchmark):

@@ -36,10 +36,11 @@ from another thread raises :class:`GovernorConcurrencyError` instead of
 silently corrupting budgets.  An optional **whole-run deadline**
 (``deadline_seconds``) is enforced on every check across all ladder
 rungs — the mechanism the service uses to turn a client's request
-deadline into degradation instead of a hang.  After a run, :meth:`report` returns the
-per-phase elapsed times and high-water marks for provenance.  With a
-:class:`~repro.obs.Tracer` attached, every budget trip emits a
-``governor.exhausted`` instant into the active trace.
+deadline into degradation instead of a hang.  A budget trip carries
+what it observed on the raised exception (``observed``); with a
+:class:`~repro.obs.Tracer` attached it also emits a
+``governor.exhausted`` instant into the active trace, whose ``phase:*``
+spans carry the phase times.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro import faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs import Tracer
-from repro.obs.metrics import PerfRecorder
 from repro.resources import (
     MemoryBudgetExceeded,
     ResourceExhausted,
@@ -81,9 +81,9 @@ class GovernorConcurrencyError(RuntimeError):
 
     Governors are **single-run, single-thread** objects: one per
     :func:`~repro.analysis.pipeline.run_analysis` attempt, owned by the
-    thread that drives the attempt.  Phase state, the memory baseline,
-    and the report dict are all unsynchronized, so cross-thread reuse
-    would silently corrupt budgets instead of enforcing them.  The
+    thread that drives the attempt.  Phase state and the memory
+    baseline are unsynchronized, so cross-thread reuse would silently
+    corrupt budgets instead of enforcing them.  The
     governor claims its owner on the first stateful call
     (:meth:`~ResourceGovernor.phase`, :meth:`~ResourceGovernor.check`,
     :meth:`~ResourceGovernor.begin_attempt`) and raises this on any
@@ -186,7 +186,6 @@ class ResourceGovernor:
         budgets: Optional[Mapping[str, PhaseBudget]] = None,
         default: Optional[PhaseBudget] = None,
         check_stride: int = 1024,
-        perf: Optional[PerfRecorder] = None,
         tracer: Optional["Tracer"] = None,
         deadline_seconds: Optional[float] = None,
     ) -> None:
@@ -202,11 +201,9 @@ class ResourceGovernor:
                 f"check_stride must be a power of two, got {check_stride}"
             )
         self.check_stride = check_stride
-        self.perf = perf
         self.tracer = tracer
         self._phase: Optional[str] = None
         self._phase_start: float = 0.0
-        self._report: Dict[str, Dict[str, float]] = {}
         # Whole-run deadline: absolute from construction time, checked
         # on every stride and phase boundary across *all* ladder rungs
         # (begin_attempt re-baselines memory, never the deadline — a
@@ -301,8 +298,7 @@ class ResourceGovernor:
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Bracket one phase: starts its clock, attributes any
-        :class:`ResourceExhausted` escaping the block, records elapsed
-        time and peaks into :meth:`report`, and runs one final
+        :class:`ResourceExhausted` escaping the block, and runs one final
         :meth:`check` at the boundary (so phases without internal check
         sites — FPG build, merge — still honor wall-clock budgets,
         detected at exit)."""
@@ -320,11 +316,6 @@ class ResourceGovernor:
                 exc.phase = name
             raise
         finally:
-            elapsed = time.monotonic() - self._phase_start
-            entry = self._report.setdefault(name, {"seconds": 0.0})
-            entry["seconds"] += elapsed
-            if self.perf is not None:
-                self.perf.add_time(f"governor.{name}", elapsed)
             self._phase, self._phase_start = previous, previous_start
 
     @contextmanager
@@ -379,9 +370,6 @@ class ResourceGovernor:
         budget = self._budget_for(phase)
         if budget is None or budget.unbounded:
             return
-        entry = self._report.setdefault(phase, {"seconds": 0.0})
-        if iterations:
-            entry["iterations"] = max(entry.get("iterations", 0), iterations)
         if budget.wall_seconds is not None:
             elapsed = time.monotonic() - self._phase_start
             if elapsed > budget.wall_seconds:
@@ -419,12 +407,6 @@ class ResourceGovernor:
                 if plan is not None:
                     observed += plan.spike_bytes()
                 delta = max(0, observed - self._memory_baseline)
-                entry["peak_memory_bytes"] = max(
-                    entry.get("peak_memory_bytes", 0), observed
-                )
-                entry["memory_delta_bytes"] = max(
-                    entry.get("memory_delta_bytes", 0), delta
-                )
                 if delta > budget.memory_bytes:
                     self._exhaust(MemoryBudgetExceeded(
                         f"phase {phase!r} grew {delta} bytes over its "
@@ -434,8 +416,3 @@ class ResourceGovernor:
                         phase=phase, budget=budget.memory_bytes,
                         observed=delta, iterations=iterations,
                     ))
-
-    # -- provenance -----------------------------------------------------
-    def report(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase elapsed seconds and observed peaks (JSON-native)."""
-        return {name: dict(entry) for name, entry in self._report.items()}

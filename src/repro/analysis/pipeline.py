@@ -48,8 +48,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, obs
 from repro.analysis.config import AnalysisConfig, parse_config
-from repro.core.automata import SharedAutomata
-from repro.obs.metrics import PerfRecorder
 from repro.clients import (
     analyze_exceptions,
     build_call_graph,
@@ -151,10 +149,8 @@ class AttemptRecord:
     ``phase``/``cause`` are ``None`` for the successful attempt;
     ``seconds`` covers the whole attempt (pre-analysis included when the
     attempt built one), unlike ``AnalysisRun.main_seconds`` which is the
-    main solve only.  When the run collects performance counters, each
-    attempt keeps its *own* recorder here — a failed rung's phase timers
-    must not leak into the rescued run's numbers (only the successful
-    attempt is merged into the run-level recorder).
+    main solve only.  A traced run records each attempt as its own
+    ``attempt`` span, with that attempt's phases and solves beneath it.
     """
 
     config: str
@@ -162,7 +158,6 @@ class AttemptRecord:
     phase: Optional[str] = None
     cause: Optional[str] = None
     detail: str = ""
-    recorder: Optional[PerfRecorder] = field(default=None, repr=False)
 
     @property
     def succeeded(self) -> bool:
@@ -177,10 +172,6 @@ class AttemptRecord:
             out["phase"] = self.phase
             out["cause"] = self.cause
             out["detail"] = self.detail
-        if self.recorder is not None:
-            snapshot = self.recorder.snapshot()
-            if snapshot:
-                out["perf"] = snapshot
         return out
 
 
@@ -336,17 +327,14 @@ def run_pre_analysis(
     program: Program,
     merge_options: Optional[MergeOptions] = None,
     timeout_seconds: Optional[float] = None,
-    perf: Optional[PerfRecorder] = None,
     governor=None,
     tracer: Optional[obs.Tracer] = None,
     artifact_cache=None,
 ) -> PreAnalysisArtifacts:
     """Phases 1–3: ci points-to analysis, FPG construction, MAHJONG.
 
-    ``perf`` optionally collects
-    counters/timers across all three phases; ``governor`` budgets each
-    phase (``pre``/``fpg``/``merge``); ``tracer`` wraps each phase in a
-    ``phase:*`` span.  Exhaustion raises
+    ``governor`` budgets each phase (``pre``/``fpg``/``merge``);
+    ``tracer`` wraps each phase in a ``phase:*`` span.  Exhaustion raises
     :class:`~repro.resources.ResourceExhausted` with the phase
     attributed — :func:`run_analysis` catches it.
 
@@ -379,7 +367,7 @@ def run_pre_analysis(
                 pre_result = Solver(program, selector_for("ci"),
                                     AllocationSiteAbstraction(),
                                     timeout_seconds=timeout_seconds,
-                                    perf=perf, governor=governor,
+                                    governor=governor,
                                     phase_label="pre",
                                     tracer=tracer).solve()
     t1 = time.monotonic()
@@ -400,13 +388,11 @@ def run_pre_analysis(
     else:
         cache_hits.append("fpg")
     t2 = time.monotonic()
-    shared = None
     if merge is None:
         with _maybe_span(tracer, "phase:merge"):
             with _phase_scope(governor, "merge"):
                 faults.fire("merge-boundary", phase="merge")
-                shared = SharedAutomata(fpg, perf=perf) if perf is not None else None
-                merge = merge_type_consistent_objects(fpg, merge_options, shared=shared)
+                merge = merge_type_consistent_objects(fpg, merge_options)
         if artifact_cache is not None:
             artifact_cache.store("merge", merge_key, MergeArtifact(
                 merge=merge, seconds=time.monotonic() - t2,
@@ -414,11 +400,6 @@ def run_pre_analysis(
     else:
         cache_hits.append("merge")
     t3 = time.monotonic()
-    if perf is not None:
-        perf.add_time("pre.fpg", t2 - t1)
-        perf.add_time("pre.mahjong", t3 - t2)
-        if shared is not None:
-            shared.record_perf()
     return PreAnalysisArtifacts(
         result=pre_result,
         fpg=fpg,
@@ -510,14 +491,13 @@ def _solve_main(
     config: AnalysisConfig,
     heap_model: HeapModel,
     timeout_seconds: Optional[float],
-    perf: Optional[PerfRecorder],
     governor,
     tracer: Optional[obs.Tracer] = None,
 ) -> AnalysisRun:
     """Phase 4 for one configuration; raises on exhaustion."""
     selector = selector_for(config.sensitivity)
     solver = Solver(program, selector, heap_model,
-                    timeout_seconds=timeout_seconds, perf=perf,
+                    timeout_seconds=timeout_seconds,
                     governor=governor, phase_label="main",
                     tracer=tracer)
     start = time.monotonic()
@@ -544,7 +524,6 @@ def run_analysis(
     timeout_seconds: Optional[float] = None,
     pre: Optional[PreAnalysisArtifacts] = None,
     merge_options: Optional[MergeOptions] = None,
-    perf: Optional[PerfRecorder] = None,
     governor=None,
     degrade: Union[None, bool, str, Sequence[str]] = None,
     tracer: Optional[obs.Tracer] = None,
@@ -566,16 +545,15 @@ def run_analysis(
     tried in the given order.  A rescued run keeps ``timed_out=False``
     and records ``degraded_from`` plus per-attempt provenance.
 
-    ``tracer`` (``None`` = the process-wide one from
-    :func:`repro.obs.current_tracer`, if installed) records the run as
-    a span tree — an ``analysis`` root, one ``attempt`` span per ladder
-    rung, the four ``phase:*`` spans, and the solver's ``solve``/
-    ``stride`` spans — and is installed process-wide for the duration
-    so fault firings land in the same trace.  With ``perf`` given, each
-    attempt additionally collects into its *own* recorder
-    (``AttemptRecord.recorder``); only the successful attempt's numbers
-    merge into ``perf``, so a failed rung cannot pollute the rescued
-    run's counters.
+    ``tracer`` (``None`` = the calling thread's
+    :func:`repro.obs.current_tracer`, if one is active) records the run
+    as a span tree — an ``analysis`` root, one ``attempt`` span per
+    ladder rung, the four ``phase:*`` spans, and the solver's ``solve``/
+    ``stride`` spans — and is made the thread's active tracer for the
+    duration so fault firings land in the same trace.  Each attempt's
+    own ``solve`` spans carry its iterations, so a failed rung's work
+    never mixes with the rescued run's.  The solver counters of the
+    returned run are read through ``run.result.stats()``.
 
     ``artifact_cache`` (an :class:`~repro.incr.ArtifactCache`) is
     threaded into the pre-analysis so a program whose text was seen
@@ -602,7 +580,6 @@ def run_analysis(
             ))
         while True:
             config = parse_config(current)
-            attempt_perf = PerfRecorder() if perf is not None else None
             begin_attempt = getattr(governor, "begin_attempt", None)
             if begin_attempt is not None:
                 begin_attempt()
@@ -618,8 +595,7 @@ def run_analysis(
                         shared_pre = run_pre_analysis(
                             program, merge_options,
                             timeout_seconds=timeout_seconds,
-                            perf=attempt_perf, governor=governor,
-                            tracer=tracer,
+                            governor=governor, tracer=tracer,
                             artifact_cache=artifact_cache,
                         )
                     heap_model: HeapModel = shared_pre.abstraction
@@ -628,8 +604,7 @@ def run_analysis(
                 else:
                     heap_model = AllocationSiteAbstraction()
                 run = _solve_main(program, config, heap_model,
-                                  timeout_seconds, attempt_perf, governor,
-                                  tracer=tracer)
+                                  timeout_seconds, governor, tracer=tracer)
             except (ResourceExhausted, FPGIntegrityError) as exc:
                 seconds = time.monotonic() - start
                 phase = getattr(exc, "phase", None) or "main"
@@ -639,8 +614,7 @@ def run_analysis(
                                cause=cause, phase=phase)
                 attempts.append(AttemptRecord(
                     config=current, seconds=seconds, phase=phase, cause=cause,
-                    detail=str(exc), recorder=attempt_perf,
-                ))
+                    detail=str(exc)))
                 if ladder == "auto":
                     following = next_rung(current, phase)
                 elif ladder is not None and explicit_index < len(ladder):
@@ -664,12 +638,8 @@ def run_analysis(
                 continue
             if tracer is not None:
                 tracer.end(attempt_span, outcome="ok")
-            attempts.append(AttemptRecord(
-                config=current, seconds=run.main_seconds,
-                recorder=attempt_perf,
-            ))
-            if perf is not None and attempt_perf is not None:
-                perf.merge(attempt_perf)
+            attempts.append(AttemptRecord(config=current,
+                                          seconds=run.main_seconds))
             run.pre = shared_pre
             run.attempts = attempts
             if current != requested:

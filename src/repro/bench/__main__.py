@@ -5,9 +5,8 @@ from __future__ import annotations
 import sys
 from typing import Callable, Dict, List
 
-from repro.bench import (ablation, batch, compare, fig8, fig9, incr,
-                         motivating, prestats, report, serve, table1,
-                         table2)
+from repro.bench import (ablation, batch, compare, fig8, fig9, motivating,
+                         prestats, report, serve, table1, table2)
 
 _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "motivating": motivating.main,
@@ -18,7 +17,6 @@ _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "prestats": prestats.main,
     "ablation": ablation.main,
     "compare": compare.main,
-    "incr": incr.main,
     "batch": batch.main,
     "serve": serve.main,
     "report": report.main,

@@ -38,7 +38,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.fpg import NULL_OBJECT, FieldPointsToGraph
 from repro.ir.types import ERROR_TYPE
-from repro.obs.metrics import PerfRecorder
 
 __all__ = [
     "SequentialNFA",
@@ -208,26 +207,18 @@ class SharedAutomata:
     optimization.
     """
 
-    def __init__(self, fpg: FieldPointsToGraph,
-                 perf: Optional[PerfRecorder] = None) -> None:
+    def __init__(self, fpg: FieldPointsToGraph) -> None:
         self._fpg = fpg
         self._states: Dict[FrozenSet[int], DFAState] = {}
         self._roots: Dict[int, DFAState] = {}
         self.transition_computations = 0
-        self.perf = perf
 
     # -- construction ---------------------------------------------------
     def dfa_root(self, obj: int) -> DFAState:
         """The (fully materialized) DFA start state for object ``obj``."""
         root = self._roots.get(obj)
         if root is None:
-            perf = self.perf
-            if perf is None:
-                root = self._materialize(frozenset([obj]))
-            else:
-                with perf.phase("automata.materialize"):
-                    root = self._materialize(frozenset([obj]))
-                perf.incr("automata.roots")
+            root = self._materialize(frozenset([obj]))
             self._roots[obj] = root
         return root
 
@@ -277,8 +268,6 @@ class SharedAutomata:
         """``SINGLETYPE-CHECK`` (Condition 2 of Definition 2.1): every DFA
         state reachable from ``obj``'s start state has a singleton output
         set."""
-        if self.perf is not None:
-            self.perf.incr("automata.singletype_checks")
         return self._singletype_state(self.dfa_root(obj))
 
     def _singletype_state(self, root: DFAState) -> bool:
@@ -314,17 +303,6 @@ class SharedAutomata:
     def state_count(self) -> int:
         """Total memoized DFA states (sharing metric for the bench)."""
         return len(self._states)
-
-    def record_perf(self, perf: Optional[PerfRecorder] = None) -> None:
-        """Push the universe's size/sharing statistics into ``perf``
-        (defaults to the recorder given at construction)."""
-        perf = perf if perf is not None else self.perf
-        if perf is None:
-            return
-        perf.gauge_max("automata.states", len(self._states))
-        perf.gauge_max("automata.roots", len(self._roots))
-        perf.incr("automata.transition_computations",
-                  self.transition_computations)
 
     def nfa_size(self, obj: int) -> int:
         """|Q| of the NFA rooted at ``obj`` (Section 6.1.1 statistic)."""

@@ -1,12 +1,11 @@
 """Hierarchical span tracer and its sinks.
 
 A :class:`Tracer` is the single object the pipeline threads through
-every subsystem (the same ``if tracer is not None`` discipline as
-:class:`~repro.obs.metrics.PerfRecorder` — the un-instrumented hot path
-pays exactly one attribute test).  It maintains a stack of open spans,
-stamps every event against its construction-time epoch, and fans the
-typed event stream (:mod:`repro.obs.events`) out to any number of
-sinks:
+every subsystem (call sites guard with ``if tracer is not None``, so
+the un-instrumented hot path pays exactly one attribute test).  It
+maintains a stack of open spans, stamps every event against its
+construction-time epoch, and fans the typed event stream
+(:mod:`repro.obs.events`) out to any number of sinks:
 
 * :class:`InMemorySink` — builds the span *tree* live (what the
   pipeline's acceptance checks and the Chrome exporter read);
@@ -18,12 +17,6 @@ structure is still tracked but every emitted event is dropped, so each
 span costs a handful of dict operations.  Benchmarks hold that
 configuration under 5% overhead on a full solve; passing ``tracer=None``
 remains the true zero-cost path.
-
-The tracer optionally layers on a
-:class:`~repro.obs.metrics.PerfRecorder`: every closed span accumulates
-its duration into the ``span.<name>`` timer, which is how the old flat
-phase timers are now *derived from* the span stream instead of being
-recorded separately.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.obs.events import Event, Instant, SpanBegin, SpanEnd
-from repro.obs.metrics import PerfRecorder
 
 __all__ = ["Span", "Sink", "InMemorySink", "JsonlSink", "Tracer"]
 
@@ -186,16 +178,12 @@ class JsonlSink(Sink):
 class Tracer:
     """Span stack + event fan-out.  Thread one per analysis run.
 
-    ``metrics`` optionally receives ``span.<name>`` timers on every
-    close (how the flat :class:`PerfRecorder` view is derived from the
-    span stream).  ``clock`` is injectable for deterministic tests.
+    ``clock`` is injectable for deterministic tests.
     """
 
     def __init__(self, sinks: Iterable[Sink] = (),
-                 metrics: Optional[PerfRecorder] = None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self.sinks: List[Sink] = list(sinks)
-        self.metrics = metrics
         self._clock = clock
         self.epoch = clock()
         self._next_id = 1
@@ -245,8 +233,6 @@ class Tracer:
         duration = ts - start
         self._emit(SpanEnd(ts=ts, span_id=span_id, name=name,
                            duration=duration, attrs=attrs))
-        if self.metrics is not None:
-            self.metrics.add_time(f"span.{name}", duration)
         return duration
 
     @contextmanager

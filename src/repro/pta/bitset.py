@@ -27,7 +27,6 @@ caller receives it.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 __all__ = [
@@ -118,9 +117,9 @@ class RangeFilterMasks:
 
     The hot path (mask already complete) costs two dict probes and a
     length check.  The instance observes the solver's append-only
-    ``object_classes`` list; it never copies it.  Build cost is
-    accounted (``subtype_tests``, ``build_seconds``) so the perf
-    recorder and ``trace summarize`` can attribute mask time.
+    ``object_classes`` list; it never copies it.  Build work is counted
+    (``range_builds``, ``subtype_tests``) and reported by :meth:`stats`,
+    which the solve's ``masks`` instant and ``trace summarize`` read.
 
     Pickles drop the mask/watermark caches (pure derived state) so
     process-pool round-trips ship a lean payload and rebuild lazily.
@@ -128,7 +127,7 @@ class RangeFilterMasks:
 
     __slots__ = ("_ranges", "_object_classes", "_is_subtype", "_start",
                  "_masks", "_upto", "extensions", "subtype_tests",
-                 "range_builds", "build_seconds")
+                 "range_builds")
 
     def __init__(self, class_ranges: Mapping[str, Tuple[int, int]],
                  object_classes: List[str],
@@ -144,7 +143,6 @@ class RangeFilterMasks:
         self.subtype_tests = 0
         #: Masks answered from a range (the zero-subtype-test builds).
         self.range_builds = 0
-        self.build_seconds = 0.0
 
     def mask_for(self, filter_class: str) -> int:
         """The (complete, as of now) subtype mask for ``filter_class``."""
@@ -154,7 +152,6 @@ class RangeFilterMasks:
         n = len(classes)
         if upto == n:
             return mask
-        began = time.perf_counter()
         if upto is None:
             lo_hi = self._ranges.get(filter_class)
             if lo_hi is None:
@@ -176,7 +173,6 @@ class RangeFilterMasks:
             self.subtype_tests += n - upto
         self._masks[filter_class] = mask
         self._upto[filter_class] = n
-        self.build_seconds += time.perf_counter() - began
         return mask
 
     def __len__(self) -> int:
@@ -192,7 +188,7 @@ class RangeFilterMasks:
         self.__init__(ranges, object_classes, is_subtype, start)
 
     def stats(self) -> Dict[str, float]:
-        """Mask-cache statistics for the perf recorder."""
+        """Mask-cache statistics (the solve's ``masks`` trace instant)."""
         return {
             "masks": len(self._masks),
             "mask_extensions": self.extensions,

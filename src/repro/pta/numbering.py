@@ -138,7 +138,7 @@ class HierarchyNumbering:
                    len(slot_keys), class_ranges, own_end)
 
     def stats(self) -> Dict[str, int]:
-        """Numbering-shape statistics for benchmarks and the recorder."""
+        """Numbering-shape statistics (numbered slots, classes, ranges)."""
         nonempty = sum(1 for lo, hi in self.class_ranges.values() if hi > lo)
         return {
             "numbered_slots": self.count,

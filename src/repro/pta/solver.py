@@ -122,7 +122,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import faults as _faults
 from repro.ir.program import Method, Program
-from repro.obs.metrics import PerfRecorder
 from repro.pta.numbering import HierarchyNumbering
 from repro.pta.scc import AdaptiveGate, condense_copy_graph
 from repro.resources import TimeBudgetExceeded
@@ -346,10 +345,9 @@ class Solver:
     """One-shot points-to solve of a program.
 
     Construct, call :meth:`solve`, inspect the returned
-    :class:`~repro.pta.results.PointsToResult`.
-
-    ``perf`` optionally receives counters/timers/gauges
-    (:class:`repro.obs.metrics.PerfRecorder`).
+    :class:`~repro.pta.results.PointsToResult`.  The solve counts its
+    work in ``counters``; read them through
+    :meth:`~repro.pta.results.PointsToResult.stats`.
 
     ``governor`` optionally subjects the solve to a
     :class:`repro.analysis.governor.ResourceGovernor`: its
@@ -375,7 +373,6 @@ class Solver:
         selector: Optional[ContextSelector] = None,
         heap_model: Optional[HeapModel] = None,
         timeout_seconds: Optional[float] = None,
-        perf: Optional[PerfRecorder] = None,
         governor=None,
         phase_label: str = "main",
         tracer=None,
@@ -388,7 +385,6 @@ class Solver:
         self.timeout_seconds = timeout_seconds
         self.governor = governor
         self.phase_label = phase_label
-        self.perf = perf
         self._type_elements = wants_type_elements(self.selector)
         self._class_dispatch = ignores_receiver(self.selector)
         # (receiver key, method name, arity) -> callee frame (None: the
@@ -617,7 +613,6 @@ class Solver:
                     self._run_wave(deadline)
         finally:
             self.solve_seconds = time.monotonic() - start
-            self._record_perf()
             if tracer is not None:
                 tracer.instant("masks", **self._filter_masks.stats())
                 self._close_window(
@@ -1107,23 +1102,6 @@ class Solver:
             if changed:
                 succs[node] = rewritten or _NO_EDGES
 
-    def _record_perf(self) -> None:
-        perf = self.perf
-        if perf is None:
-            return
-        perf.add_time("pta.solve", self.solve_seconds)
-        perf.incr("pta.iterations", self.iterations)
-        for name, value in self.counters.items():
-            perf.incr(f"pta.{name}", value)
-        perf.gauge_max("pta.nodes", len(self._pts))
-        perf.gauge_max("pta.objects", len(self._object_ids))
-        perf.gauge_max("pta.numbered_slots", self._numbering.count)
-        if self._pts:
-            perf.gauge_max("pta.pts_size", max(map(popcount, self._pts)))
-        for name, value in self._filter_masks.stats().items():
-            perf.incr(f"pta.{name}", value)
-        perf.add_time("pta.mask_build", self._filter_masks.build_seconds)
-
     # ------------------------------------------------------------------
     # Points-to accessors (used by results)
     # ------------------------------------------------------------------
@@ -1525,9 +1503,8 @@ class Solver:
 def solve(program: Program, selector: Optional[ContextSelector] = None,
           heap_model: Optional[HeapModel] = None,
           timeout_seconds: Optional[float] = None,
-          perf: Optional[PerfRecorder] = None,
           governor=None, phase_label: str = "main", tracer=None):
     """Convenience wrapper: build a :class:`Solver` and run it."""
     return Solver(program, selector, heap_model, timeout_seconds,
-                  perf=perf, governor=governor, phase_label=phase_label,
+                  governor=governor, phase_label=phase_label,
                   tracer=tracer).solve()

@@ -208,7 +208,7 @@ def deterministic_result(run: AnalysisRun) -> Dict[str, Any]:
     Everything here is a pure function of (program, configuration):
     the final configuration, degradation/exhaustion provenance, the
     client metrics, and the result digest.  Timings, attempt
-    wall-clocks, and perf counters are deliberately excluded.
+    wall-clocks, and solver counters are deliberately excluded.
     """
     metrics = run.metrics()
     out: Dict[str, Any] = {

@@ -108,8 +108,6 @@ class TestChecks:
                     governor.check()
         assert info.value.cause == "memory"
         assert info.value.observed >= 1 << 30
-        report = governor.report()
-        assert report["main"]["memory_delta_bytes"] >= 1 << 30
 
     def test_begin_attempt_rebaselines_after_trip(self):
         # the watermark never falls, so after one trip a new attempt
@@ -144,20 +142,6 @@ class TestChecks:
             with governor.phase("pre"):
                 governor.check(iterations=2)
         assert info.value.phase == "pre"
-
-    def test_report_accumulates_per_phase(self):
-        # iteration peaks are recorded only for budgeted phases (the
-        # check early-outs otherwise), so give main a loose budget
-        governor = ResourceGovernor(
-            budgets={"main": PhaseBudget(max_iterations=10**9)})
-        with governor.phase("pre"):
-            pass
-        with governor.phase("main"):
-            governor.check(iterations=42)
-        report = governor.report()
-        assert set(report) == {"pre", "main"}
-        assert report["main"]["iterations"] == 42
-        assert report["pre"]["seconds"] >= 0.0
 
 
 class TestTaxonomy:

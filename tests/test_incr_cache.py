@@ -23,12 +23,6 @@ from repro.obs import InMemorySink, Instant, Tracer
 from repro.workloads import corpus_program
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_tracer():
-    yield
-    obs.uninstall()
-
-
 @pytest.fixture()
 def cache(tmp_path):
     return ArtifactCache(str(tmp_path))
@@ -89,11 +83,13 @@ class TestPickleHygiene:
         assert warm.result is None  # served from disk; no ci re-solve
 
 
-def _traced_sink():
+@pytest.fixture()
+def sink():
+    """A sink recording what the cache emits through the calling
+    thread's active tracer for the length of one test."""
     sink = InMemorySink()
-    tracer = Tracer(sinks=(sink,))
-    obs.install(tracer)
-    return sink
+    with obs.active(Tracer(sinks=(sink,))):
+        yield sink
 
 
 def _corrupt_instants(sink):
@@ -119,8 +115,7 @@ class TestCorruptionIsAMiss:
         lambda raw: raw + b"trailing-garbage",     # length mismatch
         lambda raw: b"",                           # empty file
     ], ids=["bad-magic", "truncated", "scribbled", "lengthened", "empty"])
-    def test_damaged_entry(self, cache, damage):
-        sink = _traced_sink()
+    def test_damaged_entry(self, cache, damage, sink):
         path = self._stored_path(cache)
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -137,8 +132,7 @@ class TestCorruptionIsAMiss:
         assert cache.store("fpg", "key", _fpg_artifact())
         assert cache.load("fpg", "key") == _fpg_artifact()
 
-    def test_valid_pickle_of_wrong_type_is_a_miss(self, cache):
-        sink = _traced_sink()
+    def test_valid_pickle_of_wrong_type_is_a_miss(self, cache, sink):
         path = self._stored_path(cache)
         # a well-formed entry whose payload unpickles to the wrong class
         other = ArtifactCache(cache.directory)
@@ -148,8 +142,7 @@ class TestCorruptionIsAMiss:
         assert cache.load("fpg", "key") is None
         assert _corrupt_instants(sink)
 
-    def test_unpicklable_store_is_a_logged_failure(self, cache):
-        sink = _traced_sink()
+    def test_unpicklable_store_is_a_logged_failure(self, cache, sink):
         unpicklable = FPGArtifact(fpg=lambda: None, ci_seconds=0.0,
                                   fpg_seconds=0.0)
         assert cache.store("fpg", "key", unpicklable) is False

@@ -61,6 +61,25 @@ class TestSolverCounters:
         assert merged["count_facts_propagated"] <= \
             base["count_facts_propagated"]
 
+    def test_solve_counts_its_work(self, figure1_program):
+        from repro.pta import Solver
+
+        stats = Solver(figure1_program).solve().stats()
+        assert stats["iterations"] > 0
+        assert stats["count_facts_propagated"] > 0
+        assert stats["nodes"] > 0
+        assert stats["pts_facts"] > 0
+
+    def test_pipeline_counts_both_solves_and_automata(self, figure1_program):
+        from repro.analysis import run_analysis, run_pre_analysis
+
+        pre = run_pre_analysis(figure1_program)
+        assert pre.result.stats()["iterations"] > 0
+        # the merge's SharedAutomata.state_count()
+        assert pre.merge.shared_states > 0
+        run = run_analysis(figure1_program, "M-2obj", pre=pre)
+        assert run.result.stats()["iterations"] > 0
+
 
 class TestCompareHarness:
     def test_run_compare_small_scale(self):

@@ -1,28 +1,29 @@
 """The :mod:`repro.obs` tracing layer: span structure, sinks, the
-Chrome exporter, summarization, process-wide scoping, and the pipeline
-integration (phase/attempt/stride coverage, per-attempt perf
-attribution, and the tracing-changes-nothing differential)."""
+Chrome exporter, summarization, thread-scoped tracers, and the pipeline
+integration (phase/attempt/stride coverage, per-attempt attribution in
+the span tree, and the tracing-changes-nothing differential)."""
 
 from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 
 from repro import faults, obs
 from repro.analysis.governor import PhaseBudget, ResourceGovernor
-from repro.analysis.pipeline import run_analysis
+from repro.analysis.pipeline import run_analysis, run_pre_analysis
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import (
     InMemorySink,
     Instant,
     JsonlSink,
-    PerfRecorder,
     SpanBegin,
     SpanEnd,
     Tracer,
 )
+from repro.pta import Solver
 
 
 class FakeClock:
@@ -36,12 +37,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.t
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_tracer():
-    yield
-    obs.uninstall()
 
 
 def _traced(clock=None):
@@ -120,16 +115,6 @@ class TestSpanStructure:
         assert tracer.end(span_id) == pytest.approx(2.5)
         (span,) = sink.find("solve")
         assert span.duration == pytest.approx(2.5)
-
-    def test_metrics_derive_span_timers(self):
-        clock = FakeClock()
-        recorder = PerfRecorder()
-        tracer = Tracer(metrics=recorder, clock=clock)
-        with tracer.span("phase:main"):
-            clock.advance(1.5)
-        with tracer.span("phase:main"):
-            clock.advance(0.5)
-        assert recorder.timers["span.phase:main"] == pytest.approx(2.0)
 
 
 class TestJsonlSink:
@@ -264,21 +249,24 @@ class TestSummary:
 
 
 class TestProcessWideScoping:
-    def test_install_returns_previous(self):
-        first, second = Tracer(), Tracer()
-        assert obs.install(first) is None
-        assert obs.current_tracer() is first
-        assert obs.install(second) is first
-        assert obs.uninstall() is second
-        assert obs.current_tracer() is None
+    """There is no process-wide tracer: :func:`obs.active` scopes one
+    to the calling thread."""
 
     def test_active_scopes_and_restores(self):
         outer, inner = Tracer(), Tracer()
-        obs.install(outer)
-        with obs.active(inner) as scoped:
-            assert scoped is inner
-            assert obs.current_tracer() is inner
-        assert obs.current_tracer() is outer
+        assert obs.current_tracer() is None
+        with obs.active(outer):
+            with obs.active(inner) as scoped:
+                assert scoped is inner
+                assert obs.current_tracer() is inner
+            assert obs.current_tracer() is outer
+            seen = []
+            thread = threading.Thread(
+                target=lambda: seen.append(obs.current_tracer()))
+            thread.start()
+            thread.join()
+            assert seen == [None]  # another thread sees no tracer
+        assert obs.current_tracer() is None
 
 
 class TestPipelineIntegration:
@@ -321,8 +309,8 @@ class TestPipelineIntegration:
         assert "governor.exhausted" in sink.instant_names()
         assert "fault" in sink.instant_names()  # the spike firing
 
-    def test_failed_attempt_keeps_its_own_recorder(self, tiny_program):
-        perf = PerfRecorder()
+    def test_each_attempt_traces_its_own_solve(self, tiny_program):
+        sink = InMemorySink()
         governor = ResourceGovernor(
             budgets={"main": PhaseBudget(memory_bytes=1 << 30)},
             check_stride=1)
@@ -330,15 +318,15 @@ class TestPipelineIntegration:
                                     bytes=1 << 40)])
         with faults.active(plan):
             run = run_analysis(tiny_program, "2obj", governor=governor,
-                               degrade=True, perf=perf)
-        failed, rescued = run.attempts
-        assert failed.recorder is not None
-        assert failed.recorder is not perf
-        assert failed.recorder.counters  # the doomed solve did real work
-        assert "perf" in failed.as_dict()
-        # the failed rung's counters did NOT pollute the run-level view:
-        # the merged recorder equals the successful attempt's alone
-        assert perf.counters == rescued.recorder.counters
+                               degrade=True, tracer=Tracer(sinks=(sink,)))
+        failed, rescued = sink.find("attempt")
+        failed_solves = failed.find("solve")
+        rescued_solves = rescued.find("solve")
+        assert len(failed_solves) == len(rescued_solves) == 1
+        assert "iterations" in failed_solves[0].attrs
+        # the rescued run's counters are its own solve's, not the sum
+        assert rescued_solves[0].attrs["iterations"] == \
+            run.result.stats()["iterations"]
 
     def test_tracing_changes_no_analysis_facts(self, tiny_program):
         def facts(tracer):
@@ -380,3 +368,16 @@ class TestNullSinkOverheadSmoke:
         untraced = best_of(None)
         traced = best_of(Tracer())
         assert traced <= max(untraced * 2.0, untraced + 0.05)
+
+
+@pytest.mark.parametrize("make, keyword", [
+    (lambda program, **kw: run_analysis(program, "ci", **kw), "perf"),
+    (run_pre_analysis, "perf"),
+    (Solver, "perf"),
+    (lambda program, **kw: ResourceGovernor(**kw), "perf"),
+    (lambda program, **kw: Tracer(**kw), "metrics"),
+], ids=["run_analysis", "run_pre_analysis", "Solver", "ResourceGovernor",
+        "Tracer"])
+def test_removed_metrics_keywords_are_rejected(tiny_program, make, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        make(tiny_program, **{keyword: None})
