@@ -6,8 +6,13 @@ number of casts that may fail — fewer is more precise (more casts proven
 safe).
 
 The solver records, per reachable cast site, the objects flowing into
-the cast source (:meth:`repro.pta.results.PointsToResult.cast_records`);
-this client applies the subtype test once per distinct incoming class.
+the cast source (:meth:`repro.pta.results.PointsToResult.cast_bits`, one
+bit-vector per site and target class).  With objects numbered in class
+hierarchy order, the objects whose class is a subtype of ``T`` form one
+mask (:meth:`~repro.pta.results.PointsToResult.subtype_mask`), so the
+test is ``bits & ~mask(T)``: the cast may fail exactly when that is not
+empty, and only its bits are decoded to name the offending classes
+(Toussi & Khademzadeh's class-hierarchy bit-vectors, PAPERS.md).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
+from repro.pta.bitset import bits_to_list
 from repro.pta.results import PointsToResult
 
 __all__ = ["CastReport", "check_casts"]
@@ -55,15 +61,13 @@ def check_casts(result: PointsToResult) -> CastReport:
     safe: Set[int] = set()
     may_fail: Set[int] = set()
     offenders: Dict[int, Set[str]] = {}
-    for cast_site, target_class, objects in result.cast_records():
-        bad = {
-            class_name
-            for class_name in {result.object_class(obj) for obj in objects}
-            if not result.is_subtype(class_name, target_class)
-        }
-        if bad:
+    object_class = result.object_class
+    for cast_site, target_class, bits in result.cast_bits():
+        failing = bits & ~result.subtype_mask(target_class)
+        if failing:
             may_fail.add(cast_site)
-            offenders.setdefault(cast_site, set()).update(bad)
+            offenders.setdefault(cast_site, set()).update(
+                object_class(obj) for obj in bits_to_list(failing))
             safe.discard(cast_site)
         elif cast_site not in may_fail:
             safe.add(cast_site)

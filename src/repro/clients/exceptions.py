@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
+from repro.pta.bitset import bits_to_list
 from repro.pta.results import PointsToResult
 
 __all__ = ["ExceptionReport", "analyze_exceptions"]
@@ -37,15 +38,14 @@ class ExceptionReport:
 
 
 def analyze_exceptions(result: PointsToResult) -> ExceptionReport:
-    """Classify exceptional flow from a points-to result."""
+    """Classify exceptional flow from a points-to result: one walk over
+    the methods that have an exceptional exit."""
     per_method: Dict[str, FrozenSet[str]] = {}
-    for method in result.program.all_methods():
-        qname = method.qualified_name
-        objs = result.exception_points_to(qname)
-        if objs:
+    object_class = result.object_class
+    for qname, bits in result.exception_bits():
+        if bits:
             per_method[qname] = frozenset(
-                result.object_class(obj) for obj in objs
-            )
+                object_class(obj) for obj in bits_to_list(bits))
     entry = result.program.entry
     escaping = per_method.get(entry.qualified_name, frozenset()) \
         if entry is not None else frozenset()

@@ -11,12 +11,15 @@ the views the rest of the system needs:
 * summary statistics for the benchmark harness.
 
 The solver stores points-to sets as bit-vector ints (see
-:mod:`repro.pta.bitset`); every accessor here materializes through the
-solver's ``node_pts_*`` methods, so clients never see the encoding.
-Unions over many nodes are taken in the bit-vector domain (``|`` on
-ints) and decoded once at the end.  Variable and exception queries read
-per-method indexes of node ids, each built on first use, so a query
-costs its matching nodes rather than a scan of the node table.
+:mod:`repro.pta.bitset`); accessors read them through the solver's
+``node_pts_*`` methods.  Unions over many nodes are taken in the
+bit-vector domain (``|`` on ints) and decoded once at the end.  Two
+accessors hand the unioned bit-vectors themselves to the clients that
+only test them against class masks or read a few of their classes
+(:meth:`PointsToResult.cast_bits`, :meth:`PointsToResult.exception_bits`).
+Variable, exception and context queries read per-method indexes, each
+built on first use, so a query costs its matching entries rather than a
+scan of the node table.
 """
 
 from __future__ import annotations
@@ -45,10 +48,12 @@ class PointsToResult:
         self.solve_seconds: float = solver.solve_seconds
         self.iterations: int = solver.iterations
         # Query indexes, each built in one pass over the solver's
-        # variable or exception node records on first use.  They hold
-        # raw node ids: bits are read at query time, through ``find()``.
+        # variable or exception node records or its frames on first
+        # use.  Node indexes hold raw node ids: bits are read at query
+        # time, through ``find()``.
         self._exc_index: Optional[Dict[str, _Nodes]] = None
         self._var_index: Optional[Dict[Tuple[str, str], _Nodes]] = None
+        self._ctx_index: Optional[Dict[str, List[Context]]] = None
 
     # ------------------------------------------------------------------
     # Objects
@@ -111,40 +116,58 @@ class PointsToResult:
                 index.setdefault((method.qualified_name, name), []).append(
                     (ctx, node))
             self._var_index = index
-        return self._union(
-            self._var_index.get((method_qualified_name, var), ()), context)
+        return set(bits_to_list(self._union(
+            self._var_index.get((method_qualified_name, var), ()), context)))
 
     def exception_points_to(self, method_qualified_name: str,
                             context: Optional[Context] = None) -> Set[int]:
         """Objects reaching the method's exceptional exit (its own throws
         plus everything propagating out of its callees), as interned
-        object ids; union over contexts unless one is given."""
-        return self._union(self._exits(method_qualified_name), context)
+        object ids; union over contexts unless one is given.  Empty for
+        a method that cannot throw: it has no exit."""
+        return set(bits_to_list(self._union(
+            self._exits().get(method_qualified_name, ()), context)))
 
-    def _exits(self, method_qualified_name: str
-               ) -> Iterable[Tuple[Context, int]]:
-        """The ``(ctx, node)`` exceptional exits of the named method:
-        one per context it was analyzed under."""
+    def exception_bits(self) -> Iterator[Tuple[str, int]]:
+        """Yield ``(method qualified name, bits)`` for every method with
+        an exceptional exit (one that may throw and was reached): the
+        objects reaching the exit, unioned over its contexts, as one
+        bit-vector."""
+        for qname, entries in self._exits().items():
+            yield qname, self._union(entries, None)
+
+    def _exits(self) -> Dict[str, _Nodes]:
+        """The exception index: method qualified name -> its ``(ctx,
+        node)`` exceptional exits, one per context it was analyzed
+        under."""
         if self._exc_index is None:
             index: Dict[str, _Nodes] = {}
             for node, ctx, method in self._solver.exception_nodes():
                 index.setdefault(method.qualified_name, []).append((ctx, node))
             self._exc_index = index
-        return self._exc_index.get(method_qualified_name, ())
+        return self._exc_index
 
     def _union(self, entries: Iterable[Tuple[Context, int]],
-               context: Optional[Context]) -> Set[int]:
-        """Union of the ``(ctx, node)`` entries' points-to sets, only
-        those under ``context`` when one is given."""
+               context: Optional[Context]) -> int:
+        """Union of the ``(ctx, node)`` entries' points-to sets as one
+        bit-vector, only those under ``context`` when one is given."""
         node_pts_bits = self._solver.node_pts_bits
         bits = 0
         for ctx, node in entries:
             if context is None or ctx == context:
                 bits |= node_pts_bits(node)
-        return set(bits_to_list(bits))
+        return bits
 
     def contexts_of_method(self, method_qualified_name: str) -> Set[Context]:
-        return {ctx for ctx, _ in self._exits(method_qualified_name)}
+        """The contexts the named method was analyzed under: one per
+        frame the solve reserved for it."""
+        if self._ctx_index is None:
+            index: Dict[str, List[Context]] = {}
+            for frame in self._solver._frames.values():
+                index.setdefault(frame.method.qualified_name, []).append(
+                    frame.ctx)
+            self._ctx_index = index
+        return set(self._ctx_index.get(method_qualified_name, ()))
 
     def total_context_count(self) -> int:
         """Total (method, context) pairs analyzed — the cost driver that
@@ -210,19 +233,32 @@ class PointsToResult:
     def static_call_sites(self) -> Set[int]:
         return set(self._solver._static_sites_seen)
 
-    def cast_records(self) -> Iterable[Tuple[int, str, Set[int]]]:
-        """Yield ``(cast_site, target_class, incoming objects)`` for every
-        reachable cast; the same cast site may appear once per context
-        (already unioned here, in the bit-vector domain)."""
+    def cast_bits(self) -> Iterator[Tuple[int, str, int]]:
+        """Yield ``(cast_site, target_class, bits)`` for every reachable
+        cast, sorted by site then class: the objects flowing into the
+        cast source as one bit-vector, unioned over the contexts the
+        site was reached under."""
         s = self._solver
         merged: Dict[Tuple[int, str], int] = {}
         for cast_site, class_name, src_node in s._cast_records:
             key = (cast_site, class_name)
             merged[key] = merged.get(key, 0) | s.node_pts_bits(src_node)
-        for (cast_site, class_name), bits in sorted(
-            merged.items(), key=lambda item: item[0]
-        ):
+        for (cast_site, class_name), bits in sorted(merged.items()):
+            yield cast_site, class_name, bits
+
+    def cast_records(self) -> Iterator[Tuple[int, str, Set[int]]]:
+        """Yield ``(cast_site, target_class, incoming objects)`` for every
+        reachable cast: :meth:`cast_bits` with each bit-vector decoded
+        to object ids."""
+        for cast_site, class_name, bits in self.cast_bits():
             yield cast_site, class_name, set(bits_to_list(bits))
+
+    def subtype_mask(self, class_name: str) -> int:
+        """The bit-vector of every object whose class is a subtype of
+        ``class_name``: the solver's cast-filter mask, one range over
+        the hierarchy-ordered ids plus the objects interned above them
+        (heap-context clones, classes outside the numbering)."""
+        return self._solver._filter_masks.mask_for(class_name)
 
     def is_subtype(self, sub_class: str, sup_class: str) -> bool:
         return self._solver._is_subtype_name(sub_class, sup_class)

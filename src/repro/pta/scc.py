@@ -31,7 +31,7 @@ trivially-satisfied ``pts(x) ⊇ filter_T(pts(x))`` and is dropped).
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+from typing import (TYPE_CHECKING, Container, Dict, List, Optional, Sequence,
                     Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle through repro.core
@@ -106,7 +106,9 @@ def condense_copy_graph(
     succs: List[Sequence[Tuple[int, Optional[str]]]],
     uf: "IntDisjointSets",
     tracer=None,
-    idle: Optional[Callable[[int], bool]] = None,
+    pts: Optional[Sequence[int]] = None,
+    queued: Optional[Sequence[int]] = None,
+    pending: Optional[Container[int]] = None,
 ) -> Tuple[List[List[int]], Dict[int, int]]:
     """One Tarjan pass over the copy-edge subgraph of the live nodes.
 
@@ -127,15 +129,18 @@ def condense_copy_graph(
       after later merges is benign.
 
     The traversal is fully iterative (explicit stacks); recursion depth
-    is not bounded by component size.
+    is not bounded by component size.  A node without successors is a
+    component of its own, so it is emitted where it is met, as a start
+    or as the target of an edge, without a traversal frame; the result
+    is the one a frame per node would give.
 
-    ``idle`` (optional) names nodes without successors that should stay
-    unranked: such a node is not used as a start, so it appears in
-    ``order`` only when an edge reaches it.  The solver passes its
-    reserved frame slots that no statement has touched yet, so they keep
+    ``pts``, ``queued`` and ``pending`` (optional, given together: the
+    solver's points-to sets, queued FIFO deltas and pending wave
+    deltas) keep *idle* nodes unranked: a node without successors that
+    holds no object and has no delta waiting is not used as a start, so
+    it appears in ``order`` only when an edge reaches it.  These are
+    the reserved frame slots no statement has touched yet, so they keep
     the fresh-node priority they would have had before they existed.
-    Skipping them changes nothing else: a start without copy edges is
-    emitted alone.
 
     ``tracer`` (a :class:`repro.obs.Tracer`, optional) receives one
     ``scc:condense`` instant with the pass's visited/cycle counts.
@@ -157,7 +162,14 @@ def condense_copy_graph(
     for start in range(n):
         if parent[start] != start or index[start] >= 0:
             continue
-        if idle is not None and not succs[start] and idle(start):
+        if not succs[start]:
+            if (pts is not None and not pts[start] and not queued[start]
+                    and start not in pending):
+                continue
+            index[start] = next_index
+            next_index += 1
+            emit[start] = emitted
+            emitted += 1
             continue
         call: List[List[object]] = [[start, None]]
         while call:
@@ -177,6 +189,13 @@ def condense_copy_graph(
                 if succ == node:
                     continue
                 if index[succ] < 0:
+                    if not succs[succ]:
+                        # a leaf: its component is itself, emitted now
+                        index[succ] = next_index
+                        next_index += 1
+                        emit[succ] = emitted
+                        emitted += 1
+                        continue
                     call.append([succ, None])
                     descended = True
                     break

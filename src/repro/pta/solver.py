@@ -12,8 +12,9 @@ Design:
   - a variable node ``(context, method, var)``: the first time a solve
     reaches ``method`` under ``context`` it reserves the method's
     *frame*, one contiguous block of node ids with a slot per variable
-    plus the exceptional exit, so variable ``slot`` is node ``base +
-    slot`` and nothing is hashed per variable.  The slot table
+    (plus the exceptional exit when the method may throw), so variable
+    ``slot`` is node ``base + slot`` and nothing is hashed per
+    variable.  The slot table
     (``_FrameLayout``: variable names, statements rewritten over
     slots) is built once per method and cached on the
     :class:`~repro.ir.program.Program`, shared by every solve of it;
@@ -95,11 +96,12 @@ Design:
   Every path pops the same nodes and derives the same facts;
   ``dispatch_attempts`` counts slices, groups or objects.
 
-* **Exceptional flow where it can happen.**  Every frame has an
-  exceptional-exit slot, but call edges link the callee's exit to the
-  caller's, and ``catch`` reads a method's own exit, only for methods
-  in :meth:`~repro.ir.program.Program.may_throw_methods`; the other
-  exits can never hold an object.
+* **Exceptional flow where it can happen.**  Only the frames of
+  methods in :meth:`~repro.ir.program.Program.may_throw_methods` have
+  an exceptional-exit node; call edges link the callee's exit to the
+  caller's, and ``catch`` reads a method's own exit, only there.  The
+  other methods' exits could never hold an object, so they are not
+  created (no per-node state, nothing for the ranking pass to probe).
 
 * **Reference oracle.**  ``tests/reference_solver.py`` re-derives the
   same facts by naive chaotic iteration, sharing no code with this
@@ -225,8 +227,12 @@ class _FrameLayout:
 
     Slot ``i < len(names)`` holds the variable ``names[i]``; an instance
     method's ``this`` is slot 0.  Slot ``exc`` (``len(names)``) is the
-    method's exceptional exit.  The frame of the method under one
-    context is the block of node ids ``base .. base + size - 1``.
+    method's exceptional exit, which only a frame of a method that may
+    throw has: the frame of the method under one context is the block
+    of node ids ``base .. base + size - 1`` then, else ``base .. base +
+    exc - 1``.  Whether the method may throw is a property of the whole
+    program, and layouts are shared by edited clones, so each solve
+    decides it (``Solver._frame``).
     ``uses`` maps each slot that is the base of a load, store or
     virtual call to ``(loads, stores, invokes)``: only those slots carry
     statement metadata.
@@ -956,8 +962,7 @@ class Solver:
             return False
         self._copy_edges_at_last_pass = self.counters["copy_edges"]
         self.counters["scc_passes"] += 1
-        cycles, _ = condense_copy_graph(self._succs, self._uf,
-                                        tracer=self.tracer, idle=self._idle)
+        cycles, _ = self._condense()
         self._backoff(bool(cycles))
         if not cycles:
             return False
@@ -967,14 +972,15 @@ class Solver:
         self.counters["scc_promotions"] += 1
         return True
 
-    def _idle(self, node: int) -> bool:
-        """Whether ``node`` holds no object and is not queued.  The
-        detection pass asks only about nodes without successors, so a
-        yes means a frame slot no statement has touched yet: it is left
-        unranked, keeping the fresh-node priority it would have had if
-        frames were not reserved whole (see ``condense_copy_graph``)."""
-        return (not self._pts[node] and not self._fifo_delta[node]
-                and node not in self._pending)
+    def _condense(self) -> Tuple[List[List[int]], Dict[int, int]]:
+        """One ranking pass (:func:`~repro.pta.scc.condense_copy_graph`)
+        over the constraint graph.  Reserved frame slots no statement
+        has touched yet (no successor, no object, no queued delta) stay
+        unranked, keeping the fresh-node priority they would have had
+        if frames were not reserved whole."""
+        return condense_copy_graph(self._succs, self._uf, tracer=self.tracer,
+                                   pts=self._pts, queued=self._fifo_delta,
+                                   pending=self._pending)
 
     def _collapse_cycles(self) -> None:
         """Run one cycle-elimination pass, traced as ``scc:collapse``
@@ -1012,9 +1018,7 @@ class Solver:
         counters["scc_passes"] += 1
         uf = self._uf
         find = self._find
-        cycles, order = condense_copy_graph(self._succs, uf,
-                                            tracer=self.tracer,
-                                            idle=self._idle)
+        cycles, order = self._condense()
         topo = self._topo_order
         for node, position in order.items():
             topo[node] = position
@@ -1156,12 +1160,15 @@ class Solver:
     def _frame(self, ctx: Context, method: Method) -> _Frame:
         """The frame of ``method`` under ``ctx``, reserved on first use:
         one contiguous block of node ids, a variable node per slot of
-        the method's layout plus its exceptional exit, which thrown
-        objects reach and which flows to callers' exceptional exits
-        along call edges when the method may throw (the
-        flow-insensitive exceptional flow Doop models).  Variable ``slot`` of the frame is node ``base +
-        slot``; slots the statements read point at the frame in
-        ``_meta_by_node``."""
+        the method's layout, plus its exceptional exit when the method
+        may throw.  Thrown objects reach the exit, and it flows to
+        callers' exits along call edges (the flow-insensitive
+        exceptional flow Doop models); a method that cannot throw gets
+        no exit, since no object could ever reach it.  The layout is
+        shared by edited clones of the program, so the size is decided
+        here, from this solve's ``_may_throw``.  Variable ``slot`` of the frame is node
+        ``base + slot``; slots the statements read point at the frame
+        in ``_meta_by_node``."""
         mkey = id(method)
         key = (ctx, mkey)
         frame = self._frames.get(key)
@@ -1173,7 +1180,7 @@ class Solver:
         base = len(self._pts)
         frame = _Frame(ctx, method, layout, base)
         self._frames[key] = frame
-        self._grow(layout.size)
+        self._grow(layout.size if method in self._may_throw else layout.exc)
         meta_by_node = self._meta_by_node
         for slot in layout.uses:
             meta_by_node[base + slot] = frame
@@ -1191,9 +1198,12 @@ class Solver:
 
     def exception_nodes(self) -> Iterator[Tuple[int, Context, Method]]:
         """Yield ``(node, ctx, method)`` for the exceptional exit of
-        every frame, in reservation order."""
+        every frame that has one (its method may throw), in reservation
+        order."""
+        may_throw = self._may_throw
         for frame in self._frames.values():
-            yield frame.base + frame.layout.exc, frame.ctx, frame.method
+            if frame.method in may_throw:
+                yield frame.base + frame.layout.exc, frame.ctx, frame.method
 
     def _field_node(self, obj: int, field: str) -> int:
         return self._node((1, obj, field))
@@ -1289,10 +1299,13 @@ class Solver:
             add_edge(self._static_field_node(class_name, field), base + target)
         for source, class_name, field in layout.static_stores:
             add_edge(base + source, self._static_field_node(class_name, field))
-        exc = base + layout.exc
-        for source in layout.throws:
-            add_edge(base + source, exc)
-        if layout.catches and frame.method in self._may_throw:
+        if (layout.throws or layout.catches) \
+                and frame.method in self._may_throw:
+            # a method with a ``throw`` may throw, so only a catch in a
+            # method that cannot throw finds no exit to read
+            exc = base + layout.exc
+            for source in layout.throws:
+                add_edge(base + source, exc)
             for target, class_name in layout.catches:
                 add_edge(exc, base + target, class_name)
         for call in layout.static_invokes:
@@ -1494,8 +1507,8 @@ class Solver:
             for ret in callee_layout.returns:
                 add_edge(callee_base + ret, target_node)
         # exceptional flow: whatever escapes the callee reaches the
-        # caller's exceptional exit (an exit no object can reach gets no
-        # edge)
+        # caller's exceptional exit.  Only a callee that may throw has
+        # an exit, and its callers may throw too, so theirs exists.
         if callee_frame.method in self._may_throw:
             add_edge(callee_base + callee_layout.exc, base + frame.layout.exc)
 

@@ -248,7 +248,7 @@ class TestSummary:
         assert "solve" in text
 
 
-class TestProcessWideScoping:
+class TestThreadScoping:
     """There is no process-wide tracer: :func:`obs.active` scopes one
     to the calling thread."""
 

@@ -7,7 +7,10 @@ and ``Solver.exception_nodes``) that lives in this file, on hypothesis
 programs, the hand-written corpus and a generated program with
 exceptional flow, under ci, 2obj and 2type, and on a forced-collapse
 case whose variable nodes are merged cycle members.  A work-count test
-pins the exception client to one visit per exception node.
+pins the exception client to one visit per exception node.  Frame sizes
+(an exceptional exit only for methods that may throw) are checked
+against variable names read off the statements and the reference
+solver's reachable (context, method) pairs.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from repro.analysis.governor import ResourceGovernor
 from repro.clients import analyze_exceptions
 from repro.frontend import parse_program
 from repro.pta.context import selector_for
+from repro.ir.statements import AssignNull
 from repro.pta.solver import Solver
 from repro.workloads import TINY, generate, load_profile
 from repro.workloads.corpus import corpus_names, corpus_program
 
 from tests.program_strategies import ir_programs
+from tests.reference_solver import reference_solve
 from tests.test_introspective import HOT_COLD
 
 CONFIGS = ["ci", "2obj", "2type"]
@@ -125,17 +130,76 @@ class TestIndexedQueriesMatchScans:
         assert result.var_points_to_ids(entry, "no_such_var") == set()
 
 
+def variable_names(method):
+    """The variables of ``method`` read off its statements: ``this``,
+    the parameters and every name a statement reads or writes.  An
+    ``AssignNull`` moves no object, so a variable that is only nulled
+    needs no node."""
+    names = set() if method.is_static else {"this"}
+    names.update(method.params)
+    for stmt in method.statements:
+        if isinstance(stmt, AssignNull):
+            continue
+        for attr in ("target", "source", "base"):
+            name = getattr(stmt, attr, None)
+            if name is not None:
+                names.add(name)
+        names.update(getattr(stmt, "args", ()))
+    return names
+
+
+class TestFrameSizes:
+    """Only a method that may throw has an exceptional exit, in each of
+    its contexts; every other frame is exactly its variables."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_nodes_are_variables_plus_exits_of_throwers(self, config):
+        program = exceptional_program()
+        may_throw = {m.qualified_name for m in program.may_throw_methods()}
+        methods = {m.qualified_name: m for m in program.all_methods()}
+        assert may_throw and set(methods) - may_throw  # both kinds exist
+        result = Solver(program, selector_for(config)).solve()
+        reachable = reference_solve(program, selector_for(config)).reachable
+        assert {name for _, name in reachable} & may_throw
+        assert {name for _, name in reachable} - may_throw
+        interned = len(result._solver._node_ids)  # field + static-field
+        frames = sum(len(variable_names(methods[name])) + (name in may_throw)
+                     for _, name in reachable)
+        assert result.stats()["nodes"] == interned + frames
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_methods_that_cannot_throw_keep_their_contexts(self, config):
+        program = exceptional_program()
+        may_throw = {m.qualified_name for m in program.may_throw_methods()}
+        result = Solver(program, selector_for(config)).solve()
+        contexts = {}
+        for ctx, name in reference_solve(
+                program, selector_for(config)).reachable:
+            contexts.setdefault(name, set()).add(ctx)
+        quiet = set(contexts) - may_throw
+        assert quiet
+        exits = {method.qualified_name
+                 for _, _, method in result._solver.exception_nodes()}
+        assert exits == set(contexts) & may_throw
+        for name in contexts:
+            assert result.contexts_of_method(name) == contexts[name], name
+        for name in quiet:
+            assert result.exception_points_to(name) == set(), name
+            for ctx in contexts[name]:
+                assert result.exception_points_to(name, ctx) == set()
+
+
 class TestWorkCount:
     def test_exception_client_visits_each_node_once(self):
         """A scan of every exception node per method (O(methods x
-        nodes)) reads the exception node records far more than once per
-        node."""
+        nodes)) reads the exception node records once per method each,
+        far more than once per node."""
         program = exceptional_program()
         result = Solver(program, selector_for("2obj")).solve()
         solver = result._solver
         methods = [m.qualified_name for m in program.all_methods()]
         exc_nodes = sum(1 for _ in solver.exception_nodes())
-        assert len(methods) > 10 and exc_nodes > len(methods)
+        assert len(methods) > 10 and exc_nodes >= 2
         expected = {}
         for qname in methods:
             objs = scan_exceptions(result, qname)

@@ -14,6 +14,8 @@ pop count that solve took.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dataclasses
 import random
@@ -164,14 +166,28 @@ class TestCondenseCopyGraph:
         assert cycles == []
 
     def test_idle_nodes_stay_unranked_unless_reached(self):
-        """An idle node without successors is no start: 3 is never
-        visited, while 2 is ranked because the edge 1 → 2 reaches it."""
+        """An idle node (no successors, no object, no delta waiting) is
+        no start: 3 is never visited, while 2 is ranked because the edge
+        1 → 2 reaches it."""
         succs = self._graph(4, [(0, 1), (1, 2)])
         cycles, order = condense_copy_graph(
-            succs, IntDisjointSets(4), idle=lambda node: node >= 2)
+            succs, IntDisjointSets(4), pts=[0, 0, 0, 0], queued=[0] * 4,
+            pending={})
         assert cycles == []
         assert sorted(order) == [0, 1, 2]
         assert order[0] < order[1] < order[2]
+
+    def test_leaves_are_ranked_where_met(self):
+        """Leaves are components of their own: as starts (1), as targets
+        of a start's edges (2, 3) and deep in a traversal (5)."""
+        succs = self._graph(6, [(0, 2), (0, 3), (0, 4), (4, 5)])
+        succs[1] = ()
+        cycles, order = condense_copy_graph(succs, IntDisjointSets(6))
+        assert cycles == []
+        assert sorted(order) == list(range(6))
+        assert sorted(order.values()) == list(range(6))
+        assert order[0] < order[2] and order[0] < order[3]
+        assert order[0] < order[4] < order[5]
 
     def test_deep_chain_no_recursion_limit(self):
         n = 5000  # far beyond the default Python recursion limit
@@ -180,6 +196,89 @@ class TestCondenseCopyGraph:
                                         IntDisjointSets(n))
         assert len(cycles) == 1
         assert len(cycles[0]) == n
+
+
+@st.composite
+def condensation_inputs(draw):
+    """A graph over ``n`` node ids with some ids merged (stale edge
+    targets), leaves (``()`` successors), filtered edges and self
+    loops, plus the solver's idle-test state (or none of it)."""
+    n = draw(st.integers(1, 12))
+    uf = IntDisjointSets(n)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=4)):
+        uf.union(a, b)
+    succs = [() for _ in range(n)]
+    for src, dst, filtered in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.booleans()), max_size=3 * n)):
+        if not succs[src]:
+            succs[src] = []
+        succs[src].append((dst, "T" if filtered else None))
+    held = {}
+    if draw(st.booleans(), label="idle_test"):
+        flags = st.lists(st.booleans(), min_size=n, max_size=n)
+        held = {"pts": [int(f) for f in draw(flags, label="pts")],
+                "queued": [int(f) for f in draw(flags, label="queued")],
+                "pending": {i for i, f in enumerate(draw(flags, label="pend"))
+                            if f}}
+    return succs, uf, held
+
+
+class TestCondensationAgainstReachability:
+    """``condense_copy_graph`` against a reference built here from the
+    definitions: components are the classes of mutual reachability over
+    the copy edges between representatives, and ``order`` must number
+    them 0.. with every edge between two components pointing forward."""
+
+    @given(condensation_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_cycles_and_order_match_definitions(self, inputs):
+        succs, uf, held = inputs
+        n = len(succs)
+        live = [node for node in range(n) if uf.find(node) == node]
+        copy = {node: {uf.find(target) for target, filtered in succs[node]
+                       if filtered is None} - {node}
+                for node in live}
+
+        def idle(node):
+            return (held and not succs[node] and not held["pts"][node]
+                    and not held["queued"][node]
+                    and node not in held["pending"])
+
+        def reach(node):
+            seen, todo = {node}, [node]
+            while todo:
+                for succ in copy[todo.pop()]:
+                    if succ not in seen:
+                        seen.add(succ)
+                        todo.append(succ)
+            return seen
+
+        reaches = {node: reach(node) for node in live}
+        visited = set().union(*(reaches[node] for node in live
+                                if not idle(node)))
+        component = {node: frozenset(other for other in reaches[node]
+                                     if node in reaches[other])
+                     for node in visited}
+
+        cycles, order = condense_copy_graph(succs, uf, **held)
+
+        assert {frozenset(c) for c in cycles} == {
+            c for c in component.values() if len(c) > 1}
+        members = [member for cycle in cycles for member in cycle]
+        assert len(members) == len(set(members))  # none listed twice
+        assert set(order) == visited
+        by_index = {}
+        for node, index in order.items():
+            by_index.setdefault(index, set()).add(node)
+        assert sorted(by_index) == list(range(len(by_index)))
+        assert {frozenset(members) for members in by_index.values()} \
+            == set(component.values())
+        for node in visited:
+            for succ in copy[node]:
+                if component[succ] != component[node]:
+                    assert order[node] < order[succ], (node, succ)
 
 
 # ----------------------------------------------------------------------
