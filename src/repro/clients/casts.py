@@ -11,8 +11,10 @@ bit-vector per site and target class).  With objects numbered in class
 hierarchy order, the objects whose class is a subtype of ``T`` form one
 mask (:meth:`~repro.pta.results.PointsToResult.subtype_mask`), so the
 test is ``bits & ~mask(T)``: the cast may fail exactly when that is not
-empty, and only its bits are decoded to name the offending classes
-(Toussi & Khademzadeh's class-hierarchy bit-vectors, PAPERS.md).
+empty.  The offending classes are read off those bits one class block
+at a time (:meth:`~repro.pta.results.PointsToResult.classes_of_bits`),
+not object by object (Toussi & Khademzadeh's class-hierarchy
+bit-vectors, PAPERS.md).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
-from repro.pta.bitset import bits_to_list
 from repro.pta.results import PointsToResult
 
 __all__ = ["CastReport", "check_casts"]
@@ -61,13 +62,12 @@ def check_casts(result: PointsToResult) -> CastReport:
     safe: Set[int] = set()
     may_fail: Set[int] = set()
     offenders: Dict[int, Set[str]] = {}
-    object_class = result.object_class
     for cast_site, target_class, bits in result.cast_bits():
         failing = bits & ~result.subtype_mask(target_class)
         if failing:
             may_fail.add(cast_site)
             offenders.setdefault(cast_site, set()).update(
-                object_class(obj) for obj in bits_to_list(failing))
+                result.classes_of_bits(failing))
             safe.discard(cast_site)
         elif cast_site not in may_fail:
             safe.add(cast_site)

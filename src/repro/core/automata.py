@@ -18,7 +18,11 @@ This module provides both representations used in the system:
   "shared sequential automata" optimization (Section 5): DFA states are
   globally memoized by their object set, so automata of different roots
   share every common substructure, and each state's transitions are
-  computed exactly once across the whole merging run.
+  computed exactly once across the whole merging run.  Most states hold
+  one object (the FPGs of real programs are nearly deterministic), so
+  such a state is keyed by its object id and takes the object's FPG
+  edges as its transitions; only states of several objects pay for a
+  frozenset key and a subset-construction step.
 
 Conventions (Section 4):
 
@@ -33,8 +37,9 @@ Conventions (Section 4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List,
+                    Mapping, Optional, Set, Tuple)
 
 from repro.core.fpg import NULL_OBJECT, FieldPointsToGraph
 from repro.ir.types import ERROR_TYPE
@@ -178,6 +183,29 @@ def nfa_to_dfa(nfa: SequentialNFA) -> SequentialDFA:
 # ----------------------------------------------------------------------
 # Shared automata (the Section 5 optimization, used by merging)
 # ----------------------------------------------------------------------
+def _subset_moves(
+    objects: FrozenSet[int],
+    successors: Callable[[int], Mapping[str, AbstractSet[int]]],
+) -> List[Tuple[str, Set[int]]]:
+    """The subset-construction step of a state of several objects:
+    ``(symbol, successor objects)`` for every field a non-null member
+    defines.  A null member follows every such field to null."""
+    tables = [successors(o) for o in objects if o != NULL_OBJECT]
+    has_null = NULL_OBJECT in objects
+    symbols: Set[str] = set()
+    for table in tables:
+        symbols.update(table)
+    moves = []
+    for symbol in symbols:
+        successor: Set[int] = {NULL_OBJECT} if has_null else set()
+        for table in tables:
+            targets = table.get(symbol)
+            if targets:
+                successor |= targets
+        moves.append((symbol, successor))
+    return moves
+
+
 class DFAState:
     """One memoized DFA state: a set of heap objects.
 
@@ -201,66 +229,83 @@ class DFAState:
 class SharedAutomata:
     """Globally shared subset construction over one FPG.
 
-    All per-object DFAs live in one memo table keyed by the state's
-    object set, so ``dfa_root(o1)`` and ``dfa_root(o2)`` share every
-    common substructure — the paper's "shared sequential automata"
-    optimization.
+    All per-object DFAs live in one memo table, so ``dfa_root(o1)`` and
+    ``dfa_root(o2)`` share every common substructure — the paper's
+    "shared sequential automata" optimization.  A one-object state is
+    keyed by its object id and reads its transitions straight from the
+    FPG's successor sets; every other state is keyed by its object
+    frozenset and takes the subset-construction step.
     """
 
     def __init__(self, fpg: FieldPointsToGraph) -> None:
         self._fpg = fpg
-        self._states: Dict[FrozenSet[int], DFAState] = {}
-        self._roots: Dict[int, DFAState] = {}
+        # object id (one-object states) or object frozenset -> state
+        self._states: Dict[object, DFAState] = {}
+        # type name -> its interned singleton output set
+        self._gamma: Dict[str, FrozenSet[str]] = {}
         self.transition_computations = 0
 
     # -- construction ---------------------------------------------------
     def dfa_root(self, obj: int) -> DFAState:
-        """The (fully materialized) DFA start state for object ``obj``."""
-        root = self._roots.get(obj)
-        if root is None:
-            root = self._materialize(frozenset([obj]))
-            self._roots[obj] = root
-        return root
+        """The (fully materialized) DFA start state for object ``obj``.
 
-    def _state(self, objects: FrozenSet[int]) -> Tuple[DFAState, bool]:
-        state = self._states.get(objects)
-        if state is not None:
-            return state, False
-        fpg = self._fpg
-        types = frozenset(fpg.type_of(o) for o in objects)
-        state = DFAState(objects, types)
-        self._states[objects] = state
-        return state, True
+        Every memoized state is complete once the construction that
+        created it returns, so a known state is returned as is."""
+        state = self._states.get(obj)
+        if state is None:
+            state = self._materialize(obj)
+        return state
 
-    def _materialize(self, start_objects: FrozenSet[int]) -> DFAState:
-        """Subset construction from ``start_objects``, reusing every
+    def _new_state(self, key: object) -> DFAState:
+        """Memoize a fresh state under ``key``: an object id or a
+        frozenset of at least two objects."""
+        type_of = self._fpg.type_of
+        if type(key) is int:
+            objects: FrozenSet[int] = frozenset((key,))
+            name = type_of(key)
+            types = self._gamma.get(name)
+            if types is None:
+                types = self._gamma[name] = frozenset((name,))
+        else:
+            objects = key  # type: ignore[assignment]
+            types = frozenset(map(type_of, objects))
+        state = self._states[key] = DFAState(objects, types)
+        return state
+
+    def _materialize(self, obj: int) -> DFAState:
+        """Subset construction from ``{obj}``, reusing every
         already-known state (transitions are computed once per state
         across the entire lifetime of this instance)."""
-        start, fresh = self._state(start_objects)
-        if not fresh:
-            return start
-        fpg = self._fpg
-        worklist = [start]
+        states = self._states
+        successors = self._fpg.successors
+        start = self._new_state(obj)
+        worklist = [(obj, start)]
+        computations = 0
         while worklist:
-            state = worklist.pop()
-            symbols: Set[str] = set()
-            for obj in state.objects:
-                if obj != NULL_OBJECT:
-                    symbols.update(fpg.fields_of(obj))
-            self.transition_computations += 1
-            for symbol in symbols:
-                successor: Set[int] = set()
-                for obj in state.objects:
-                    if obj == NULL_OBJECT:
-                        successor.add(NULL_OBJECT)
-                    else:
-                        successor |= fpg.points_to(obj, symbol)
-                if not successor:
+            key, state = worklist.pop()
+            computations += 1
+            if type(key) is not int:
+                moves = _subset_moves(key, successors)
+            elif key != NULL_OBJECT:
+                # one object: its edges are the transitions
+                moves = successors(key).items()
+            else:
+                # the pure-null state is a dead end
+                continue
+            transitions = state.transitions
+            for symbol, targets in moves:
+                if not targets:
                     continue
-                next_state, next_fresh = self._state(frozenset(successor))
-                state.transitions[symbol] = next_state
-                if next_fresh:
-                    worklist.append(next_state)
+                if len(targets) == 1:
+                    (next_key,) = targets
+                else:
+                    next_key = frozenset(targets)
+                next_state = states.get(next_key)
+                if next_state is None:
+                    next_state = self._new_state(next_key)
+                    worklist.append((next_key, next_state))
+                transitions[symbol] = next_state
+        self.transition_computations += computations
         return start
 
     # -- queries ----------------------------------------------------------

@@ -15,7 +15,8 @@ Three implementations, all behaviourally identical:
   written in the paper;
 * :func:`shared_equivalent` — over :class:`SharedAutomata` states, with
   the γ check folded into each union (early exit), the variant the
-  merging engine uses;
+  merging engine uses: one union–find dict keyed by the states
+  themselves, no per-test closures;
 * :func:`brute_force_equivalent` — a product-automaton BFS oracle used
   by the property tests (no union–find, quadratic).
 """
@@ -34,6 +35,9 @@ from repro.core.disjoint_sets import DisjointSets
 __all__ = ["dfa_equivalent", "shared_equivalent", "brute_force_equivalent"]
 
 _ERROR_OUTPUT: FrozenSet[str] = frozenset([ERROR_TYPE_NAME])
+
+#: the transitions of ``q_error``: none, every symbol stays in error
+_NO_TRANSITIONS: Dict[str, DFAState] = {}
 
 
 # ----------------------------------------------------------------------
@@ -122,69 +126,45 @@ def shared_equivalent(root1: DFAState, root2: DFAState) -> bool:
     Shared states are compared by identity (the :class:`SharedAutomata`
     memo guarantees one object per state set), so when both roots come
     from the same universe, structurally identical automata unify
-    immediately.
+    immediately, and a successor pair that is one state is skipped.
+    The union–find is one dict from each non-root state to its parent,
+    keyed by the states themselves, with ``None`` for ``q_error``; a
+    class's output is its root's γ.
     """
     if root1 is root2:
         return True
     if root1.types != root2.types:
         return False
-
-    # Union–find over id(state); the error state is the key 0 (ids of
-    # real objects are never 0).
-    parent: Dict[int, int] = {}
-    gamma_of: Dict[int, FrozenSet[str]] = {0: _ERROR_OUTPUT}
-    state_of: Dict[int, Optional[DFAState]] = {0: None}
-
-    def key_of(state: Optional[DFAState]) -> int:
-        if state is None:
-            return 0
-        k = id(state)
-        if k not in parent:
-            parent[k] = k
-            gamma_of[k] = state.types
-            state_of[k] = state
-        return k
-
-    parent[0] = 0
-
-    def find(k: int) -> int:
-        root = k
-        while parent[root] != root:
-            root = parent[root]
-        while parent[k] != root:
-            parent[k], k = root, parent[k]
-        return root
-
-    def union(a: int, b: int) -> bool:
-        """Unite; False when the classes' outputs disagree."""
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return True
-        if gamma_of[ra] != gamma_of[rb]:
-            return False
-        parent[rb] = ra
-        return True
-
-    k1, k2 = key_of(root1), key_of(root2)
-    if not union(k1, k2):
-        return False
-    stack: List[Tuple[Optional[DFAState], Optional[DFAState]]] = [(root1, root2)]
+    parent: Dict[Optional[DFAState], Optional[DFAState]] = {root2: root1}
+    stack: List[Tuple[Optional[DFAState], Optional[DFAState]]] = [
+        (root1, root2)]
     while stack:
         p1, p2 = stack.pop()
-        symbols: Set[str] = set()
-        if p1 is not None:
-            symbols.update(p1.transitions)
-        if p2 is not None:
-            symbols.update(p2.transitions)
-        for symbol in symbols:
-            n1 = p1.transitions.get(symbol) if p1 is not None else None
-            n2 = p2.transitions.get(symbol) if p2 is not None else None
-            r1 = find(key_of(n1))
-            r2 = find(key_of(n2))
-            if r1 != r2:
-                if not union(r1, r2):
-                    return False
-                stack.append((state_of[r1], state_of[r2]))
+        t1 = _NO_TRANSITIONS if p1 is None else p1.transitions
+        t2 = _NO_TRANSITIONS if p2 is None else p2.transitions
+        if t1.keys() == t2.keys():
+            # one alphabet: walk one map
+            pairs = zip(t1.values(), map(t2.__getitem__, t1))
+        else:
+            symbols = t1.keys() | t2.keys()
+            pairs = zip(map(t1.get, symbols), map(t2.get, symbols))
+        for n1, n2 in pairs:
+            if n1 is n2:
+                continue
+            r1 = n1
+            while r1 in parent:
+                r1 = parent[r1]
+            r2 = n2
+            while r2 in parent:
+                r2 = parent[r2]
+            if r1 is r2:
+                continue
+            g1 = _ERROR_OUTPUT if r1 is None else r1.types
+            g2 = _ERROR_OUTPUT if r2 is None else r2.types
+            if g1 != g2:
+                return False
+            parent[r2] = r1
+            stack.append((r1, r2))
     return True
 
 

@@ -23,9 +23,11 @@ Build one with :func:`build_fpg` from a context-insensitive
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator,
+                    Mapping, Set, Tuple)
 
 from repro.ir.types import NULL_TYPE
+from repro.pta.bitset import bits_to_list
 from repro.pta.results import PointsToResult
 
 __all__ = ["FieldPointsToGraph", "FPGIntegrityError", "build_fpg",
@@ -81,20 +83,6 @@ class FieldPointsToGraph:
             raise KeyError(f"unknown target object {target}")
         self._succ[source].setdefault(field, set()).add(target)
 
-    def add_targets(self, source: int, field: str,
-                    targets: Iterable[int]) -> None:
-        """Bulk form of :meth:`add_edge`: one field-bucket lookup for a
-        whole pointee group (how :func:`build_fpg` consumes the solver's
-        grouped field facts)."""
-        if source not in self._type_of:
-            raise KeyError(f"unknown source object {source}")
-        type_of = self._type_of
-        bucket = self._succ[source].setdefault(field, set())
-        for target in targets:
-            if target not in type_of:
-                raise KeyError(f"unknown target object {target}")
-            bucket.add(target)
-
     def add_null_field(self, source: int, field: str) -> None:
         """Record that ``source.field`` holds only ``null``."""
         self.add_edge(source, field, NULL_OBJECT)
@@ -124,6 +112,13 @@ class FieldPointsToGraph:
         modeled in the automata layer via the error/sink convention.
         """
         return self._succ[obj].keys()
+
+    def successors(self, obj: int) -> Mapping[str, AbstractSet[int]]:
+        """``obj``'s outgoing edges as field -> target set, read-only:
+        the graph's own table, handed out without a copy (the shared
+        automata read a one-object DFA state's transitions from it).
+        Empty for the null node."""
+        return self._succ[obj]
 
     def points_to(self, obj: int, field: str) -> FrozenSet[int]:
         """``α[obj, field]`` — empty when the field has no edge."""
@@ -214,30 +209,36 @@ def build_fpg(pre_result: PointsToResult) -> FieldPointsToGraph:
             f"got {pre_result.selector_name!r}"
         )
     fpg = FieldPointsToGraph()
-    program = pre_result.program
-
+    type_of = fpg._type_of
+    succ = fpg._succ
     # Object id -> allocation site (1:1 under ci + alloc-site).
     site_of: Dict[int, int] = {}
+    class_of: Dict[int, str] = {}
     for obj in pre_result.objects():
         site = pre_result.object_site_key(obj)
-        assert isinstance(site, int)
+        assert isinstance(site, int) and site != NULL_OBJECT
         site_of[obj] = site
-        fpg.add_object(site, pre_result.object_class(obj))
+        type_of[site] = class_of[site] = pre_result.object_class(obj)
+        succ[site] = {}
 
-    for base_obj, field, pointees in pre_result.field_points_to_grouped():
-        fpg.add_targets(
-            site_of[base_obj], field, (site_of[p] for p in pointees)
-        )
+    # One bit-vector read per field node; each (object, field) has one.
+    for base_obj, field, bits in pre_result.field_bits():
+        succ[site_of[base_obj]][field] = {
+            site_of[p] for p in bits_to_list(bits)}
 
     # Null fields: every *declared* field (inherited included) of every
     # object that the pre-analysis found nothing stored into.
-    for obj in pre_result.objects():
-        site = site_of[obj]
-        class_name = pre_result.object_class(obj)
-        if class_name not in program.hierarchy:
-            continue
-        declared = program.fields_of_class(class_name)
-        for field_name in declared:
-            if not fpg.points_to(site, field_name):
-                fpg.add_null_field(site, field_name)
+    program = pre_result.program
+    hierarchy = program.hierarchy
+    declared: Dict[str, Tuple[str, ...]] = {}
+    for site, class_name in class_of.items():
+        fields = declared.get(class_name)
+        if fields is None:
+            fields = declared[class_name] = (
+                tuple(program.fields_of_class(class_name))
+                if class_name in hierarchy else ())
+        by_field = succ[site]
+        for field in fields:
+            if field not in by_field:
+                by_field[field] = {NULL_OBJECT}
     return fpg

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.automata import SharedAutomata
+from repro.core.automata import DFAState, SharedAutomata
 from repro.core.disjoint_sets import DisjointSets
 from repro.core.equivalence import shared_equivalent
 from repro.core.fpg import NULL_OBJECT, FieldPointsToGraph
@@ -165,21 +165,20 @@ def _merge_partition(
     equivalence_tests = 0
     singletype_failures = 0
     pairs: List[Tuple[int, int]] = []
-    representatives: List[int] = []
+    # each representative beside its DFA root
+    representatives: List[Tuple[int, DFAState]] = []
     for obj in objs:
         if not automata.singletype(obj):
             singletype_failures += 1
             continue
         root = automata.dfa_root(obj)
-        merged = False
-        for representative in representatives:
+        for representative, rep_root in representatives:
             equivalence_tests += 1
-            if shared_equivalent(automata.dfa_root(representative), root):
+            if shared_equivalent(rep_root, root):
                 pairs.append((representative, obj))
-                merged = True
                 break
-        if not merged:
-            representatives.append(obj)
+        else:
+            representatives.append((obj, root))
     return pairs, equivalence_tests, singletype_failures
 
 

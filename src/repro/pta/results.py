@@ -13,10 +13,13 @@ the views the rest of the system needs:
 The solver stores points-to sets as bit-vector ints (see
 :mod:`repro.pta.bitset`); accessors read them through the solver's
 ``node_pts_*`` methods.  Unions over many nodes are taken in the
-bit-vector domain (``|`` on ints) and decoded once at the end.  Two
-accessors hand the unioned bit-vectors themselves to the clients that
-only test them against class masks or read a few of their classes
-(:meth:`PointsToResult.cast_bits`, :meth:`PointsToResult.exception_bits`).
+bit-vector domain (``|`` on ints) and decoded once at the end.  Some
+accessors hand the bit-vectors themselves to the consumers that only
+test them against class masks or read their classes or sites
+(:meth:`PointsToResult.cast_bits`, :meth:`PointsToResult.exception_bits`,
+:meth:`PointsToResult.field_bits`); :meth:`PointsToResult.classes_of_bits`
+reads the classes of a bit-vector one hierarchy-ordered class block at
+a time.
 Variable, exception and context queries read per-method indexes, each
 built on first use, so a query costs its matching entries rather than a
 scan of the node table.
@@ -177,18 +180,26 @@ class PointsToResult:
     # ------------------------------------------------------------------
     # Field points-to (FPG input)
     # ------------------------------------------------------------------
-    def field_points_to_grouped(self) -> Iterator[Tuple[int, str, List[int]]]:
-        """Yield ``(base_obj, field, pointee ids)`` one *field node* at a
-        time — the compact form the FPG builder consumes (one bulk
-        insert per field node instead of one call per fact)."""
+    def field_bits(self) -> Iterator[Tuple[int, str, int]]:
+        """Yield ``(base_obj, field, bits)`` for every instance field node
+        that points to something: the pointees as one bit-vector, read
+        once per node.  The FPG builder consumes this form directly, and
+        :meth:`field_points_to_grouped` decodes it."""
         s = self._solver
+        node_pts_bits = s.node_pts_bits
         # the solver interns field (tag 1) and static-field (tag 2)
         # nodes by key; variable nodes live in frames
         for key, node in s._node_ids.items():
             if key[0] == 1:
-                pointees = s.node_pts_ids(node)
-                if pointees:
-                    yield key[1], key[2], pointees
+                bits = node_pts_bits(node)
+                if bits:
+                    yield key[1], key[2], bits
+
+    def field_points_to_grouped(self) -> Iterator[Tuple[int, str, List[int]]]:
+        """Yield ``(base_obj, field, pointee ids)`` one *field node* at a
+        time: :meth:`field_bits` with each bit-vector decoded."""
+        for base_obj, field, bits in self.field_bits():
+            yield base_obj, field, bits_to_list(bits)
 
     def field_points_to(self) -> Iterator[Tuple[int, str, int]]:
         """Yield ``(base_obj, field, pointee_obj)`` facts."""
@@ -259,6 +270,28 @@ class PointsToResult:
         the hierarchy-ordered ids plus the objects interned above them
         (heap-context clones, classes outside the numbering)."""
         return self._solver._filter_masks.mask_for(class_name)
+
+    def classes_of_bits(self, bits: int) -> Set[str]:
+        """The classes of the objects in ``bits``, read one class block at
+        a time: each class's own hierarchy-ordered ids are one
+        contiguous block (``HierarchyNumbering.own_end``), so a block
+        costs one lookup however many of its objects are set.  Objects
+        interned above the numbered block (heap-context clones, classes
+        outside the numbering) are looked up one by one."""
+        s = self._solver
+        count = s._numbering.count
+        own_end = s._numbering.own_end
+        object_class = s._object_class
+        classes: Set[str] = set()
+        while bits:
+            obj = (bits & -bits).bit_length() - 1
+            if obj >= count:
+                classes.update(map(object_class.__getitem__,
+                                   bits_to_list(bits)))
+                break
+            classes.add(object_class[obj])
+            bits &= -(1 << own_end[obj])
+        return classes
 
     def is_subtype(self, sub_class: str, sup_class: str) -> bool:
         return self._solver._is_subtype_name(sub_class, sup_class)

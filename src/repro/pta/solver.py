@@ -220,6 +220,28 @@ _NO_EDGES: Tuple[Tuple[int, Optional[str]], ...] = ()
 _Call = Tuple[object, Optional[int], Tuple[int, ...]]
 
 
+#: Statement kinds of a frame layout, by exact statement class.  The
+#: kinds from ``_LOAD`` on hang their metadata on a base variable's
+#: slot.  ``AssignNull`` has no kind: it derives no fact, so its target
+#: gets no slot from it.
+(_NEW, _COPY, _CAST, _RETURN, _STATIC_LOAD, _STATIC_STORE, _THROW, _CATCH,
+ _STATIC_INVOKE, _LOAD, _STORE, _INVOKE) = range(12)
+_STATEMENT_KIND = {
+    New: _NEW, Copy: _COPY, Cast: _CAST, Return: _RETURN,
+    StaticLoad: _STATIC_LOAD, StaticStore: _STATIC_STORE, Throw: _THROW,
+    Catch: _CATCH, StaticInvoke: _STATIC_INVOKE, Load: _LOAD,
+    Store: _STORE, Invoke: _INVOKE,
+}
+
+
+def _call(stmt, slots: Dict[str, int]) -> _Call:
+    """A call's layout entry; its result variable takes a slot before
+    its arguments do."""
+    slot = slots.setdefault
+    target = None if stmt.target is None else slot(stmt.target, len(slots))
+    return stmt, target, tuple([slot(arg, len(slots)) for arg in stmt.args])
+
+
 class _FrameLayout:
     """One method's variable slots, with its statements rewritten over
     them.  Built once per program (cached in ``Program.frame_layouts``)
@@ -245,21 +267,15 @@ class _FrameLayout:
     )
 
     def __init__(self, method: Method) -> None:
+        # Slots are numbered in first-use order: ``this``, the
+        # parameters, then each statement's variables in the order its
+        # kind reads them below.
         slots: Dict[str, int] = {}
-
-        def slot(name: str) -> int:
-            index = slots.get(name)
-            if index is None:
-                index = slots[name] = len(slots)
-            return index
-
-        def call(stmt) -> _Call:
-            target = None if stmt.target is None else slot(stmt.target)
-            return stmt, target, tuple(slot(arg) for arg in stmt.args)
-
+        slot = slots.setdefault
         if not method.is_static:
-            slot("this")
-        self.params: Tuple[int, ...] = tuple(slot(p) for p in method.params)
+            slot("this", 0)
+        self.params: Tuple[int, ...] = tuple(
+            [slot(p, len(slots)) for p in method.params])
         allocs: List[Tuple[int, int, str]] = []
         copies: List[Tuple[int, int]] = []
         casts: List[Tuple[int, int, str, int]] = []
@@ -270,44 +286,51 @@ class _FrameLayout:
         static_invokes: List[_Call] = []
         returns: List[int] = []
         uses: Dict[int, Tuple[list, list, list]] = {}
-
-        def uses_of(base: str) -> Tuple[list, list, list]:
-            index = slot(base)
-            entry = uses.get(index)
-            if entry is None:
-                entry = uses[index] = ([], [], [])
-            return entry
-
+        kind_of = _STATEMENT_KIND.get
         for stmt in method.statements:
-            if isinstance(stmt, New):
-                allocs.append((slot(stmt.target), stmt.site, stmt.class_name))
-            elif isinstance(stmt, Copy):
-                copies.append((slot(stmt.source), slot(stmt.target)))
-            elif isinstance(stmt, Cast):
-                casts.append((slot(stmt.source), slot(stmt.target),
-                              stmt.class_name, stmt.cast_site))
-            elif isinstance(stmt, StaticLoad):
-                static_loads.append((stmt.class_name, stmt.field_name,
-                                     slot(stmt.target)))
-            elif isinstance(stmt, StaticStore):
-                static_stores.append((slot(stmt.source), stmt.class_name,
-                                      stmt.field_name))
-            elif isinstance(stmt, StaticInvoke):
-                static_invokes.append(call(stmt))
-            elif isinstance(stmt, Load):
-                uses_of(stmt.base)[0].append((slot(stmt.target),
-                                              stmt.field_name))
-            elif isinstance(stmt, Store):
-                uses_of(stmt.base)[1].append((slot(stmt.source),
-                                              stmt.field_name))
-            elif isinstance(stmt, Invoke):
-                uses_of(stmt.base)[2].append(call(stmt))
-            elif isinstance(stmt, Return):
-                returns.append(slot(stmt.source))
-            elif isinstance(stmt, Throw):
-                throws.append(slot(stmt.source))
-            elif isinstance(stmt, Catch):
-                catches.append((slot(stmt.target), stmt.class_name))
+            kind = kind_of(type(stmt))
+            if kind is None:
+                continue
+            if kind < _LOAD:
+                if kind == _NEW:
+                    allocs.append((slot(stmt.target, len(slots)), stmt.site,
+                                   stmt.class_name))
+                elif kind == _RETURN:
+                    returns.append(slot(stmt.source, len(slots)))
+                elif kind == _COPY:
+                    copies.append((slot(stmt.source, len(slots)),
+                                   slot(stmt.target, len(slots))))
+                elif kind == _CAST:
+                    casts.append((slot(stmt.source, len(slots)),
+                                  slot(stmt.target, len(slots)),
+                                  stmt.class_name, stmt.cast_site))
+                elif kind == _STATIC_LOAD:
+                    static_loads.append((stmt.class_name, stmt.field_name,
+                                         slot(stmt.target, len(slots))))
+                elif kind == _STATIC_STORE:
+                    static_stores.append((slot(stmt.source, len(slots)),
+                                          stmt.class_name, stmt.field_name))
+                elif kind == _STATIC_INVOKE:
+                    static_invokes.append(_call(stmt, slots))
+                elif kind == _THROW:
+                    throws.append(slot(stmt.source, len(slots)))
+                else:
+                    catches.append((slot(stmt.target, len(slots)),
+                                    stmt.class_name))
+                continue
+            # a load, store or virtual call: metadata on its base slot
+            base = slot(stmt.base, len(slots))
+            entry = uses.get(base)
+            if entry is None:
+                entry = uses[base] = ([], [], [])
+            if kind == _LOAD:
+                entry[0].append((slot(stmt.target, len(slots)),
+                                 stmt.field_name))
+            elif kind == _STORE:
+                entry[1].append((slot(stmt.source, len(slots)),
+                                 stmt.field_name))
+            else:
+                entry[2].append(_call(stmt, slots))
         self.names: Tuple[str, ...] = tuple(slots)
         self.exc = len(slots)
         self.size = self.exc + 1

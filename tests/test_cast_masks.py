@@ -2,9 +2,11 @@
 
 ``check_casts`` judges a cast site by one AND: the site may fail when
 its incoming bit-vector has a bit outside the target class's subtype
-mask, and only those bits are decoded to name the offending classes.
-The oracle here is the classification it replaced: decode every
-incoming object and test its class with the name-level subtype test.
+mask, and only those bits name the offending classes, read one class
+block at a time (``PointsToResult.classes_of_bits``).  The oracles here
+are what it replaced: decode every incoming object and test its class
+with the name-level subtype test, and look up each decoded object's
+class.
 Inputs are hypothesis programs under ci, 2obj, 2type and T-2obj (the
 object-sensitive ones give heap-context clones, whose ids lie above the
 hierarchy-ordered block), each with two extra casts: to a class outside
@@ -22,6 +24,7 @@ from repro.clients import check_casts
 from repro.frontend import parse_program
 from repro.incr.edits import replace_method_body
 from repro.ir.statements import Cast
+from repro.pta.bitset import bits_to_list
 
 from tests.program_strategies import ir_programs
 
@@ -116,3 +119,43 @@ def test_heap_context_clones_reach_casts(config):
     assert report.offenders_of(10_000) == {"F"}
     # (T) d, (V) a and both added casts; only (U) b is safe
     assert len(report.may_fail_sites) == 4 and report.safe_count == 1
+
+
+def per_object_classes(result, bits):
+    """The classes of ``bits`` by decoding every object."""
+    return {result.object_class(obj) for obj in bits_to_list(bits)}
+
+
+def assert_classes_match(result, extra=()):
+    """``classes_of_bits`` against the per-object decode on every cast
+    source, its failing part, and each bit-vector in ``extra``."""
+    vectors = list(extra)
+    for _, target, bits in result.cast_bits():
+        vectors += [bits, bits & ~result.subtype_mask(target)]
+    for bits in vectors:
+        assert result.classes_of_bits(bits) == per_object_classes(result, bits)
+
+
+@given(program=ir_programs(), config=st.sampled_from(CONFIGS),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_classes_of_bits_matches_per_object(program, config, data):
+    result = run_analysis(with_odd_casts(program), config).result
+    live = list(result.objects())
+    subset = data.draw(st.sets(st.sampled_from(live)) if live
+                       else st.just(set()))
+    every = sum(1 << obj for obj in live)
+    some = sum(1 << obj for obj in subset)
+    assert_classes_match(result, extra=(0, every, some))
+
+
+@pytest.mark.parametrize("config", ["2obj", "2type"])
+def test_classes_of_bits_reads_overflow_ids(config):
+    """Heap-context clones sit above the numbered block: they are read
+    one by one, after the class blocks below them."""
+    result = run_analysis(with_odd_casts(parse_program(FACTORY_SOURCE)),
+                          config).result
+    numbered = result._solver._numbering.count
+    every = sum(1 << obj for obj in result.objects())
+    assert every >> numbered
+    assert_classes_match(result, extra=(every, every >> numbered << numbered))

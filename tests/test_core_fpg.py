@@ -5,6 +5,11 @@ import pytest
 from repro.core.fpg import NULL_OBJECT, NULL_TYPE_NAME, FieldPointsToGraph, build_fpg
 from repro.frontend import parse_program
 from repro.pta import AllocationTypeAbstraction, selector_for, solve
+from repro.pta.heapmodel import AllocationSiteAbstraction
+from repro.workloads import TINY, corpus_names, corpus_program, generate, load_profile
+
+from tests.conftest import FIGURE1_SOURCE
+from tests.reference_solver import reference_solve
 
 
 def small_fpg():
@@ -127,3 +132,52 @@ class TestBuildFromPreAnalysis:
         fpg = build_fpg(solve(parse_program(src)))
         assert fpg.points_to(1, "f") == frozenset([NULL_OBJECT])
         assert fpg.points_to(1, "g") == frozenset([NULL_OBJECT])
+
+
+def reference_fpg(program):
+    """``(types, edges)`` of the FPG assembled from the reference
+    solver's ci, allocation-site field facts, each object's unassigned
+    declared fields completed with null through
+    ``Program.fields_of_class``."""
+    ref = reference_solve(program, selector_for("ci"),
+                          AllocationSiteAbstraction())
+    types = {NULL_OBJECT: NULL_TYPE_NAME}
+    for (site, _), class_name in ref.obj_class.items():
+        types[site] = class_name
+    edges = set()
+    for node, objs in ref.pts.items():
+        if node[0] == "field":
+            (site, _), field = node[1], node[2]
+            edges |= {(site, field, target) for target, _ in objs}
+    assigned = {(site, field) for site, field, _ in edges}
+    for site, class_name in types.items():
+        if site == NULL_OBJECT or class_name not in program.hierarchy:
+            continue
+        for field in program.fields_of_class(class_name):
+            if (site, field) not in assigned:
+                edges.add((site, field, NULL_OBJECT))
+    return types, edges
+
+
+def reference_programs():
+    yield "figure1", parse_program(FIGURE1_SOURCE)
+    yield "tiny", generate(TINY)
+    for name in corpus_names():
+        yield name, corpus_program(name)
+    for profile in ("antlr", "fop", "luindex", "lusearch"):
+        yield f"{profile}@0.3", load_profile(profile, 0.3)
+
+
+class TestBuildAgainstReference:
+    """``build_fpg`` reads the solver's field bit-vectors; the oracle
+    assembles the same graph from the reference solver's facts."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in reference_programs()])
+    def test_nodes_types_and_edges_match(self, name):
+        program = dict(reference_programs())[name]
+        fpg = build_fpg(solve(program))
+        types, edges = reference_fpg(program)
+        assert {obj: fpg.type_of(obj)
+                for obj in (NULL_OBJECT, *fpg.objects())} == types
+        assert set(fpg.edges()) == edges
+        fpg.check_integrity()
