@@ -16,7 +16,7 @@ an independent :class:`PhaseBudget` covering three resource axes:
   though its own footprint fits.  Budgeting the per-attempt *delta*
   lets a rung be rescued after a memory trip;
 * **work** (``max_iterations`` worklist pops, ``max_objects`` interned
-  abstract objects, ``max_worklist`` pending-entry depth).
+  abstract objects).
 
 A :class:`ResourceGovernor` owns the budgets and the current-phase
 state.  The pipeline brackets each phase with :meth:`phase`; the solver
@@ -104,13 +104,11 @@ class PhaseBudget:
     memory_bytes: Optional[int] = None
     max_iterations: Optional[int] = None
     max_objects: Optional[int] = None
-    max_worklist: Optional[int] = None
 
     @property
     def unbounded(self) -> bool:
         return (self.wall_seconds is None and self.memory_bytes is None
-                and self.max_iterations is None and self.max_objects is None
-                and self.max_worklist is None)
+                and self.max_iterations is None and self.max_objects is None)
 
 
 @dataclass(frozen=True)
@@ -343,8 +341,7 @@ class ResourceGovernor:
             )
         raise exc
 
-    def check(self, iterations: int = 0, objects: int = 0,
-              worklist: int = 0) -> None:
+    def check(self, iterations: int = 0, objects: int = 0) -> None:
         """Raise if the current phase's budget is exhausted.
 
         Called by the solver on its check stride and by :meth:`phase` at
@@ -392,13 +389,6 @@ class ResourceGovernor:
                 f"abstract objects ({objects} interned)",
                 phase=phase, budget=budget.max_objects,
                 observed=objects, iterations=iterations,
-            ))
-        if budget.max_worklist is not None and worklist > budget.max_worklist:
-            self._exhaust(WorkBudgetExceeded(
-                f"phase {phase!r} exceeded worklist depth "
-                f"{budget.max_worklist} ({worklist} pending)",
-                phase=phase, budget=budget.max_worklist,
-                observed=worklist, iterations=iterations,
             ))
         if budget.memory_bytes is not None:
             observed = memory_watermark_bytes()

@@ -27,7 +27,8 @@ from repro.analysis.config import AnalysisConfig
 from repro.ir.program import Program
 from repro.pta.context import IntrospectiveSensitive, selector_for
 from repro.pta.heapmodel import AllocationSiteAbstraction
-from repro.pta.solver import AnalysisTimeout, Solver
+from repro.pta.solver import Solver
+from repro.resources import TimeBudgetExceeded
 
 __all__ = ["refinement_set", "run_introspective"]
 
@@ -73,7 +74,7 @@ def run_introspective(
     try:
         result = solver.solve()
         timed_out = False
-    except AnalysisTimeout:
+    except TimeBudgetExceeded:
         result = None
         timed_out = True
     return AnalysisRun(

@@ -68,7 +68,7 @@ from repro.pta.heapmodel import (
     MahjongAbstraction,
 )
 from repro.pta.results import PointsToResult
-from repro.pta.solver import AnalysisTimeout, Solver
+from repro.pta.solver import Solver
 from repro.resources import ResourceExhausted
 
 __all__ = [
@@ -317,8 +317,7 @@ def classify_failure(exc: BaseException) -> FailureInfo:
 def _pre_cache_component(merge_options) -> str:
     """Cache-key component for the pre-analysis artifacts: every
     *explicit* argument that can change them, with ``None`` options
-    normalised to the defaults.  (Env-knob defaults are folded in
-    separately via :func:`repro.envknobs.env_knobs`.)"""
+    normalised to the defaults."""
     opts = merge_options if merge_options is not None else MergeOptions()
     return f"policy={opts.representative_policy}"
 
@@ -339,10 +338,10 @@ def run_pre_analysis(
     attributed — :func:`run_analysis` catches it.
 
     ``artifact_cache`` (an :class:`~repro.incr.ArtifactCache`) keys the
-    FPG and merged-object map by content hash of the printed program,
-    the explicit arguments above, and every result-affecting env knob;
-    a hit skips the corresponding phases (an FPG hit also skips the ci
-    solve, leaving ``result=None``).  Corrupt entries read as misses.
+    FPG and merged-object map by content hash of the printed program
+    and the explicit arguments above; a hit skips the corresponding
+    phases (an FPG hit also skips the ci solve, leaving
+    ``result=None``).  Corrupt entries read as misses.
     """
     fpg = merge = None
     fpg_key = merge_key = None

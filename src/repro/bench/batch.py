@@ -27,9 +27,8 @@ Programs come from the synthetic profiles (``--profiles``), the
 hand-written corpus (``--corpus``), and/or mini-Java files
 (``--files``).  Per-phase budgets come from ``--budget`` (wall-clock
 per solve) plus the governor knobs (``--max-iterations``,
-``--memory-mb``); fault injection from ``--faults``/``--faults-seed``
-or ``$REPRO_FAULTS``/``$REPRO_FAULTS_SEED``; ``--trace-dir`` writes one
-Chrome trace (:mod:`repro.obs`) per program.
+``--memory-mb``); fault injection from ``--faults``/``--faults-seed``;
+``--trace-dir`` writes one Chrome trace (:mod:`repro.obs`) per program.
 
 **Per-program state.**  Nothing is shared between programs, so the
 records are identical at any worker count (``--jobs N``, default 1 =
@@ -38,11 +37,11 @@ inline, ``0`` = one worker per core, more than 1 = a process pool):
 * each program's backoff jitter comes from its own
   ``Random(derive_seed(seed, name))`` stream;
 * the fault spec is re-seeded per program
-  (:meth:`repro.faults.FaultPlan.derive`) and installed where the
-  program runs, so firings depend only on ``(spec, seed, name)`` —
-  never on scheduling.  A plan a caller installed with
-  :func:`repro.faults.active` would be one plan shared by every
-  program, so :func:`run_batch` rejects it;
+  (:meth:`repro.faults.FaultPlan.derive`) and scoped with
+  :func:`repro.faults.active` on the thread where the program runs, so
+  firings depend only on ``(spec, seed, name)`` — never on scheduling.
+  A plan the caller's thread already holds would be one plan shared by
+  every program, so :func:`run_batch` rejects it;
 * machine-shared governor budgets (memory) are divided across workers
   via :meth:`repro.analysis.governor.GovernorSpec.slice`;
 * each program's trace comes back as event payloads
@@ -57,7 +56,6 @@ import pickle
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -264,10 +262,10 @@ def _run_task(
             tracer.instant("batch.backoff", program=task.name,
                            retry=retry, delay=round(delay, 6))
 
-    plan_scope = (
-        faults_mod.active(faults_mod.FaultPlan.derive(
-            task.fault_spec, task.fault_seed, task.name, stride=1))
-        if task.fault_spec else nullcontext()
+    plan_scope = faults_mod.active(
+        faults_mod.FaultPlan.derive(
+            task.fault_spec, task.fault_seed, task.name, stride=1)
+        if task.fault_spec else None
     )
     state = RetryState()
     record = BatchRecord(program=task.name, config=task.config,
@@ -330,10 +328,8 @@ def run_batch(
     ``max_retries`` times with jittered exponential backoff seeded by
     ``seed`` and the program name — deterministic, like everything else
     in the fault path.  ``fault_spec``/``fault_seed`` arm one derived
-    plan per program; without them ``$REPRO_FAULTS``/
-    ``$REPRO_FAULTS_SEED`` are lifted into the same derived form.  A
-    plan installed with :func:`repro.faults.active` raises
-    :class:`ValueError`.
+    plan per program.  Calling it inside a :func:`repro.faults.active`
+    scope raises :class:`ValueError`.
 
     ``sleeper`` performs the backoff waits (injectable so tests never
     sleep real wall-clock); every *planned* delay is recorded on the
@@ -350,21 +346,11 @@ def run_batch(
     backoffs with ``time.sleep``; a custom ``sleeper`` is honored
     wherever a program runs in the parent.
     """
-    if faults_mod.installed_plan() is not None:
+    if faults_mod.current_plan() is not None:
         raise ValueError(
             "run_batch derives one fault plan per program: pass "
-            "fault_spec=/fault_seed= instead of installing a plan with "
+            "fault_spec=/fault_seed= instead of scoping a plan with "
             "repro.faults.active()")
-    if fault_spec is None:
-        # $REPRO_FAULTS would otherwise reach every program through the
-        # injection points' env fallback as one *shared* plan whose
-        # firings depend on worker count; lift it into the per-program
-        # derived form instead
-        text = os.environ.get(faults_mod.FAULTS_ENV_VAR, "").strip()
-        if text:
-            fault_spec = text
-            fault_seed = int(
-                os.environ.get(faults_mod.FAULTS_SEED_ENV_VAR, "0"))
     programs = list(programs)
     workers = _resolve_jobs(jobs)
     tasks = [

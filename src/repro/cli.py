@@ -64,8 +64,6 @@ def _read_program(path: str):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
     from repro import faults, obs
     from repro.analysis.governor import ResourceGovernor
     from repro.analysis.pipeline import run_analysis
@@ -82,10 +80,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             max_iterations=args.max_iterations,
             check_stride=args.check_stride,
         )
-    plan_scope = (
-        faults.active(faults.FaultPlan.parse(args.faults,
-                                             seed=args.faults_seed, stride=1))
-        if args.faults else nullcontext()
+    plan_scope = faults.active(
+        faults.FaultPlan.parse(args.faults, seed=args.faults_seed, stride=1)
+        if args.faults else None
     )
     tracer = None
     mem_sink = None

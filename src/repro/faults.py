@@ -33,13 +33,14 @@ Boundary points carry a ``kind``:
 Activation
 ----------
 
-A :class:`FaultPlan` is installed process-wide with :func:`install` /
-:func:`active`, or via the environment (``REPRO_FAULTS`` holds the spec
-string, ``REPRO_FAULTS_SEED`` the seed), which is how the CI job and the
-``--faults`` CLI flags reach in.  Spec strings are comma-separated
+A :class:`FaultPlan` reaches the pipeline one way: scoped to the calling
+thread with ``with active(plan):``, just as :func:`repro.obs.active`
+scopes a tracer.  The ``--faults``/``--faults-seed`` flags of ``analyze``
+and ``batch`` and the service's ``faults``/``faults_seed`` request fields
+all parse a plan and enter that scope.  Spec strings are comma-separated
 points with colon-separated ``key=value`` fields::
 
-    REPRO_FAULTS="main-boundary:kind=exhaust,solve-iteration:at=2048"
+    main-boundary:kind=exhaust,solve-iteration:at=2048
 
 Each spec fires on its first ``times`` activations (default 1) and then
 goes quiet — that is what makes a *transient* fault transient and lets
@@ -58,7 +59,6 @@ with a fixed seed exactly reproducible.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import zlib
@@ -77,19 +77,11 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "derive_seed",
-    "install",
-    "uninstall",
     "active",
-    "thread_active",
-    "installed_plan",
     "current_plan",
     "fire",
     "corrupt_fpg",
 ]
-
-#: Environment variables consulted by :func:`current_plan`.
-FAULTS_ENV_VAR = "REPRO_FAULTS"
-FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 
 INJECTION_POINTS = (
     "pre-boundary",
@@ -249,15 +241,6 @@ class FaultPlan:
         identical firing decisions no matter which worker runs it."""
         return cls.parse(text, seed=derive_seed(seed, name), stride=stride)
 
-    @classmethod
-    def from_env(cls, environ=os.environ) -> Optional["FaultPlan"]:
-        """Build a plan from ``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED``."""
-        text = environ.get(FAULTS_ENV_VAR, "").strip()
-        if not text:
-            return None
-        seed = int(environ.get(FAULTS_SEED_ENV_VAR, "0"))
-        return cls.parse(text, seed=seed, stride=1)
-
     # -- firing decisions -----------------------------------------------
     def _rng(self, point: str) -> random.Random:
         rng = self._rngs.get(point)
@@ -371,52 +354,23 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Process-wide activation
+# Thread-scoped activation
 # ----------------------------------------------------------------------
-_installed: Optional[FaultPlan] = None
-#: per-thread plan stack (request-scoped injection in the threaded
-#: analysis service) — consulted before the process-wide plan.
 _thread_plans = threading.local()
-#: memoized env parse: (env string, seed string) -> plan
-_env_cache: Optional[Tuple[Tuple[str, str], Optional[FaultPlan]]] = None
-
-
-def install(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install ``plan`` process-wide; returns the previous plan."""
-    global _installed
-    previous = _installed
-    _installed = plan
-    return previous
-
-
-def uninstall() -> Optional[FaultPlan]:
-    """Remove the installed plan; returns it."""
-    return install(None)
 
 
 @contextmanager
-def active(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Scope a plan to a ``with`` block (restores the previous plan)."""
-    previous = install(plan)
-    try:
-        yield plan
-    finally:
-        install(previous)
-
-
-@contextmanager
-def thread_active(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
+def active(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
     """Scope a plan to the *calling thread* for a ``with`` block.
 
-    The analysis service runs one request per thread; a request's
-    ``?faults=`` plan must fire only inside that request's own pipeline
-    — never in a concurrent tenant's — so it is pushed onto a
-    thread-local stack that :func:`current_plan` consults before the
-    process-wide plan.  The injection points all fire on the thread
-    that drives the pipeline (phase boundaries, solver strides,
-    governor samples), which is what makes thread scoping sufficient.
-    ``plan=None`` is a no-op scope, so call sites
-    can use it unconditionally.
+    The analysis service runs one request per thread; a request's plan
+    must fire only inside that request's own pipeline — never in a
+    concurrent tenant's — so it is pushed onto a thread-local stack.
+    The injection points all fire on the thread that drives the
+    pipeline (phase boundaries, solver strides, governor samples),
+    which is what makes thread scoping sufficient.  Scopes nest; the
+    innermost wins.  ``plan=None`` is a no-op scope, so call sites can
+    use it unconditionally.
     """
     if plan is None:
         yield None
@@ -431,34 +385,10 @@ def thread_active(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
         stack.pop()
 
 
-def installed_plan() -> Optional[FaultPlan]:
-    """The thread-scoped plan, else the installed plan; unlike
-    :func:`current_plan`, never one parsed from the environment."""
-    stack = getattr(_thread_plans, "stack", None)
-    if stack:
-        return stack[-1]
-    return _installed
-
-
 def current_plan() -> Optional[FaultPlan]:
-    """The thread-scoped plan, else the installed plan, else one parsed
-    from the environment.
-
-    The environment parse is memoized on the variable values, so a plan
-    activated via ``REPRO_FAULTS`` keeps its firing state across calls
-    (a ``times=1`` fault fires once per process, not once per query).
-    """
-    plan = installed_plan()
-    if plan is not None:
-        return plan
-    global _env_cache
-    key = (os.environ.get(FAULTS_ENV_VAR, ""),
-           os.environ.get(FAULTS_SEED_ENV_VAR, ""))
-    if not key[0].strip():
-        return None
-    if _env_cache is None or _env_cache[0] != key:
-        _env_cache = (key, FaultPlan.from_env())
-    return _env_cache[1]
+    """The calling thread's innermost :func:`active` plan, or ``None``."""
+    stack = getattr(_thread_plans, "stack", None)
+    return stack[-1] if stack else None
 
 
 def fire(point: str, phase: Optional[str] = None) -> None:

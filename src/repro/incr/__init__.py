@@ -5,9 +5,8 @@ is the MAHJONG pre-analysis (ci solve, FPG and merged-object map),
 which is the expensive, reusable part of the pipeline:
 
 * :mod:`repro.incr.cache` — on-disk content-addressed artifact cache
-  for the pre-analysis / FPG / merged-object-map phases, keyed by
-  sha256 of the program text, the config, and every env knob
-  (:mod:`repro.envknobs`).
+  for the FPG / merged-object-map phases, keyed by sha256 of the
+  program text and the config.
 * :mod:`repro.incr.engine` — :class:`IncrementalSession`, the
   edit → re-analyze loop over one cache.
 * :mod:`repro.incr.edits` — deterministic single-method program edits
@@ -20,7 +19,6 @@ from repro.incr.cache import (
     ArtifactCache,
     FPGArtifact,
     MergeArtifact,
-    PreSummaryArtifact,
     program_fingerprint,
 )
 from repro.incr.edits import perturb_method, pick_editable_method
@@ -28,7 +26,6 @@ from repro.incr.engine import IncrementalSession
 
 __all__ = [
     "ArtifactCache",
-    "PreSummaryArtifact",
     "FPGArtifact",
     "MergeArtifact",
     "program_fingerprint",

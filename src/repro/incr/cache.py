@@ -1,10 +1,9 @@
 """On-disk content-addressed artifact cache for analysis phases.
 
-Caches the three reusable products of the MAHJONG pipeline —
-pre-analysis summary, field-points-to graph, merged-object map — keyed
-by sha256 over (artifact kind, printed program text, config component,
-every result-affecting env knob).  Identical inputs under identical
-knobs hit; anything else misses and recomputes.
+Caches the two reusable products of the MAHJONG pipeline —
+field-points-to graph and merged-object map — keyed by sha256 over
+(artifact kind, printed program text, config component).  Identical
+inputs hit; anything else misses and recomputes.
 
 The file format is self-verifying: a magic header naming the format
 version, the sha256 of the payload, the payload length, then the
@@ -30,14 +29,12 @@ import pickle
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro import obs
-from repro.envknobs import env_knobs
 
 __all__ = [
     "ArtifactCache",
-    "PreSummaryArtifact",
     "FPGArtifact",
     "MergeArtifact",
     "program_fingerprint",
@@ -63,28 +60,10 @@ def program_fingerprint(program) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def artifact_key(kind: str, fingerprint: str, component: str,
-                 environment: Optional[str] = None) -> str:
-    """Content hash naming one cache entry.
-
-    ``environment`` defaults to :func:`repro.envknobs.env_knobs` — the
-    single registry of every result-affecting knob — so a new knob
-    added there invalidates stale artifacts automatically.
-    """
-    if environment is None:
-        environment = env_knobs()
-    material = "\x00".join((kind, fingerprint, component, environment))
+def artifact_key(kind: str, fingerprint: str, component: str) -> str:
+    """Content hash naming one cache entry."""
+    material = "\x00".join((kind, fingerprint, component))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class PreSummaryArtifact:
-    """Summary stats of the context-insensitive pre-analysis (the solve
-    itself is not serialized — the FPG artifact supersedes it for
-    pipeline reuse; the summary feeds provenance and reporting)."""
-
-    stats: Tuple[Tuple[str, object], ...]
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -106,7 +85,6 @@ class MergeArtifact:
 
 
 _ARTIFACT_TYPES = {
-    "pre": PreSummaryArtifact,
     "fpg": FPGArtifact,
     "merge": MergeArtifact,
 }
@@ -148,12 +126,10 @@ class ArtifactCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.artifact")
 
-    def key_for(self, kind: str, program, component: str,
-                environment: Optional[str] = None) -> str:
+    def key_for(self, kind: str, program, component: str) -> str:
         if kind not in _ARTIFACT_TYPES:
             raise ValueError(f"unknown artifact kind {kind!r}")
-        return artifact_key(kind, program_fingerprint(program), component,
-                            environment)
+        return artifact_key(kind, program_fingerprint(program), component)
 
     # ------------------------------------------------------------------
     def load(self, kind: str, key: str):

@@ -27,12 +27,11 @@ from repro.pta.heapmodel import (
     MahjongAbstraction,
 )
 from repro.pta.results import PointsToResult
-from repro.pta.solver import AnalysisTimeout, ObjectDescriptor, Solver, solve
+from repro.pta.solver import ObjectDescriptor, Solver, solve
 
 __all__ = [
     "solve",
     "Solver",
-    "AnalysisTimeout",
     "ObjectDescriptor",
     "PointsToResult",
     "Context",

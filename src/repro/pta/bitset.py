@@ -40,14 +40,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Bit-vector primitives
 # ----------------------------------------------------------------------
-if hasattr(int, "bit_count"):  # Python >= 3.10
-    def popcount(bits: int) -> int:
-        """Number of set bits (|S| of the encoded set)."""
-        return bits.bit_count()
-else:  # pragma: no cover - exercised only on 3.9
-    def popcount(bits: int) -> int:
-        """Number of set bits (|S| of the encoded set)."""
-        return bin(bits).count("1")
+def popcount(bits: int) -> int:
+    """Number of set bits (|S| of the encoded set)."""
+    return bits.bit_count()
 
 
 def iter_bits(bits: int) -> Iterator[int]:

@@ -156,7 +156,6 @@ from repro.pta.heapmodel import AllocationSiteAbstraction, HeapModel
 
 __all__ = [
     "Solver",
-    "AnalysisTimeout",
     "solve",
     "ObjectDescriptor",
 ]
@@ -174,25 +173,6 @@ _MAX_COLLAPSE_BACKOFF = 64
 #: ranked node (a detection pass never emits this many indices).  Among
 #: themselves they pop in push order (``Solver._push_wave``).
 _FRESH_NODE_ORDER = 1 << 60
-
-
-class AnalysisTimeout(TimeBudgetExceeded):
-    """Raised when the wall-clock budget is exhausted mid-solve.
-
-    Kept as a compatible subclass of the unified
-    :class:`repro.resources.ResourceExhausted` taxonomy: legacy
-    ``except AnalysisTimeout`` sites keep working, while the pipeline's
-    degradation ladder catches the whole family at once.
-    """
-
-    def __init__(self, budget_seconds: float, iterations: int) -> None:
-        super().__init__(
-            f"points-to analysis exceeded {budget_seconds:.1f}s "
-            f"after {iterations} worklist iterations",
-            budget=budget_seconds, iterations=iterations,
-        )
-        self.budget_seconds = budget_seconds
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -381,7 +361,7 @@ class Solver:
     ``governor`` optionally subjects the solve to a
     :class:`repro.analysis.governor.ResourceGovernor`: its
     :meth:`~repro.analysis.governor.ResourceGovernor.check` runs on the
-    timeout stride with the live iteration/object/worklist counts, and
+    timeout stride with the live iteration and object counts, and
     may raise any :class:`~repro.resources.ResourceExhausted`.
     ``phase_label`` names the pipeline phase this solve belongs to
     (``"main"`` or ``"pre"``) for budget attribution and for filtering
@@ -731,11 +711,13 @@ class Solver:
         governor, and armed fault plan.  With ``facts`` given (a gate
         inside the loop) the trace's ``stride`` window rotates too."""
         if deadline is not None and time.monotonic() > deadline:
-            raise AnalysisTimeout(self.timeout_seconds, iterations)
+            raise TimeBudgetExceeded(
+                f"points-to analysis exceeded {self.timeout_seconds:.1f}s "
+                f"after {iterations} worklist iterations",
+                budget=self.timeout_seconds, iterations=iterations)
         if self.governor is not None:
             self.governor.check(iterations=iterations,
-                                objects=len(self._object_ids),
-                                worklist=worklist)
+                                objects=len(self._object_ids))
         if self._fault_plan is not None:
             self._fault_plan.check_iteration(iterations, self.phase_label)
         if facts is not None and self.tracer is not None:

@@ -9,16 +9,15 @@ into one timeout flag:
 * :class:`MemoryBudgetExceeded` — the peak-memory watermark crossed the
   configured ceiling;
 * :class:`WorkBudgetExceeded` — a work guard tripped (worklist
-  iterations, interned-object count, or worklist depth).
+  iterations or interned-object count).
 
 All three derive from :class:`ResourceExhausted`, which carries the
 *phase* the budget belonged to (``pre``/``fpg``/``merge``/``main``), the
 budget, and the observed value — exactly the provenance the degradation
 ladder (:mod:`repro.analysis.pipeline`) and the Table 2 harness need to
-render honest rows.  The solver's legacy ``AnalysisTimeout`` is kept as
-a compatible subclass of :class:`TimeBudgetExceeded`, so existing
-``except AnalysisTimeout`` sites keep working while new code catches
-the whole family with ``except ResourceExhausted``.
+render honest rows.  The solver raises :class:`TimeBudgetExceeded`
+for its own ``timeout_seconds`` deadline; callers catch one kind by its
+class or the whole family with ``except ResourceExhausted``.
 
 This module sits below both :mod:`repro.pta` and :mod:`repro.analysis`
 on purpose: the solver raises these types and the governor budgets
@@ -89,7 +88,7 @@ class MemoryBudgetExceeded(ResourceExhausted):
 
 
 class WorkBudgetExceeded(ResourceExhausted):
-    """A work guard tripped (iterations, objects, or worklist depth)."""
+    """A work guard tripped (iterations or objects)."""
 
     resource = "work"
 

@@ -33,17 +33,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.analysis.pipeline import AnalysisRun
-from repro.envknobs import ENV_KNOBS, env_knobs
 from repro.ir.program import Program
 from repro.pta.results import PointsToResult
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "ENV_KNOBS",
-    "env_knobs",
     "BadRequest",
     "ok_body",
     "error_body",
@@ -148,22 +145,15 @@ def program_key(key_material: str) -> str:
     return hashlib.sha256(key_material.encode("utf-8")).hexdigest()[:16]
 
 
-def cache_key(key_material: str, config: str,
-              environment: Optional[str] = None) -> str:
-    """The resident-result cache key: program content + configuration +
-    every process-default knob that changes results without appearing
-    in the config string.
+def cache_key(key_material: str, config: str) -> str:
+    """The resident-result cache key: program content + configuration.
 
-    ``environment`` defaults to :func:`repro.envknobs.env_knobs` — the
-    one registry of result-affecting knobs (``$REPRO_FAULTS``/``_SEED``,
-    and whatever gets added there next) —
-    so no caller can forget to fold a knob in by hand.  Pass an
-    explicit string only to pin a specific environment (tests).
+    Nothing else changes a result: no process-wide knob or environment
+    variable is read, and a request's fault plan is scoped to its own
+    thread (and its faulted runs are never cached).
     """
-    if environment is None:
-        environment = env_knobs()
     return hashlib.sha256(
-        f"{key_material}\x00{config}\x00{environment}".encode("utf-8")
+        f"{key_material}\x00{config}".encode("utf-8")
     ).hexdigest()
 
 

@@ -114,7 +114,7 @@ class ResultCache:
 
     Only clean runs are cached: an entry must have completed its
     *requested* configuration (status ``ok``) with no request-scoped
-    fault plan installed — a degraded or fault-shaped outcome is an
+    fault plan scoped — a degraded or fault-shaped outcome is an
     honest answer to *that request*, not to the program/config key.
     """
 
@@ -303,8 +303,6 @@ class AnalysisService:
         """
         seq = self._next_seq()
         started = time.monotonic()
-        # protocol.cache_key folds every result-affecting env knob in by
-        # default (repro.envknobs.env_knobs) — no hand-rolled key here.
         key = protocol.cache_key(request.key_material, request.config)
         use_cache = request.plan is None and request.cache
         if use_cache:
@@ -325,7 +323,7 @@ class AnalysisService:
             spec = request.governor_spec(self.config,
                                          elapsed=time.monotonic() - started)
             governor = spec.build() if spec.bounded else None
-            with faults_mod.thread_active(request.plan):
+            with faults_mod.active(request.plan):
                 return run_analysis(
                     program, request.config,
                     governor=governor, degrade=request.degrade,

@@ -152,7 +152,6 @@ class TestDegradationLadder:
         with faults.active(plan):
             run = run_analysis(tiny_program, "M-2obj",
                                degrade="T-2obj,ci")
-        faults.uninstall()
         assert run.degraded
         assert run.config.name == "T-2obj"
         assert run.degraded_from == "M-2obj"
@@ -164,7 +163,6 @@ class TestDegradationLadder:
         plan = FaultPlan([FaultSpec(point="main-boundary", times=1)])
         with faults.active(plan):
             run = run_analysis(tiny_program, "M-3obj", degrade=True)
-        faults.uninstall()
         assert run.degraded
         assert not run.timed_out
         metrics = run.metrics()

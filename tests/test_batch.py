@@ -10,12 +10,6 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.workloads import corpus_names, corpus_program, load_profile
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    yield
-    faults.uninstall()
-
-
 def _corpus(*names):
     return [(name, corpus_program(name)) for name in names]
 
@@ -323,13 +317,12 @@ class TestShardedBatch:
         with pytest.raises(TypeError, match="tracer"):
             run_batch(_corpus("cache"), tracer=obs.Tracer(sinks=()))
 
-    @pytest.mark.parametrize("scope", ["active", "thread_active"])
-    def test_ambient_plan_rejected(self, scope):
-        """One installed plan would be shared by every program (and
-        copied into every worker), so the records would depend on the
-        worker count."""
+    def test_ambient_plan_rejected(self):
+        """One scoped plan would be shared by every program run on the
+        calling thread, so the records would depend on the worker
+        count."""
         plan = FaultPlan([FaultSpec(point="merge-boundary", times=1)])
-        with getattr(faults, scope)(plan):
+        with faults.active(plan):
             with pytest.raises(ValueError, match="fault_spec"):
                 run_batch(_corpus("cache"))
 
@@ -384,24 +377,6 @@ class TestShardedFaultDeterminism:
         first = records(1)
         assert first == records(2)
         assert first["counts"] == {"degraded": len(corpus_names()) + 1}
-
-    def test_env_faults_lifted_to_derived_plans(self, monkeypatch):
-        """$REPRO_FAULTS becomes per-program derived plans — same
-        firings at any worker count."""
-        monkeypatch.setenv("REPRO_FAULTS", self.SPEC)
-        monkeypatch.setenv("REPRO_FAULTS_SEED", "7")
-
-        def outcome(jobs):
-            result = run_batch(_corpus(*corpus_names()), config="M-2obj",
-                               jobs=jobs, backoff_seconds=0.0001)
-            return [(r.program, r.status, r.retries, r.degraded_from)
-                    for r in result.records]
-
-        first = outcome(1)
-        assert first == outcome(4)
-        # and it matches the explicit fault_spec path exactly
-        assert first == [(p, s, r, d)
-                         for p, s, r, d, _ in self._outcome(4)]
 
     def test_different_fault_seed_changes_firings(self):
         base = self._outcome(2)

@@ -1,6 +1,8 @@
 """Deterministic fault injection: every injection point, every fault
 kind, and every degradation path it triggers."""
 
+import threading
+
 import pytest
 
 from repro import faults
@@ -23,13 +25,6 @@ from repro.interp import interpret
 from repro.resources import TimeBudgetExceeded
 
 from tests.test_soundness_oracle import assert_trace_covered
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    """Every test leaves the process-wide plan uninstalled."""
-    yield
-    faults.uninstall()
 
 
 class TestFaultSpecParsing:
@@ -59,15 +54,6 @@ class TestFaultSpecParsing:
     def test_stride_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             FaultPlan([], stride=3)
-
-    def test_from_env(self):
-        environ = {"REPRO_FAULTS": "merge-boundary:times=2",
-                   "REPRO_FAULTS_SEED": "7"}
-        plan = FaultPlan.from_env(environ)
-        assert plan.specs["merge-boundary"].times == 2
-        assert plan.seed == 7
-        assert plan.stride == 1
-        assert FaultPlan.from_env({}) is None
 
 
 class TestFiringSemantics:
@@ -166,30 +152,46 @@ class TestFiringSemantics:
 
 
 class TestActivation:
+    """There is no process-wide plan: :func:`faults.active` scopes one
+    to the calling thread."""
+
     def test_active_scopes_and_restores(self):
-        outer = FaultPlan([])
-        faults.install(outer)
-        inner = FaultPlan([])
-        with faults.active(inner):
-            assert faults.current_plan() is inner
-        assert faults.current_plan() is outer
+        outer, inner = FaultPlan([]), FaultPlan([])
+        assert faults.current_plan() is None
+        with faults.active(outer):
+            with faults.active(inner) as scoped:
+                assert scoped is inner
+                assert faults.current_plan() is inner
+            assert faults.current_plan() is outer
+        assert faults.current_plan() is None
 
-    def test_env_plan_keeps_state_across_queries(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "main-boundary:times=1")
-        first = faults.current_plan()
-        assert first is faults.current_plan()  # memoized, not re-parsed
-        with pytest.raises(InjectedExhaustion):
-            first.fire("main-boundary")
-        # the one activation is spent process-wide
-        faults.current_plan().fire("main-boundary")
+    def test_none_is_a_no_op_scope(self):
+        plan = FaultPlan([])
+        with faults.active(plan):
+            with faults.active(None) as scoped:
+                assert scoped is None
+                assert faults.current_plan() is plan
+        assert faults.current_plan() is None
 
-    def test_env_change_invalidates_memo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "main-boundary")
-        first = faults.current_plan()
-        monkeypatch.setenv("REPRO_FAULTS", "pre-boundary")
-        second = faults.current_plan()
-        assert second is not first
-        assert "pre-boundary" in second.specs
+    def test_plan_does_not_cross_threads(self):
+        plan = FaultPlan([FaultSpec(point="main-boundary", times=-1)])
+        seen = []
+
+        def other_thread():
+            seen.append(faults.current_plan())
+            faults.fire("main-boundary")  # no plan here: must not raise
+            seen.append("fired-quietly")
+
+        with faults.active(plan):
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert faults.current_plan() is plan
+            with pytest.raises(InjectedExhaustion):
+                faults.fire("main-boundary")
+        assert seen == [None, "fired-quietly"]
+        assert plan.log == [("main-boundary", "exhaust")]
 
 
 class TestDegradationPaths:

@@ -17,7 +17,7 @@ from repro.analysis.governor import (
 )
 from repro.analysis.pipeline import run_analysis, run_pre_analysis
 from repro.faults import FaultPlan, FaultSpec
-from repro.pta.solver import AnalysisTimeout, Solver
+from repro.pta.solver import Solver
 from repro.resources import memory_watermark_bytes
 
 
@@ -30,7 +30,6 @@ class TestPhaseBudget:
         assert not PhaseBudget(memory_bytes=1).unbounded
         assert not PhaseBudget(max_iterations=1).unbounded
         assert not PhaseBudget(max_objects=1).unbounded
-        assert not PhaseBudget(max_worklist=1).unbounded
 
 
 class TestGovernorConstruction:
@@ -76,15 +75,13 @@ class TestChecks:
         assert info.value.observed == 101
         assert info.value.budget == 100
 
-    def test_object_and_worklist_guards(self):
+    def test_object_guard(self):
         governor = ResourceGovernor(
-            budgets={"main": PhaseBudget(max_objects=5, max_worklist=5)})
+            budgets={"main": PhaseBudget(max_objects=5)})
         with governor.phase("main"):
-            governor.check(objects=5, worklist=5)
+            governor.check(objects=5)
             with pytest.raises(WorkBudgetExceeded):
                 governor.check(objects=6)
-            with pytest.raises(WorkBudgetExceeded):
-                governor.check(worklist=6)
 
     def test_memory_budget_ignores_preexisting_watermark(self):
         # the process watermark is far above the budget already, but a
@@ -154,13 +151,6 @@ class TestTaxonomy:
         for cls in (TimeBudgetExceeded, MemoryBudgetExceeded,
                     WorkBudgetExceeded):
             assert issubclass(cls, ResourceExhausted)
-
-    def test_analysis_timeout_is_compatible_subclass(self):
-        exc = AnalysisTimeout(1.5, 2048)
-        assert isinstance(exc, TimeBudgetExceeded)
-        # the legacy attributes survive
-        assert exc.budget_seconds == 1.5
-        assert exc.iterations == 2048
 
 
 class TestSolverIntegration:

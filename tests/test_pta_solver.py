@@ -8,7 +8,8 @@ or call graph exactly.
 import pytest
 
 from repro.frontend import parse_program
-from repro.pta import AnalysisTimeout, Solver, selector_for, solve
+from repro.pta import Solver, selector_for, solve
+from repro.resources import TimeBudgetExceeded
 
 
 def pts_sites(result, method, var, context=None):
@@ -271,8 +272,10 @@ class TestTimeout:
     def test_timeout_raises(self, tiny_program):
         solver = Solver(tiny_program, selector_for("2obj"),
                         timeout_seconds=0.0)
-        with pytest.raises(AnalysisTimeout):
+        with pytest.raises(TimeBudgetExceeded) as info:
             solver.solve()
+        assert info.value.budget == 0.0
+        assert info.value.iterations == 0
 
     def test_no_timeout_when_fast(self, tiny_program):
         result = Solver(tiny_program, timeout_seconds=60.0).solve()

@@ -25,6 +25,7 @@ from repro.analysis import run_analysis
 from repro.analysis.governor import ResourceGovernor
 from repro.core.disjoint_sets import IntDisjointSets
 from repro.frontend import parse_program
+from repro.obs import InMemorySink, Tracer
 from repro.pta.context import selector_for
 from repro.pta.scc import AdaptiveGate, condense_copy_graph
 from repro.pta.solver import Solver
@@ -384,18 +385,16 @@ class TestStrideAccountingAfterMerges:
                                  Solver(cycles_program).solve())
 
     def test_governor_sees_pending_as_worklist(self, cycles_program):
-        """The wave loop reports its pending map as the worklist depth."""
-        observed = []
-
-        class Probe(ResourceGovernor):
-            def check(self, iterations=0, objects=0, worklist=0):
-                observed.append(worklist)
-                return super().check(iterations=iterations, objects=objects,
-                                     worklist=worklist)
-
+        """The wave loop reports its pending map as the worklist depth
+        of its ``stride`` trace windows (an unbounded governor only
+        lowers the stride so every pop closes a window)."""
+        sink = InMemorySink()
         solver = Solver(cycles_program,
-                        governor=Probe(check_stride=1))
+                        governor=ResourceGovernor(check_stride=1),
+                        tracer=Tracer(sinks=(sink,)))
         solver.solve()
+        assert solver._wave
+        observed = [span.attrs["worklist"] for span in sink.find("stride")]
         assert observed and max(observed) > 0
 
 

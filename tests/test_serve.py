@@ -75,14 +75,10 @@ class TestProtocol:
             protocol.load_program(spec)
 
     def test_cache_key_varies_by_each_component(self):
-        base = protocol.cache_key("source:x", "M-2obj", "faults=")
-        assert protocol.cache_key("source:y", "M-2obj",
-                                  "faults=") != base
-        assert protocol.cache_key("source:x", "ci", "faults=") != base
-        assert protocol.cache_key("source:x", "M-2obj",
-                                  "faults=main-boundary") != base
-        assert protocol.cache_key("source:x", "M-2obj",
-                                  "faults=") == base
+        base = protocol.cache_key("source:x", "M-2obj")
+        assert protocol.cache_key("source:y", "M-2obj") != base
+        assert protocol.cache_key("source:x", "ci") != base
+        assert protocol.cache_key("source:x", "M-2obj") == base
 
     def test_canonical_json_is_order_insensitive(self):
         assert canonical_json({"b": 1, "a": [2, 3]}) == \
