@@ -22,8 +22,7 @@ _EDGES = {}
 
 
 def _run(program, heap_model):
-    return Solver(program, selector_for("3obj"), heap_model,
-                  timeout_seconds=600).solve()
+    return Solver(program, selector_for("3obj"), heap_model).solve()
 
 
 def test_3obj_baseline(benchmark):

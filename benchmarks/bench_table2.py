@@ -24,8 +24,7 @@ BASELINES = ["2cs", "2obj", "3obj", "2type", "3type"]
 
 
 def _solve(program, sensitivity, heap_model):
-    return Solver(program, selector_for(sensitivity), heap_model,
-                  timeout_seconds=600).solve()
+    return Solver(program, selector_for(sensitivity), heap_model).solve()
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -20,7 +20,7 @@ an independent :class:`PhaseBudget` covering three resource axes:
 
 A :class:`ResourceGovernor` owns the budgets and the current-phase
 state.  The pipeline brackets each phase with :meth:`phase`; the solver
-calls :meth:`check` on its existing 1024-pop timeout stride (the
+calls :meth:`check` on its 1024-pop check stride (the
 governor's ``check_stride`` can lower that, e.g. to 1 in tests, so
 budgets land deterministically even on tiny programs).  Exhaustion
 raises the :mod:`repro.resources` taxonomy with the phase attributed,
@@ -233,7 +233,8 @@ class ResourceGovernor:
         deadline_seconds: Optional[float] = None,
     ) -> "ResourceGovernor":
         """Convenience constructor: one budget applied to every phase
-        (how the CLI's ``--max-iterations`` / ``--memory-mb`` flags are
+        (how the CLI's ``--budget`` / ``--max-iterations`` /
+        ``--memory-mb`` flags and ``run_analysis(timeout_seconds=)`` are
         spelled), plus an optional whole-run deadline."""
         budget = PhaseBudget(
             wall_seconds=wall_seconds,

@@ -24,6 +24,7 @@ from typing import Optional, Set
 
 from repro.analysis.pipeline import AnalysisRun, PreAnalysisArtifacts, run_pre_analysis
 from repro.analysis.config import AnalysisConfig
+from repro.analysis.governor import ResourceGovernor
 from repro.ir.program import Program
 from repro.pta.context import IntrospectiveSensitive, selector_for
 from repro.pta.heapmodel import AllocationSiteAbstraction
@@ -68,8 +69,10 @@ def run_introspective(
     selector = IntrospectiveSensitive(
         selector_for(base), lambda qname: qname in refined
     )
+    governor = (None if timeout_seconds is None
+                else ResourceGovernor.from_limits(wall_seconds=timeout_seconds))
     solver = Solver(program, selector, AllocationSiteAbstraction(),
-                    timeout_seconds=timeout_seconds)
+                    governor=governor)
     start = time.monotonic()
     try:
         result = solver.solve()

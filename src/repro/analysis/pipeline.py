@@ -18,8 +18,9 @@ the client metrics, and the per-phase timing breakdown used by the
 Table 2 harness.  Budget exhaustion reproduces the paper's "unscalable
 within budget" rows: the run is marked ``timed_out`` instead of raising
 — *any* :class:`~repro.resources.ResourceExhausted` (wall-clock, memory
-watermark, or work guard, whether from ``timeout_seconds`` or a
-:class:`~repro.analysis.governor.ResourceGovernor`) is caught in *every*
+watermark, or work guard, all raised by the
+:class:`~repro.analysis.governor.ResourceGovernor` that
+``timeout_seconds`` builds or the caller passes) is caught in *every*
 phase, pre-analysis included, and attributed to the phase that burned
 the budget.
 
@@ -48,6 +49,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, obs
 from repro.analysis.config import AnalysisConfig, parse_config
+from repro.analysis.governor import ResourceGovernor
 from repro.clients import (
     analyze_exceptions,
     build_call_graph,
@@ -206,6 +208,17 @@ class AnalysisRun:
     def degraded(self) -> bool:
         return self.degraded_from is not None and self.result is not None
 
+    @property
+    def status(self) -> str:
+        """``exhausted`` (every rung blew its budget), ``degraded`` (a
+        coarser rung completed) or ``ok`` — the status the CLI, the
+        batch records and the service responses all report."""
+        if self.timed_out:
+            return "exhausted"
+        if self.degraded:
+            return "degraded"
+        return "ok"
+
     def metrics(self) -> Dict[str, object]:
         """The paper's Table 2 row: time plus the three client metrics.
 
@@ -325,7 +338,6 @@ def _pre_cache_component(merge_options) -> str:
 def run_pre_analysis(
     program: Program,
     merge_options: Optional[MergeOptions] = None,
-    timeout_seconds: Optional[float] = None,
     governor=None,
     tracer: Optional[obs.Tracer] = None,
     artifact_cache=None,
@@ -365,7 +377,6 @@ def run_pre_analysis(
                 faults.fire("pre-boundary", phase="pre")
                 pre_result = Solver(program, selector_for("ci"),
                                     AllocationSiteAbstraction(),
-                                    timeout_seconds=timeout_seconds,
                                     governor=governor,
                                     phase_label="pre",
                                     tracer=tracer).solve()
@@ -489,16 +500,13 @@ def _solve_main(
     program: Program,
     config: AnalysisConfig,
     heap_model: HeapModel,
-    timeout_seconds: Optional[float],
     governor,
     tracer: Optional[obs.Tracer] = None,
 ) -> AnalysisRun:
     """Phase 4 for one configuration; raises on exhaustion."""
     selector = selector_for(config.sensitivity)
-    solver = Solver(program, selector, heap_model,
-                    timeout_seconds=timeout_seconds,
-                    governor=governor, phase_label="main",
-                    tracer=tracer)
+    solver = Solver(program, selector, heap_model, governor=governor,
+                    phase_label="main", tracer=tracer)
     start = time.monotonic()
     with _maybe_span(tracer, "phase:main"):
         with _phase_scope(governor, "main"):
@@ -532,10 +540,13 @@ def run_analysis(
 
     ``pre`` lets callers share one pre-analysis across several ``M-*``
     configurations of the same program (how Table 2 accounts costs).
-    ``timeout_seconds`` bounds each solve (the pre-analysis included);
-    ``governor`` adds per-phase wall-clock/memory/work budgets.  On
-    exhaustion the run is returned with ``timed_out=True`` rather than
-    raising — including exhaustion *inside* the pre-analysis, which is
+    ``timeout_seconds`` is shorthand for
+    ``governor=ResourceGovernor.from_limits(wall_seconds=timeout_seconds)``:
+    one wall-clock budget per phase (the pre-analysis, FPG and merge
+    included); passing both raises :class:`ValueError`.  ``governor``
+    sets per-phase wall-clock/memory/work budgets.  On exhaustion the
+    run is returned with ``timed_out=True`` rather than raising —
+    including exhaustion *inside* the pre-analysis, which is
     attributed to its phase (``failed_phase``).
 
     ``degrade`` arms the graceful-degradation ladder: ``True`` (or
@@ -559,6 +570,10 @@ def run_analysis(
     before reuses its on-disk FPG/merge artifacts.  It is the only
     incremental mechanism: an edited program is solved cold.
     """
+    if timeout_seconds is not None:
+        if governor is not None:
+            raise ValueError("pass timeout_seconds or governor, not both")
+        governor = ResourceGovernor.from_limits(wall_seconds=timeout_seconds)
     if tracer is None:
         tracer = obs.current_tracer()
     if (governor is not None and tracer is not None
@@ -593,7 +608,6 @@ def run_analysis(
                     if shared_pre is None:
                         shared_pre = run_pre_analysis(
                             program, merge_options,
-                            timeout_seconds=timeout_seconds,
                             governor=governor, tracer=tracer,
                             artifact_cache=artifact_cache,
                         )
@@ -602,8 +616,8 @@ def run_analysis(
                     heap_model = AllocationTypeAbstraction(program)
                 else:
                     heap_model = AllocationSiteAbstraction()
-                run = _solve_main(program, config, heap_model,
-                                  timeout_seconds, governor, tracer=tracer)
+                run = _solve_main(program, config, heap_model, governor,
+                                  tracer=tracer)
             except (ResourceExhausted, FPGIntegrityError) as exc:
                 seconds = time.monotonic() - start
                 phase = getattr(exc, "phase", None) or "main"

@@ -6,7 +6,7 @@ import sys
 from typing import Callable, Dict, List
 
 from repro.bench import (ablation, batch, compare, fig8, fig9, motivating,
-                         prestats, report, serve, table1, table2)
+                         prestats, report, table1, table2)
 
 _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "motivating": motivating.main,
@@ -18,7 +18,6 @@ _HARNESSES: Dict[str, Callable[[List[str]], int]] = {
     "ablation": ablation.main,
     "compare": compare.main,
     "batch": batch.main,
-    "serve": serve.main,
     "report": report.main,
 }
 

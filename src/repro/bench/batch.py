@@ -26,7 +26,7 @@ attempt raised; the error is recorded).
 Programs come from the synthetic profiles (``--profiles``), the
 hand-written corpus (``--corpus``), and/or mini-Java files
 (``--files``).  Per-phase budgets come from ``--budget`` (wall-clock
-per solve) plus the governor knobs (``--max-iterations``,
+per phase) plus the governor knobs (``--max-iterations``,
 ``--memory-mb``); fault injection from ``--faults``/``--faults-seed``;
 ``--trace-dir`` writes one Chrome trace (:mod:`repro.obs`) per program.
 
@@ -56,7 +56,7 @@ import pickle
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faults as faults_mod
@@ -169,14 +169,6 @@ class BatchResult:
 ProgramSource = Union[Program, Callable[[], Program]]
 
 
-def _classify(run) -> Tuple[str, Optional[str], Optional[str], Optional[str]]:
-    if run.timed_out:
-        return "exhausted", run.degraded_from, run.failed_phase, run.exhaustion_cause
-    if run.degraded:
-        return "degraded", run.degraded_from, None, None
-    return "ok", None, None, None
-
-
 def _trace_slug(name: str) -> str:
     """A filesystem-safe stem for a per-program trace file."""
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
@@ -217,7 +209,6 @@ class ShardTask:
     name: str
     source: ProgramSource
     config: str
-    budget: Optional[float]
     degrade: Union[bool, str, Tuple[str, ...]]
     max_retries: int
     backoff_seconds: float
@@ -253,7 +244,6 @@ def _run_task(
         source = task.source
         program = source() if callable(source) else source
         return run_analysis(program, task.config,
-                            timeout_seconds=task.budget,
                             governor=governor.build() if governor else None,
                             degrade=task.degrade, tracer=tracer)
 
@@ -264,7 +254,7 @@ def _run_task(
 
     plan_scope = faults_mod.active(
         faults_mod.FaultPlan.derive(
-            task.fault_spec, task.fault_seed, task.name, stride=1)
+            task.fault_spec, task.fault_seed, task.name)
         if task.fault_spec else None
     )
     state = RetryState()
@@ -288,8 +278,10 @@ def _run_task(
         record.error = f"{type(exc).__name__}: {exc}"
         record.backoff_delays = state.delays
     else:
-        (record.status, record.degraded_from, record.failed_phase,
-         record.exhaustion_cause) = _classify(run)
+        record.status = run.status
+        record.degraded_from = run.degraded_from
+        record.failed_phase = run.failed_phase
+        record.exhaustion_cause = run.exhaustion_cause
         record.retries = state.retries
         record.metrics = dict(run.metrics())
         record.backoff_delays = state.delays
@@ -324,10 +316,10 @@ def run_batch(
     fails to *load* (parse error, generator bug) becomes a ``failed``
     record instead of killing the batch.  ``governor_spec`` builds a
     fresh :class:`~repro.analysis.governor.ResourceGovernor` per attempt
-    (governors are stateful).  Transient faults are retried up to
-    ``max_retries`` times with jittered exponential backoff seeded by
-    ``seed`` and the program name — deterministic, like everything else
-    in the fault path.  ``fault_spec``/``fault_seed`` arm one derived
+    (governors are stateful); ``budget`` sets its ``wall_seconds``.
+    Transient faults are retried up to ``max_retries`` times with
+    jittered exponential backoff seeded by ``seed`` and the program
+    name — deterministic, like everything else in the fault path.  ``fault_spec``/``fault_seed`` arm one derived
     plan per program.  Calling it inside a :func:`repro.faults.active`
     scope raises :class:`ValueError`.
 
@@ -351,11 +343,14 @@ def run_batch(
             "run_batch derives one fault plan per program: pass "
             "fault_spec=/fault_seed= instead of scoping a plan with "
             "repro.faults.active()")
+    if budget is not None:
+        governor_spec = replace(governor_spec or GovernorSpec(),
+                                wall_seconds=budget)
     programs = list(programs)
     workers = _resolve_jobs(jobs)
     tasks = [
         ShardTask(
-            name=name, source=source, config=config, budget=budget,
+            name=name, source=source, config=config,
             degrade=(tuple(degrade) if isinstance(degrade, (list, tuple))
                      else degrade),
             max_retries=max_retries, backoff_seconds=backoff_seconds,
@@ -494,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="mini-Java source files")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--budget", type=float, default=None,
-                        help="wall-clock budget per solve, in seconds")
+                        help="wall-clock budget per phase, in seconds")
     parser.add_argument("--no-degrade", action="store_true",
                         help="disable the degradation ladder")
     parser.add_argument("--ladder", default=None,
@@ -527,13 +522,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.ladder:
         degrade = args.ladder
 
-    governor_spec = None
-    if args.max_iterations is not None or args.memory_mb is not None:
-        governor_spec = GovernorSpec(
-            memory_mb=args.memory_mb,
-            max_iterations=args.max_iterations,
-            check_stride=args.check_stride,
-        )
+    # an unbounded spec builds no governor (GovernorSpec.build)
+    governor_spec = GovernorSpec(
+        memory_mb=args.memory_mb,
+        max_iterations=args.max_iterations,
+        check_stride=args.check_stride,
+    )
 
     result = run_batch(
         _collect_programs(args),

@@ -74,14 +74,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     degrade = False if args.no_degrade else (args.ladder or "auto")
     governor = None
-    if args.max_iterations is not None or args.memory_mb is not None:
+    if (args.budget is not None or args.max_iterations is not None
+            or args.memory_mb is not None):
         governor = ResourceGovernor.from_limits(
+            wall_seconds=args.budget,
             memory_mb=args.memory_mb,
             max_iterations=args.max_iterations,
             check_stride=args.check_stride,
         )
     plan_scope = faults.active(
-        faults.FaultPlan.parse(args.faults, seed=args.faults_seed, stride=1)
+        faults.FaultPlan.parse(args.faults, seed=args.faults_seed)
         if args.faults else None
     )
     tracer = None
@@ -106,7 +108,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         with plan_scope:
             run = run_analysis(program, args.analysis,
-                               timeout_seconds=args.budget,
                                governor=governor, degrade=degrade,
                                tracer=tracer,
                                artifact_cache=artifact_cache)
@@ -129,14 +130,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"wrote {args.trace_out}", file=sys.stderr)
     for key, value in run.metrics().items():
         print(f"{key}: {value}")
-    if run.timed_out:
+    if run.status == "exhausted":
         cause = run.exhaustion_cause or "time"
         phase = run.failed_phase or "main"
         print(f"error: {cause} budget exhausted in {phase} phase "
               f"(tried: {', '.join(a.config for a in run.attempts) or args.analysis})",
               file=sys.stderr)
         return EXIT_EXHAUSTED
-    if run.degraded:
+    if run.status == "degraded":
         print(f"warning: {args.analysis} exhausted its budget; "
               f"degraded to {run.config.name}", file=sys.stderr)
     return 0 if run.succeeded else 1
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file")
     analyze.add_argument("--analysis", default="M-2obj", type=_config_name)
     analyze.add_argument("--budget", type=float, default=None,
-                         help="main-analysis timeout in seconds")
+                         help="wall-clock budget per phase, in seconds")
     analyze.add_argument("--no-degrade", action="store_true",
                          help="fail instead of walking the degradation ladder")
     analyze.add_argument("--ladder", default=None,

@@ -201,22 +201,18 @@ def _parse_spec(text: str) -> FaultSpec:
 class FaultPlan:
     """A set of armed :class:`FaultSpec` plus deterministic firing state.
 
-    ``stride`` (a power of two, optional) lowers the solver's
-    check-stride so iteration faults land precisely even on programs
-    whose whole solve fits inside the default 1024-pop window.
+    While a plan is active the solver checks it on every pop, so
+    iteration faults land exactly even on programs whose whole solve
+    fits inside the default 1024-pop window.
     """
 
-    def __init__(self, specs: Iterable[FaultSpec], seed: int = 0,
-                 stride: Optional[int] = None) -> None:
+    def __init__(self, specs: Iterable[FaultSpec], seed: int = 0) -> None:
         self.specs: Dict[str, FaultSpec] = {}
         for spec in specs:
             if spec.point in self.specs:
                 raise ValueError(f"duplicate fault spec for {spec.point!r}")
             self.specs[spec.point] = spec
         self.seed = seed
-        if stride is not None and (stride <= 0 or stride & (stride - 1)):
-            raise ValueError(f"stride must be a power of two, got {stride}")
-        self.stride = stride
         self._activations: Dict[str, int] = {}
         self._rngs: Dict[str, random.Random] = {}
         #: sticky peak of fired memory-spike bytes (watermark semantics).
@@ -226,20 +222,18 @@ class FaultPlan:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def parse(cls, text: str, seed: int = 0,
-              stride: Optional[int] = None) -> "FaultPlan":
+    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
         """Parse a spec string like
         ``"main-boundary:kind=crash,solve-iteration:at=64:times=2"``."""
         specs = [_parse_spec(part) for part in text.split(",") if part.strip()]
-        return cls(specs, seed=seed, stride=stride)
+        return cls(specs, seed=seed)
 
     @classmethod
-    def derive(cls, text: str, seed: int, name: str,
-               stride: Optional[int] = None) -> "FaultPlan":
+    def derive(cls, text: str, seed: int, name: str) -> "FaultPlan":
         """Parse a spec string with its seed derived per shard name
         (:func:`derive_seed`) — one independent plan per program, with
         identical firing decisions no matter which worker runs it."""
-        return cls.parse(text, seed=derive_seed(seed, name), stride=stride)
+        return cls.parse(text, seed=derive_seed(seed, name))
 
     # -- firing decisions -----------------------------------------------
     def _rng(self, point: str) -> random.Random:

@@ -54,8 +54,8 @@ Design:
   is popped once with the union.  The wave loop pops per-node pending
   deltas in the constraint graph's topological order, and nodes no
   ranking has placed yet after every ranked one, in push order.  Both
-  share one stride gate (wall-clock deadline, governor, fault plan,
-  trace windows) that runs every 1024 pops.
+  share one stride gate (governor, fault plan, trace windows) that
+  runs every 1024 pops, or every pop while a fault plan is active.
 
 * **Constraint-graph condensation** (always on): a union-find over
   pointer nodes collapses strongly connected components of unfiltered
@@ -126,7 +126,6 @@ from repro import faults as _faults
 from repro.ir.program import Method, Program
 from repro.pta.numbering import HierarchyNumbering
 from repro.pta.scc import AdaptiveGate, condense_copy_graph
-from repro.resources import TimeBudgetExceeded
 from repro.ir.statements import (
     Cast,
     Catch,
@@ -160,10 +159,10 @@ __all__ = [
     "ObjectDescriptor",
 ]
 
-#: Worklist pops between wall-clock checks.  ``time.monotonic()`` per
-#: pop is measurable overhead in the hot loop; a power-of-two stride
-#: makes the gate a single AND.
-TIMEOUT_CHECK_STRIDE = 1024
+#: Worklist pops between budget checks.  A governor check per pop is
+#: measurable overhead in the hot loop; a power-of-two stride makes the
+#: gate a single AND.
+CHECK_STRIDE = 1024
 
 #: Ceiling (in grown stride gates) of the exponential backoff between
 #: unproductive SCC detection passes — see ``Solver._maybe_collapse``.
@@ -361,7 +360,7 @@ class Solver:
     ``governor`` optionally subjects the solve to a
     :class:`repro.analysis.governor.ResourceGovernor`: its
     :meth:`~repro.analysis.governor.ResourceGovernor.check` runs on the
-    timeout stride with the live iteration and object counts, and
+    check stride with the live iteration and object counts, and
     may raise any :class:`~repro.resources.ResourceExhausted`.
     ``phase_label`` names the pipeline phase this solve belongs to
     (``"main"`` or ``"pre"``) for budget attribution and for filtering
@@ -381,7 +380,6 @@ class Solver:
         program: Program,
         selector: Optional[ContextSelector] = None,
         heap_model: Optional[HeapModel] = None,
-        timeout_seconds: Optional[float] = None,
         governor=None,
         phase_label: str = "main",
         tracer=None,
@@ -391,7 +389,6 @@ class Solver:
         self.program = program
         self.selector = selector if selector is not None else ContextInsensitive()
         self.heap_model = heap_model if heap_model is not None else AllocationSiteAbstraction()
-        self.timeout_seconds = timeout_seconds
         self.governor = governor
         self.phase_label = phase_label
         self._type_elements = wants_type_elements(self.selector)
@@ -497,7 +494,7 @@ class Solver:
         self._worklist: deque = deque()
         self.iterations = 0
         self.solve_seconds = 0.0
-        self._stride_mask = TIMEOUT_CHECK_STRIDE - 1
+        self._stride_mask = CHECK_STRIDE - 1
         self._fault_plan = None
         self.tracer = tracer
         # current stride-window span id + counters at its start
@@ -572,18 +569,16 @@ class Solver:
         from repro.pta.results import PointsToResult
 
         start = time.monotonic()
-        deadline = None
-        if self.timeout_seconds is not None:
-            deadline = start + self.timeout_seconds
-        # Resolve the check cadence: the governor or an armed fault plan
-        # may need checks more often than the default stride (e.g. every
-        # pop in tests, where whole solves fit inside one 1024 window).
+        # Resolve the check cadence: the governor may lower the default
+        # stride, and an armed fault plan checks every pop, so its
+        # iteration faults land exactly even when a whole solve fits
+        # inside one 1024-pop window.
         plan = _faults.current_plan()
-        stride = TIMEOUT_CHECK_STRIDE
+        stride = CHECK_STRIDE
         if self.governor is not None:
             stride = min(stride, self.governor.check_stride)
-        if plan is not None and plan.stride is not None:
-            stride = min(stride, plan.stride)
+        if plan is not None:
+            stride = 1
         self._stride_mask = stride - 1
         self._fault_plan = plan
         tracer = self.tracer
@@ -610,7 +605,7 @@ class Solver:
                 else:
                     self._sort_worklist_topologically()
                 if not self._wave:
-                    self._run_fifo(deadline)
+                    self._run_fifo()
                     if self._worklist:
                         # The FIFO loop stopped early because a probe
                         # found cycles: switch the remaining worklist to
@@ -619,7 +614,7 @@ class Solver:
                         self._enter_wave_mode()
                         self._collapse_cycles()
                 if self._wave:
-                    self._run_wave(deadline)
+                    self._run_wave()
         finally:
             self.solve_seconds = time.monotonic() - start
             if tracer is not None:
@@ -703,18 +698,13 @@ class Solver:
         )
         self._window_span = None
 
-    def _stride_gate(self, deadline: Optional[float], iterations: int,
-                     worklist: int, facts: Optional[int] = None) -> None:
+    def _stride_gate(self, iterations: int, worklist: int,
+                     facts: Optional[int] = None) -> None:
         """The budget checks both loops run every ``stride`` pops (and
         once on entry, so an already-expired budget raises even if the
-        solve would finish within one stride): wall-clock deadline,
-        governor, and armed fault plan.  With ``facts`` given (a gate
-        inside the loop) the trace's ``stride`` window rotates too."""
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(
-                f"points-to analysis exceeded {self.timeout_seconds:.1f}s "
-                f"after {iterations} worklist iterations",
-                budget=self.timeout_seconds, iterations=iterations)
+        solve would finish within one stride): governor and armed fault
+        plan.  With ``facts`` given (a gate inside the loop) the trace's
+        ``stride`` window rotates too."""
         if self.governor is not None:
             self.governor.check(iterations=iterations,
                                 objects=len(self._object_ids))
@@ -723,7 +713,7 @@ class Solver:
         if facts is not None and self.tracer is not None:
             self._rotate_window(iterations, worklist, facts)
 
-    def _run_fifo(self, deadline: Optional[float]) -> None:
+    def _run_fifo(self) -> None:
         """FIFO fixpoint loop with delta coalescing.
 
         Points-to sets are ints: the surviving delta is ``delta &
@@ -751,12 +741,12 @@ class Solver:
         iterations = self.iterations
         facts = 0
         saved = 0
-        gate(deadline, iterations, len(worklist))
+        gate(iterations, len(worklist))
         try:
             while worklist:
                 iterations += 1
                 if not iterations & stride_mask:
-                    gate(deadline, iterations, len(worklist), facts)
+                    gate(iterations, len(worklist), facts)
                     if probe():
                         break
                 node = pop()
@@ -839,7 +829,7 @@ class Solver:
             pending[node] = current | delta
             self.counters["propagations_saved"] += 1
 
-    def _run_wave(self, deadline: Optional[float]) -> None:
+    def _run_wave(self) -> None:
         """Fixpoint loop in condensation + wave order.
 
         Same delta algebra as :meth:`_run_fifo`; differences are (a)
@@ -864,12 +854,12 @@ class Solver:
         parent = self._uf.parent
         iterations = self.iterations
         facts = 0
-        gate(deadline, iterations, len(pending))
+        gate(iterations, len(pending))
         try:
             while heap:
                 iterations += 1
                 if not iterations & stride_mask:
-                    gate(deadline, iterations, len(pending), facts)
+                    gate(iterations, len(pending), facts)
                     self._maybe_collapse()
                 node = heappop(heap)[1]
                 if parent[node] != node:
@@ -1520,9 +1510,7 @@ class Solver:
 
 def solve(program: Program, selector: Optional[ContextSelector] = None,
           heap_model: Optional[HeapModel] = None,
-          timeout_seconds: Optional[float] = None,
           governor=None, phase_label: str = "main", tracer=None):
     """Convenience wrapper: build a :class:`Solver` and run it."""
-    return Solver(program, selector, heap_model, timeout_seconds,
-                  governor=governor, phase_label=phase_label,
-                  tracer=tracer).solve()
+    return Solver(program, selector, heap_model, governor=governor,
+                  phase_label=phase_label, tracer=tracer).solve()

@@ -15,13 +15,14 @@ All three derive from :class:`ResourceExhausted`, which carries the
 *phase* the budget belonged to (``pre``/``fpg``/``merge``/``main``), the
 budget, and the observed value — exactly the provenance the degradation
 ladder (:mod:`repro.analysis.pipeline`) and the Table 2 harness need to
-render honest rows.  The solver raises :class:`TimeBudgetExceeded`
-for its own ``timeout_seconds`` deadline; callers catch one kind by its
-class or the whole family with ``except ResourceExhausted``.
+render honest rows.  The
+:class:`~repro.analysis.governor.ResourceGovernor` raises all three
+(the solver calls its check); callers catch one kind by its class or
+the whole family with ``except ResourceExhausted``.
 
 This module sits below both :mod:`repro.pta` and :mod:`repro.analysis`
-on purpose: the solver raises these types and the governor budgets
-them, and neither may import the other.
+on purpose: :mod:`repro.faults`, which the solver imports, subclasses
+:class:`TimeBudgetExceeded`, and the governor raises these types.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ __all__ = [
     "cache_key",
     "result_digest",
     "deterministic_result",
-    "run_status",
     "analysis_payload",
 ]
 
@@ -217,21 +216,12 @@ def deterministic_result(run: AnalysisRun) -> Dict[str, Any]:
     return out
 
 
-def run_status(run: AnalysisRun) -> str:
-    """The batch runner's status taxonomy, reused verbatim."""
-    if run.timed_out:
-        return "exhausted"
-    if run.degraded:
-        return "degraded"
-    return "ok"
-
-
 def analysis_payload(run: AnalysisRun, seconds: float) -> Dict[str, Any]:
     """The full ``analysis`` object of an analyze response: the
     deterministic ``result`` plus the per-serving facts (status,
     wall-clock, attempt provenance)."""
     payload: Dict[str, Any] = {
-        "status": run_status(run),
+        "status": run.status,
         "seconds": round(seconds, 6),
         "result": deterministic_result(run),
     }

@@ -13,9 +13,9 @@ robustness envelope the rest of the repo already built:
   :class:`~repro.analysis.governor.ResourceGovernor` from the tenant's
   memory-sliced :class:`~repro.analysis.governor.GovernorSpec`;
 * **deadlines** — a request's ``deadline_seconds`` becomes the
-  governor's whole-run deadline and caps its per-phase wall budget, so
-  a slow solve degrades down the M-3obj→…→ci ladder (or reports
-  structured exhaustion) instead of hanging;
+  governor's whole-run deadline, so a slow solve degrades down the
+  M-3obj→…→ci ladder (or reports structured exhaustion) instead of
+  hanging;
 * **retry** — :class:`~repro.faults.TransientFault` rides the shared
   :mod:`repro.retry` jittered backoff, delays recorded per response;
 * **chaos** — a request may carry its own ``faults`` spec
@@ -53,7 +53,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro import faults as faults_mod
 from repro import obs
@@ -353,7 +353,7 @@ class AnalysisService:
             if tracer is not None:
                 tracer.close()
 
-        if use_cache and protocol.run_status(run) == "ok":
+        if use_cache and run.status == "ok":
             self.cache.put(key, run)
         trace_path = self._write_trace(request, seq, mem_sink)
         return self._finish(request, run, cached_hit=False,
@@ -452,8 +452,7 @@ class _AnalyzeRequest:
                                  "disabled on this server")
             try:
                 plan = faults_mod.FaultPlan.parse(
-                    str(fault_text), seed=int(body.get("faults_seed", 0)),
-                    stride=1)
+                    str(fault_text), seed=int(body.get("faults_seed", 0)))
             except ValueError as exc:
                 raise BadRequest(f"bad faults spec: {exc}") from exc
 
@@ -477,16 +476,16 @@ class _AnalyzeRequest:
     def governor_spec(self, config: ServiceConfig,
                       elapsed: float) -> GovernorSpec:
         """The per-attempt governor recipe: the tenant's fair-share
-        budget with the request's *remaining* deadline folded into both
-        the whole-run deadline and the per-phase wall ceiling."""
+        budget with the request's *remaining* deadline as the whole-run
+        deadline.  A phase clock starts no earlier than the governor's
+        and :meth:`~repro.analysis.governor.ResourceGovernor.check`
+        tests the deadline first, so a wall budget of ``remaining``
+        could never trip before the deadline does."""
         spec = config.tenant_spec
         if self.deadline_seconds is None:
             return spec
         remaining = max(self.deadline_seconds - elapsed, 1e-6)
-        wall = spec.wall_seconds
-        if wall is None or wall > remaining:
-            wall = remaining
-        return replace(spec, wall_seconds=wall, deadline_seconds=remaining)
+        return replace(spec, deadline_seconds=remaining)
 
 
 # ----------------------------------------------------------------------

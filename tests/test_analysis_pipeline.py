@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import (
     PAPER_BASELINES,
     PAPER_CONFIGS,
+    ResourceGovernor,
     parse_config,
     run_analysis,
     run_pre_analysis,
@@ -90,6 +91,7 @@ class TestPipeline:
     def test_timeout_marks_run(self, tiny_program):
         run = run_analysis(tiny_program, "2obj", timeout_seconds=0.0)
         assert run.timed_out
+        assert run.status == "exhausted"
         assert not run.succeeded
         metrics = run.metrics()
         assert metrics["timed_out"] is True
@@ -119,8 +121,16 @@ class TestExhaustionHandling:
         assert metrics["failed_phase"] == "pre"
         assert metrics["attempts"][0]["config"] == "M-2obj"
 
+    def test_timeout_and_governor_are_exclusive(self, tiny_program):
+        governor = ResourceGovernor.from_limits(wall_seconds=60.0)
+        with pytest.raises(ValueError, match="not both"):
+            run_analysis(tiny_program, "ci", timeout_seconds=1,
+                         governor=governor)
+
     def test_normal_run_metrics_carry_no_provenance_keys(self, tiny_program):
-        metrics = run_analysis(tiny_program, "M-2obj").metrics()
+        run = run_analysis(tiny_program, "M-2obj")
+        assert run.status == "ok"
+        metrics = run.metrics()
         for key in ("degraded_from", "failed_phase", "exhaustion_cause",
                     "attempts"):
             assert key not in metrics
@@ -139,6 +149,7 @@ class TestDegradationLadder:
         run = run_analysis(tiny_program, "M-2obj", timeout_seconds=0.0,
                            degrade=True)
         assert run.timed_out
+        assert run.status == "exhausted"
         assert run.degraded_from == "M-2obj"
         assert [a.config for a in run.attempts] == [
             "M-2obj", "2obj", "2type", "ci"]
@@ -153,6 +164,7 @@ class TestDegradationLadder:
             run = run_analysis(tiny_program, "M-2obj",
                                degrade="T-2obj,ci")
         assert run.degraded
+        assert run.status == "degraded"
         assert run.config.name == "T-2obj"
         assert run.degraded_from == "M-2obj"
 
@@ -164,6 +176,7 @@ class TestDegradationLadder:
         with faults.active(plan):
             run = run_analysis(tiny_program, "M-3obj", degrade=True)
         assert run.degraded
+        assert run.status == "degraded"
         assert not run.timed_out
         metrics = run.metrics()
         # the acceptance bar: full client metrics plus provenance

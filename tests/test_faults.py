@@ -51,10 +51,6 @@ class TestFaultSpecParsing:
         with pytest.raises(ValueError, match="malformed fault field"):
             FaultPlan.parse("main-boundary:kind")
 
-    def test_stride_must_be_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            FaultPlan([], stride=3)
-
 
 class TestFiringSemantics:
     def test_times_limits_activations(self):
@@ -232,8 +228,7 @@ class TestDegradationPaths:
 
     def test_solve_iteration_fault(self, tiny_program):
         plan = FaultPlan(
-            [FaultSpec(point="solve-iteration", at=2, phase="main")],
-            stride=1)
+            [FaultSpec(point="solve-iteration", at=2, phase="main")])
         with faults.active(plan):
             run = run_analysis(tiny_program, "2obj",
                                degrade=True)

@@ -199,12 +199,9 @@ class TestContentAddressing:
         """A key is (kind, program text, component) and nothing else.
         That is only sound while no result depends on the process
         environment: no file under ``src/`` names a ``REPRO_*``
-        variable, and the one environment read is the subprocess
-        environment ``bench/serve.py`` hands the daemon it boots."""
+        variable or reads the environment."""
         src_root = os.path.join(os.path.dirname(__file__), os.pardir,
                                 "src", "repro")
-        allowed = {(os.path.join("bench", "serve.py"),
-                    "env = dict(os.environ)")}
         knob = re.compile(r"\bREPRO_[A-Z0-9_]*")
         read = re.compile(r"\benviron\b|\bgetenv\b")
         knobs, reads, scanned = [], set(), 0
@@ -222,7 +219,7 @@ class TestContentAddressing:
                             reads.add((rel, line.strip()))
         assert scanned > 50  # the walk sees the tree
         assert knobs == []
-        assert reads == allowed
+        assert reads == set()
 
     def test_default_merge_options_share_one_key(self, cache):
         """``merge_options=None`` and ``MergeOptions()`` ask for the same

@@ -7,6 +7,7 @@ or call graph exactly.
 
 import pytest
 
+from repro.analysis.governor import ResourceGovernor
 from repro.frontend import parse_program
 from repro.pta import Solver, selector_for, solve
 from repro.resources import TimeBudgetExceeded
@@ -271,14 +272,15 @@ class TestContextSensitivity:
 class TestTimeout:
     def test_timeout_raises(self, tiny_program):
         solver = Solver(tiny_program, selector_for("2obj"),
-                        timeout_seconds=0.0)
+                        governor=ResourceGovernor.from_limits(wall_seconds=0.0))
         with pytest.raises(TimeBudgetExceeded) as info:
             solver.solve()
         assert info.value.budget == 0.0
         assert info.value.iterations == 0
 
     def test_no_timeout_when_fast(self, tiny_program):
-        result = Solver(tiny_program, timeout_seconds=60.0).solve()
+        governor = ResourceGovernor.from_limits(wall_seconds=60.0)
+        result = Solver(tiny_program, governor=governor).solve()
         assert result.reachable_methods()
 
 

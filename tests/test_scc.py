@@ -358,7 +358,7 @@ class TestStrideAccountingAfterMerges:
         baseline.solve()
         at = baseline.iterations // 2
         assert at > 1
-        plan = faults.FaultPlan.parse(f"solve-iteration:at={at}", stride=1)
+        plan = faults.FaultPlan.parse(f"solve-iteration:at={at}")
         solver = Solver(cycles_program)
         with faults.active(plan):
             with pytest.raises(ResourceExhausted):

@@ -12,12 +12,23 @@ malformed requests — all at once.  The properties soaked for:
   byte-identical to a direct run;
 * **no bare tracebacks** — every failure is a classified JSON error;
 * **drain** — after the storm, SIGTERM-style drain completes with
-  zero in-flight requests and admission closed.
+  zero in-flight requests and admission closed;
+* **the real daemon** — a ``repro serve`` subprocess answers a scripted
+  client session (served results byte-identical to a direct run, a
+  repeat served from the cache, structured errors for an unknown tenant
+  and an injected crash, a retried transient) and exits 0 on SIGTERM.
 """
 
 import json
+import os
 import random
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from typing import Sequence
 
 from repro.analysis.pipeline import run_analysis
 from repro.frontend import parse_program
@@ -29,6 +40,27 @@ from repro.serve.server import AnalysisService, ServeDaemon, ServiceConfig
 from .conftest import FIGURE1_SOURCE
 
 TENANTS = ("clean", "crasher", "flaky", "starved")
+
+_ANNOUNCE = re.compile(r"repro-serve listening on http://([^:]+):(\d+)")
+
+#: the scripted session's program: the Figure 1 shape, with virtual
+#: dispatch, a field load, and a cast to exercise every query kind.
+SESSION_SOURCE = """
+class A { field f: A; method foo() { return this; } }
+class B extends A { method foo() { return this; } }
+class C extends A { method foo() { return this; } }
+main {
+  x = new A();
+  y = new A();
+  xf = new B();
+  x.f = xf;
+  yf = new C();
+  y.f = yf;
+  a = y.f;
+  a.foo();
+  c = (C) a;
+}
+"""
 
 #: request templates per tenant: (body-extras, acceptable status codes)
 CHAOS_MENU = {
@@ -189,20 +221,116 @@ class TestHTTPDrainUnderLoad:
         assert daemon.service.admission.inflight == 0
 
 
+class BootedServer:
+    """A ``repro serve`` subprocess plus the URL it announced."""
+
+    def __init__(self, process: subprocess.Popen, url: str) -> None:
+        self.process = process
+        self.url = url
+
+    def terminate_and_wait(self, timeout: float = 30.0) -> int:
+        """SIGTERM (the drain path), then wait for exit."""
+        if self.process.poll() is None:
+            self.process.send_signal(signal.SIGTERM)
+        try:
+            self.process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.kill()
+        return self.process.returncode
+
+    def kill(self) -> None:
+        if self.process.poll() is None:
+            self.process.kill()
+            self.process.wait(timeout=10.0)
+
+
+def boot_server(extra_args: Sequence[str] = (),
+                timeout: float = 30.0) -> BootedServer:
+    """Start ``python -m repro.cli serve --port 0`` and wait for the
+    announce line; raises ``RuntimeError`` when the daemon dies before
+    announcing."""
+    env = dict(os.environ)
+    src_root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src_root),
+                    env.get("PYTHONPATH", "")) if p)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         *extra_args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env,
+    )
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        line = process.stdout.readline()
+        if not line:
+            if process.poll() is not None:
+                raise RuntimeError(
+                    f"serve daemon exited {process.returncode} before "
+                    f"announcing")
+            continue
+        match = _ANNOUNCE.search(line)
+        if match:
+            host, port = match.group(1), match.group(2)
+            return BootedServer(process, f"http://{host}:{port}")
+    process.kill()
+    process.wait(timeout=10.0)
+    raise RuntimeError("serve daemon did not announce within timeout")
+
+
 class TestSubprocessSigterm:
     def test_sigterm_drains_and_exits_zero(self):
-        """The real signal path: boot the daemon as a subprocess, do a
-        little work, SIGTERM it, and require a clean exit with the
-        farewell line."""
-        from repro.bench.serve import boot_server
-
-        server = boot_server(("--max-retries", "1"))
+        """The real daemon and signal path: boot it as a subprocess,
+        drive a scripted session through the stdlib client, SIGTERM it,
+        and require a clean exit with the farewell line."""
+        config = "M-2obj"
+        direct = canonical_json(deterministic_result(
+            run_analysis(parse_program(SESSION_SOURCE), config)))
+        server = boot_server(("--tenants", "alice,bob",
+                              "--max-retries", "2"))
         try:
-            client = ServeClient(server.url)
-            out = client.analyze(FIGURE1_SOURCE, config="ci")
-            assert out["analysis"]["status"] == "ok"
+            client = ServeClient(server.url, tenant="alice")
+            health = client.health()
+            assert (health["ok"], health["status"]) == (True, "serving")
+
+            cold = client.analyze(SESSION_SOURCE, config=config)
+            assert cold["cached"] is False
+            assert canonical_json(cold["analysis"]["result"]) == direct
+            warm = client.analyze(SESSION_SOURCE, config=config)
+            assert warm["cached"] is True
+            assert canonical_json(warm["analysis"]["result"]) == direct
+
+            callgraph = client.query(SESSION_SOURCE, {"kind": "callgraph"},
+                                     config=config)
+            assert callgraph["answer"]["edge_count"] > 0
+            alias = client.query(
+                SESSION_SOURCE, {"kind": "alias", "method": "<Main>.main",
+                                 "var_a": "a", "var_b": "yf"},
+                config=config)
+            assert alias["answer"]["may_alias"] is True
+
+            status, body = client.raw(
+                "POST", "/v1/analyze",
+                {"program": SESSION_SOURCE, "tenant": "mallory"})
+            assert (status, body["error"]["code"]) == (403, "unknown-tenant")
+
+            status, body = client.raw(
+                "POST", "/v1/analyze",
+                {"program": SESSION_SOURCE, "tenant": "bob",
+                 "faults": "main-boundary:kind=crash:times=9"})
+            error = body["error"]
+            assert (status, error["code"], error["kind"]) == \
+                (500, "internal", "crash")
+
+            retried = client.analyze(
+                SESSION_SOURCE, config=config, tenant="bob",
+                faults="main-boundary:kind=transient:times=1")
+            assert retried["retries"] == 1
+
+            health = client.health()
+            assert (health["ok"], health["status"]) == (True, "serving")
         finally:
             exit_code = server.terminate_and_wait(timeout=30.0)
         assert exit_code == 0
-        output = server.process.stdout.read()
-        assert "drained cleanly" in output
+        assert "drained cleanly" in server.process.stdout.read()
